@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunking import ChunkBatch
+from .functional import cast_params
 
 
 class DistanceRangeError(ValueError):
@@ -34,14 +35,6 @@ class RelPosTable:
     min_dist: int
     max_dist: int
     encodings: np.ndarray  # (max_dist - min_dist + 1, d_model) float64
-
-    def lookup(self, distance: int) -> np.ndarray:
-        if distance < self.min_dist or distance > self.max_dist:
-            raise DistanceRangeError(
-                f"distance {distance} outside table range "
-                f"[{self.min_dist}, {self.max_dist}]"
-            )
-        return self.encodings[distance - self.min_dist]
 
     def slice(self, dtype=np.float64) -> np.ndarray:
         return self.encodings.astype(dtype, copy=False)
@@ -57,10 +50,6 @@ class AttentionParams:
     v: np.ndarray   # (d,)
     wo: np.ndarray  # (d, d)
     bo: np.ndarray  # (d,)
-
-    def astype(self, dtype) -> "AttentionParams":
-        return AttentionParams(*(np.asarray(getattr(self, f)).astype(dtype, copy=False)
-                                 for f in ("wq", "wk", "wv", "wr", "u", "v", "wo", "bo")))
 
 
 def rel_pos_encoding(distance: int, d_model: int) -> np.ndarray:
@@ -101,11 +90,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], n_heads * d_k)
 
 
-def _score_batch(rows: np.ndarray, params: AttentionParams, table: RelPosTable,
+def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
                  l: int, c: int, r: int, n_heads: int) -> np.ndarray:
-    """Per-head logits (B, H, c+r, l+c+r) for pre-normalized, mask-zeroed rows."""
+    """Per-head logits (B, H, c+r, l+c+r) for pre-normalized, mask-zeroed rows.
+
+    ``p`` must already be in the rows' dtype."""
     dtype = rows.dtype
-    p = params.astype(dtype)
     d_k = rows.shape[-1] // n_heads
     q_in = rows[:, l:, :]
     qh = _split_heads(q_in @ p.wq, n_heads)               # (B, H, c+r, d_k)
@@ -125,15 +115,6 @@ def _score_batch(rows: np.ndarray, params: AttentionParams, table: RelPosTable,
         pos_all, np.broadcast_to(idx, pos_all.shape[:2] + idx.shape), axis=-1
     )
     return (content + pos) * (1.0 / math.sqrt(d_k))
-
-
-def attention_scores(row: np.ndarray, params: AttentionParams, table: RelPosTable,
-                     l: int, c: int, r: int, n_heads: int = 1) -> np.ndarray:
-    """Logits for one row: (H, c+r, l+c+r). Queries are the last c+r positions."""
-    row = np.asarray(row)
-    if row.ndim != 2 or row.shape[0] != l + c + r:
-        raise ValueError(f"row must be ({l + c + r}, d), got {row.shape}")
-    return _score_batch(row[None], params, table, l, c, r, n_heads)[0]
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> np.ndarray:
@@ -165,17 +146,11 @@ def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTab
     rows = np.where(batch.mask[..., None], batch.rows,
                     np.zeros((), dtype=batch.rows.dtype))
     dtype = rows.dtype
-    p = params.astype(dtype)
-    logits = _score_batch(rows, params, table, batch.l, batch.c, batch.r, n_heads)
+    p = cast_params(params, dtype)
+    logits = _score_batch(rows, p, table, batch.l, batch.c, batch.r, n_heads)
     weights = masked_softmax(logits, batch.mask[:, None, None, :], beta)
     vh = _split_heads(rows @ p.wv, n_heads)               # (B, H, W, d_k)
     zh = weights @ vh                                     # (B, H, c+r, d_k)
     out = _merge_heads(zh) @ p.wo + p.bo
     any_key = batch.mask.any(axis=-1)
     return np.where(any_key[:, None, None], out, np.zeros((), dtype=dtype))
-
-
-def update_att_cache(flat_layer_input: np.ndarray, l_att: int) -> np.ndarray:
-    """Last l_att frames of a layer's flattened input; shorter at stream start."""
-    n = flat_layer_input.shape[0]
-    return flat_layer_input[max(0, n - l_att):].copy()

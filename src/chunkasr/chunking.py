@@ -1,10 +1,13 @@
-"""Chunk carving, overlapping chunk rows, validity masks, and the scheduler.
+"""Chunk carving, overlapping chunk rows with their masks, and the scheduler.
 
 An audio is treated as a batch of equal-sized chunks of c post-subsample
 frames. Sequential operators (attention, depthwise conv) see overlapping rows
-[start - l, start + c + r) gathered from a flat per-audio sequence; positions
-outside the gatherable extent carry a false mask bit and a 0.0 value, so
-randomizing masked positions can never change downstream results bit-wise.
+[start - l, start + c + r) gathered from one flat buffer. A decode step packs
+the regions of all its audios into that buffer back to back, so every row
+carries its own [lo, hi) bounds: the extent of its audio's frames in the
+buffer. Positions outside a row's bounds carry a false mask bit and a 0.0
+value, so windows never reach into a neighbouring audio and randomizing
+masked positions can never change downstream results bit-wise.
 
 The scheduler packs pending chunks from several audios into one step, in
 audio order then chunk order, up to a row budget. Every audio that continues
@@ -48,7 +51,6 @@ class ChunkBatch:
 
     rows: np.ndarray   # (B, l + c + r, d)
     mask: np.ndarray   # (B, l + c + r) bool
-    plans: list[ChunkPlan]
     l: int
     c: int
     r: int
@@ -73,7 +75,6 @@ class StreamState:
     raw_cache: np.ndarray | None = None    # (<=l_raw, n_mels) raw fbank tail
     att_caches: list[np.ndarray] = field(default_factory=list)  # per layer (<=l_att, d)
     conv_caches: list[np.ndarray] = field(default_factory=list) # per layer (<=l_conv, d)
-    ctc_carry: int = 0                     # last argmax id, blank at audio start
 
     @property
     def done(self) -> bool:
@@ -112,63 +113,31 @@ def carve_chunks(total_frames: int, c: int, audio_id: str = "audio") -> list[Chu
 
 
 def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
-                plans: list[ChunkPlan] | None = None) -> ChunkBatch:
-    """Gather overlapping rows [s - l, s + c + r) from a flat sequence.
+                lo=0, hi=None) -> ChunkBatch:
+    """Gather overlapping rows [s - l, s + c + r) from a flat buffer.
 
-    Indices outside [0, len(flat)) are masked and zero-filled; in-range
-    positions are exact copies. ``starts`` are indices into ``flat`` of each
-    chunk's first frame.
+    ``starts`` are buffer indices of each chunk's first frame. Row b may read
+    only buffer positions in [lo[b], hi[b]) (scalars apply to every row; the
+    default is the whole buffer); positions outside are masked and
+    zero-filled, in-range positions are exact copies.
     """
     if l < 0 or r < 0:
         raise ConfigError(f"context lengths must be >= 0, got l={l}, r={r}")
     if c < 1:
         raise ConfigError(f"c must be >= 1, got {c}")
     flat = np.asarray(flat)
-    starts = np.asarray(list(starts), dtype=np.int64)
     n = flat.shape[0]
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    lo = np.maximum(np.asarray(lo, dtype=np.int64), 0)
+    hi = np.minimum(np.asarray(n if hi is None else hi, dtype=np.int64), n)
     idx = starts[:, None] + np.arange(-l, c + r, dtype=np.int64)[None, :]
-    mask = (idx >= 0) & (idx < n)
-    safe = np.clip(idx, 0, max(n - 1, 0))
-    rows = flat[safe] if n > 0 else np.zeros(idx.shape + flat.shape[1:], flat.dtype)
-    rows = np.where(mask[..., None], rows, np.zeros((), dtype=flat.dtype))
-    if plans is None:
-        plans = [ChunkPlan("audio", int(i), c, False) for i in range(len(starts))]
-    return ChunkBatch(rows=rows, mask=mask, plans=list(plans), l=l, c=c, r=r)
-
-
-def build_masks(plans: list[ChunkPlan], l: int, c: int, r: int,
-                boundaries: dict[str, tuple[int, int]]) -> np.ndarray:
-    """Row masks for chunks of several audios packed into one flat stream.
-
-    ``boundaries`` maps audio_id -> (frames_decoded_before_step, total_frames).
-    A row position is active iff its absolute frame index lies inside its own
-    audio: the right side is masked from the audio length (chunk padding and
-    lookahead past the end), the left side from the audio start. Windows never
-    cross an audio boundary because positions are resolved per audio.
-    """
-    width = l + c + r
-    mask = np.zeros((len(plans), width), dtype=bool)
-    next_expected: dict[str, int] = {}
-    for b, plan in enumerate(plans):
-        if plan.audio_id not in boundaries:
-            raise SchedulerError(f"no boundary entry for audio {plan.audio_id!r}")
-        decoded, total = boundaries[plan.audio_id]
-        expected = next_expected.get(plan.audio_id, decoded // c if decoded % c == 0
-                                     else -1)
-        if decoded % c != 0:
-            raise SchedulerError(
-                f"audio {plan.audio_id!r}: decoded prefix {decoded} is not a "
-                f"multiple of the chunk size {c}"
-            )
-        if plan.chunk_index != expected:
-            raise SchedulerError(
-                f"audio {plan.audio_id!r}: chunk {plan.chunk_index} scheduled "
-                f"out of order (expected {expected}); rows would overlap or skip"
-            )
-        next_expected[plan.audio_id] = plan.chunk_index + 1
-        frames = plan.chunk_index * c + np.arange(-l, c + r)
-        mask[b] = (frames >= 0) & (frames < total)
-    return mask
+    mask = (idx >= np.reshape(lo, (-1, 1))) & (idx < np.reshape(hi, (-1, 1)))
+    if n == 0:
+        rows = np.zeros(idx.shape + flat.shape[1:], flat.dtype)
+    else:
+        rows = flat[np.clip(idx, 0, n - 1)]
+        rows[~mask] = 0
+    return ChunkBatch(rows=rows, mask=mask, l=l, c=c, r=r)
 
 
 def schedule_step(states: list[StreamState], plans: dict[str, list[ChunkPlan]],

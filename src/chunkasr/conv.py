@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .functional import glu, layer_norm, swish
+from .functional import cast_params, glu, layer_norm, swish
 
 
 @dataclass
@@ -35,11 +35,6 @@ class ConvParams:
     @property
     def kernel_size(self) -> int:
         return self.dw.shape[0]
-
-    def astype(self, dtype) -> "ConvParams":
-        return ConvParams(*(np.asarray(getattr(self, f)).astype(dtype, copy=False)
-                            for f in ("pw_in_w", "pw_in_b", "dw", "ln_scale",
-                                      "ln_shift", "pw_out_w", "pw_out_b")))
 
 
 def chunk_depthwise_conv(rows: np.ndarray, kernel: np.ndarray,
@@ -78,7 +73,7 @@ def conv_module_forward(rows: np.ndarray, params: ConvParams,
     drops the margins, one vector per fully supported position.
     """
     rows = np.asarray(rows)
-    p = params.astype(rows.dtype)
+    p = cast_params(params, rows.dtype)
     if mask is not None:
         rows = np.where(np.asarray(mask, dtype=bool)[..., None], rows,
                         np.zeros((), dtype=rows.dtype))
@@ -86,9 +81,3 @@ def conv_module_forward(rows: np.ndarray, params: ConvParams,
     y = chunk_depthwise_conv(gated, p.dw, mask)
     y = swish(layer_norm(y, p.ln_scale, p.ln_shift))
     return y @ p.pw_out_w + p.pw_out_b
-
-
-def update_conv_cache(flat_layer_input: np.ndarray, l_conv: int) -> np.ndarray:
-    """Last l_conv frames of the conv sublayer's flattened input."""
-    n = flat_layer_input.shape[0]
-    return flat_layer_input[max(0, n - l_conv):].copy()

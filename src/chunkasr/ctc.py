@@ -68,17 +68,9 @@ def greedy_decode(logits: np.ndarray, carry: int = BLANK_ID) -> tuple[list[int],
     Returns the emitted token ids and the updated carry (the last frame's
     argmax id). Initialize the carry to blank at audio start.
     """
-    if logits.shape[0] == 0:
-        return [], carry
-    path = np.argmax(logits, axis=-1)
-    out: list[int] = []
-    prev = carry
-    for a in path:
-        a = int(a)
-        if a != BLANK_ID and a != prev:
-            out.append(a)
-        prev = a
-    return out, prev
+    state = DecodeState(carry=carry)
+    state.feed(logits, 0)
+    return state.tokens, state.carry
 
 
 @dataclass

@@ -2,15 +2,18 @@
 
 The engine processes audio as decode steps. A step covers the scheduled
 chunks (emitted) plus a lookahead tail (computed, discarded, re-derived from
-raw input next step). Within a step, every layer gathers overlapping chunk
-rows from per-audio flat sequences (left edges come from the per-layer
-caches), runs one batched attention and one batched convolution over all rows
-of all audios, and scatters the per-chunk outputs back. A per-audio validity
-frontier tracks how many lookahead frames are still exact: attention
-quantizes validity to whole chunk windows and the depthwise conv consumes
-l_conv more frames per layer. The scheduler sizes the lookahead so every
-emitted frame stays exact, which makes multi-step, batched, and single-step
-runs agree on emitted frames.
+raw input next step). The step regions of all its audios are packed back to
+back into one ragged (sum of regions, d) buffer, with per-audio offsets, and
+every layer runs over that buffer: each position-wise op (feed-forward,
+layer norm) runs once, and each sequential sublayer makes one gather of
+overlapping chunk rows for all audios from [cache | region] buffers, runs
+one batched attention or convolution, and puts the chunk outputs back with
+one indexing. Every row is bounded by its own audio's frames, so windows
+never cross into a neighbour. A per-audio validity frontier tracks how many
+lookahead frames are still exact: attention quantizes validity to whole
+chunk windows and the depthwise conv consumes l_conv more frames per layer.
+The scheduler sizes the lookahead so every emitted frame stays exact, which
+makes multi-step, batched, and single-step runs agree on emitted frames.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -33,20 +36,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention as att
 from . import chunking
-from . import conv as convmod
 from .attention import AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention
 from .chunking import ChunkBatch, SchedulerError, StepSchedule, StreamState
 from .config import ContextConfig, ModelConfig, derive_l_conv, require_valid
 from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, default_vocab
 from .frontend import N_MELS
-from .functional import ff_forward, layer_norm, swish
+from .functional import cast_params, ff_forward, layer_norm, swish
 
 CHECKPOINT_MAGIC = b"CFKW"
 CHECKPOINT_VERSION = 1
@@ -66,10 +67,6 @@ class FeedForwardParams:
     w2: np.ndarray
     b2: np.ndarray
 
-    def astype(self, dtype):
-        return FeedForwardParams(*(getattr(self, f).astype(dtype, copy=False)
-                                   for f in ("ln_g", "ln_b", "w1", "b1", "w2", "b2")))
-
 
 @dataclass
 class LayerWeights:
@@ -84,20 +81,6 @@ class LayerWeights:
     out_ln_g: np.ndarray
     out_ln_b: np.ndarray
 
-    def astype(self, dtype):
-        return LayerWeights(
-            ff1=self.ff1.astype(dtype),
-            att_ln_g=self.att_ln_g.astype(dtype, copy=False),
-            att_ln_b=self.att_ln_b.astype(dtype, copy=False),
-            att=self.att.astype(dtype),
-            conv_ln_g=self.conv_ln_g.astype(dtype, copy=False),
-            conv_ln_b=self.conv_ln_b.astype(dtype, copy=False),
-            conv=self.conv.astype(dtype),
-            ff2=self.ff2.astype(dtype),
-            out_ln_g=self.out_ln_g.astype(dtype, copy=False),
-            out_ln_b=self.out_ln_b.astype(dtype, copy=False),
-        )
-
 
 @dataclass
 class SubsampleBlock:
@@ -105,21 +88,12 @@ class SubsampleBlock:
     pw_w: np.ndarray  # (ch_in, ch_out)
     pw_b: np.ndarray  # (ch_out,)
 
-    def astype(self, dtype):
-        return SubsampleBlock(*(getattr(self, f).astype(dtype, copy=False)
-                                for f in ("dw_w", "pw_w", "pw_b")))
-
 
 @dataclass
 class SubsampleWeights:
     blocks: list[SubsampleBlock]  # three stride-2 depthwise-separable blocks
     out_w: np.ndarray             # (d_model, d_model)
     out_b: np.ndarray
-
-    def astype(self, dtype):
-        return SubsampleWeights(blocks=[b.astype(dtype) for b in self.blocks],
-                                out_w=self.out_w.astype(dtype, copy=False),
-                                out_b=self.out_b.astype(dtype, copy=False))
 
 
 @dataclass
@@ -140,12 +114,6 @@ class EncoderWeights:
     @property
     def kernel_size(self) -> int:
         return self.layers[0].conv.kernel_size if self.layers else 1
-
-    def astype(self, dtype):
-        return EncoderWeights(subsample=self.subsample.astype(dtype),
-                              layers=[l.astype(dtype) for l in self.layers],
-                              after_ln_g=self.after_ln_g.astype(dtype, copy=False),
-                              after_ln_b=self.after_ln_b.astype(dtype, copy=False))
 
 
 def post_frames(t_raw: int) -> int:
@@ -326,11 +294,16 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
     in the file; missing and unknown names are both reported.
     """
     tensors = _read_tensors(path)
-    layer_ids = set()
+    n_layers = 0
     for name in tensors:
         if name.startswith("layer"):
-            layer_ids.add(int(name.split(".", 1)[0][5:]))
-    n_layers = (max(layer_ids) + 1) if layer_ids else 0
+            tag = name.split(".", 1)[0][5:]
+            if not (tag.isascii() and tag.isdigit()):
+                raise CheckpointError(f"{path}: tensor {name!r} has no numeric layer id")
+            if int(tag) >= len(tensors):
+                raise CheckpointError(f"{path}: tensor {name!r} names layer {int(tag)}, "
+                                      f"but the file holds only {len(tensors)} tensors")
+            n_layers = max(n_layers, int(tag) + 1)
     missing: list[str] = []
 
     def take(name):
@@ -436,19 +409,19 @@ def subsample_forward(raw_buf: np.ndarray, buf_start: int, post_start: int,
     the output. Three stride-2 depthwise-separable blocks (kernel 3, swish)
     then a linear projection; chunk-wise output equals full-sequence
     subsampling exactly because post frame t only reads raw [8t - 7, 8t + 7].
+    ``sub`` should already be in ``dtype``.
     """
-    s = sub.astype(dtype)
     lv = np.asarray(raw_buf, dtype=dtype)
     lv_start = buf_start
     spans = [(4 * post_start - 3, 4 * post_end),
              (2 * post_start - 1, 2 * post_end),
              (post_start, post_end)]
     limits = [t_raw, -(-t_raw // 2), -(-t_raw // 4)]
-    for (a, b), blk, lim in zip(spans, s.blocks, limits):
+    for (a, b), blk, lim in zip(spans, sub.blocks, limits):
         y = _dw_stride2(lv, lv_start, a, b - a, blk.dw_w, lim)
         lv = swish(y @ blk.pw_w + blk.pw_b)
         lv_start = a
-    return lv @ s.out_w + s.out_b
+    return lv @ sub.out_w + sub.out_b
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +431,41 @@ def subsample_forward(raw_buf: np.ndarray, buf_start: int, post_start: int,
 @dataclass
 class _AudioStep:
     state: StreamState
-    start: int            # post frames consumed before this step
     emit: int             # frames emitted this step
-    cov: int              # current-region frames including lookahead
-    final: bool           # coverage reaches the audio end
-    n_rows: int
-    x: np.ndarray         # (cov, d) current flat values
-    valid: int            # exact prefix length of the current region
-    new_att: list = field(default_factory=list)
-    new_conv: list = field(default_factory=list)
+    cov: int              # region frames including lookahead
+    final: bool           # the region reaches the audio end
+    valid: int            # exact prefix length of the region
+
+
+@dataclass
+class _StepRows:
+    """Row geometry of one step over its ragged (sum of cov, d) buffer.
+
+    Audio i's region occupies buffer frames [off[i], off[i] + cov[i]), and its
+    chunk rows start every c frames from the region start.
+    """
+
+    off: np.ndarray       # (N,) first buffer frame of each region
+    owner: np.ndarray     # (B,) audio of each row
+    first: np.ndarray     # (B,) first frame of each row within its region
+    row: np.ndarray       # (sum cov,) row whose chunk holds each buffer frame
+    col: np.ndarray       # (sum cov,) that frame's position in the chunk
+    emitted: np.ndarray   # buffer frames emitted this step, audio by audio
+
+
+def _step_rows(steps: list[_AudioStep], c: int) -> _StepRows:
+    cov = np.array([a.cov for a in steps])
+    emit = np.array([a.emit for a in steps])
+    n_rows = -(-cov // c)
+    row0 = np.cumsum(n_rows) - n_rows
+    off = np.cumsum(cov) - cov
+    owner = np.repeat(np.arange(len(steps)), n_rows)
+    audio = np.repeat(np.arange(len(steps)), cov)
+    local = np.arange(audio.size) - off[audio]
+    return _StepRows(off=off, owner=owner,
+                     first=c * (np.arange(owner.size) - row0[owner]),
+                     row=row0[audio] + local // c, col=local % c,
+                     emitted=np.flatnonzero(local < emit[audio]))
 
 
 def _shrunk_validity(valid: int, cov: int, final: bool, c: int, r: int) -> int:
@@ -479,124 +478,65 @@ def _shrunk_validity(valid: int, cov: int, final: bool, c: int, r: int) -> int:
     return min(cov, c * ((valid - r) // c))
 
 
-def _layer_pass(steps: list[_AudioStep], lw: LayerWeights, table: RelPosTable,
-                ctx: ContextConfig, model: ModelConfig, layer_idx: int,
-                dtype) -> None:
-    """One encoder layer over every audio of the step, rows batched together.
+def _gather_rows(steps: list[_AudioStep], geo: _StepRows, x: np.ndarray,
+                 caches: list[np.ndarray], ln_g, ln_b, l: int, c: int, r: int,
+                 limits: list[int]) -> tuple[ChunkBatch, list[np.ndarray]]:
+    """Normalized [l | c | r] rows of every audio, gathered in one call.
+
+    The rows come from one buffer [cache_0 | region_0 | cache_1 | ...]; audio
+    i's rows may read its own cache and the first limits[i] frames of its
+    region, nothing else. Also returns each audio's next cache: the last l
+    frames before its emit frontier, taken before the norm.
+    """
+    lens = np.array([cache.shape[0] for cache in caches])
+    ext = np.concatenate([part for cache, o, a in zip(caches, geo.off, steps)
+                          for part in (cache, x[o:o + a.cov])])
+    base = geo.off + np.cumsum(lens) - lens    # each audio's cache start
+    region = base + lens
+    new = [ext[max(b, s + a.emit - l):s + a.emit].copy()
+           for a, b, s in zip(steps, base, region)]
+    batch = chunking.oct_segment(layer_norm(ext, ln_g, ln_b),
+                                 region[geo.owner] + geo.first, l, c, r,
+                                 base[geo.owner], (region + limits)[geo.owner])
+    return batch, new
+
+
+def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
+    return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2)
+
+
+def _layer_pass(steps: list[_AudioStep], x: np.ndarray, geo: _StepRows,
+                lw: LayerWeights, table: RelPosTable, ctx: ContextConfig,
+                model: ModelConfig, layer_idx: int) -> np.ndarray:
+    """One encoder layer over the ragged buffer of every audio in the step.
 
     Composition: half-step FF, relative MHSA over chunk rows, convolution
-    module, half-step FF, per-layer output norm; residuals throughout."""
+    module, half-step FF, per-layer output norm; residuals throughout. Every
+    position-wise op runs once over the buffer, each sequential sublayer
+    gathers its rows once, and the chunk outputs go back in one indexing.
+    """
     c, l_att, r = ctx.c, ctx.l_att, ctx.r
     l_conv = (lw.conv.kernel_size - 1) // 2
-    w = lw.astype(dtype)
-
-    for a in steps:
-        h = ff_forward(layer_norm(a.x, w.ff1.ln_g, w.ff1.ln_b),
-                       w.ff1.w1, w.ff1.b1, w.ff1.w2, w.ff1.b2)
-        a.x = a.x + 0.5 * h
-
-    # attention: per-audio gathers, one batched computation over all rows
-    exts = []
-    batches = []
-    for a in steps:
-        cache = a.state.att_caches[layer_idx].astype(dtype, copy=False)
-        ext = np.concatenate([cache, a.x], axis=0)
-        ln_ext = layer_norm(ext, w.att_ln_g, w.att_ln_b)
-        batches.append(chunking.oct_segment(
-            ln_ext[: cache.shape[0] + a.valid],
-            cache.shape[0] + c * np.arange(a.n_rows), l_att, c, r))
-        exts.append(ext)
-    big = ChunkBatch(rows=np.concatenate([b.rows for b in batches]),
-                     mask=np.concatenate([b.mask for b in batches]),
-                     plans=[p for b in batches for p in b.plans],
-                     l=l_att, c=c, r=r)
-    out = chunk_attention(big, lw.att, table, model.n_heads)
-    offset = 0
-    for a, ext in zip(steps, exts):
-        rows_out = out[offset: offset + a.n_rows]
-        offset += a.n_rows
-        cache_len = ext.shape[0] - a.cov
-        x2 = a.x.copy()
-        for j in range(a.n_rows):
-            take = min(c, a.cov - j * c)
-            x2[j * c: j * c + take] += rows_out[j, :take]
-        a.new_att.append(att.update_att_cache(ext[: cache_len + a.emit], l_att))
-        a.x = x2
-
-    # convolution: symmetric l_conv margins gathered from the step flats
-    exts2 = []
-    batches2 = []
-    v_atts = []
-    for a in steps:
-        cache = a.state.conv_caches[layer_idx].astype(dtype, copy=False)
-        ext2 = np.concatenate([cache, a.x], axis=0)
-        ln_ext2 = layer_norm(ext2, w.conv_ln_g, w.conv_ln_b)
-        v_att = _shrunk_validity(a.valid, a.cov, a.final, c, r)
-        batches2.append(chunking.oct_segment(
-            ln_ext2[: cache.shape[0] + v_att],
-            cache.shape[0] + c * np.arange(a.n_rows), l_conv, c, l_conv))
-        exts2.append(ext2)
-        v_atts.append(v_att)
-    rows2 = np.concatenate([b.rows for b in batches2])
-    mask2 = np.concatenate([b.mask for b in batches2])
-    out2 = conv_module_forward(rows2, lw.conv, mask2)
-    offset = 0
-    for a, ext2, v_att in zip(steps, exts2, v_atts):
-        rows_out = out2[offset: offset + a.n_rows]
-        offset += a.n_rows
-        cache_len = ext2.shape[0] - a.cov
-        x3 = a.x.copy()
-        for j in range(a.n_rows):
-            take = min(c, a.cov - j * c)
-            x3[j * c: j * c + take] += rows_out[j, :take]
-        a.new_conv.append(convmod.update_conv_cache(ext2[: cache_len + a.emit], l_conv))
-        a.x = x3
-        new_valid = a.cov if a.final else max(0, v_att - l_conv)
-        if new_valid < a.emit:
+    x = x + _half_ff(x, lw.ff1)
+    batch, att_caches = _gather_rows(
+        steps, geo, x, [a.state.att_caches[layer_idx] for a in steps],
+        lw.att_ln_g, lw.att_ln_b, l_att, c, r, [a.valid for a in steps])
+    x += chunk_attention(batch, lw.att, table, model.n_heads)[geo.row, geo.col]
+    v_att = [_shrunk_validity(a.valid, a.cov, a.final, c, r) for a in steps]
+    batch, conv_caches = _gather_rows(
+        steps, geo, x, [a.state.conv_caches[layer_idx] for a in steps],
+        lw.conv_ln_g, lw.conv_ln_b, l_conv, c, l_conv, v_att)
+    x += conv_module_forward(batch.rows, lw.conv, batch.mask)[geo.row, geo.col]
+    for a, v, att_cache, conv_cache in zip(steps, v_att, att_caches, conv_caches):
+        a.valid = a.cov if a.final else max(0, v - l_conv)
+        if a.valid < a.emit:
             raise SchedulerError(
                 "lookahead shortfall: emitted frames lost exactness "
-                f"(valid {new_valid} < emit {a.emit})"
+                f"(valid {a.valid} < emit {a.emit})"
             )
-        a.valid = new_valid
-
-    for a in steps:
-        h = ff_forward(layer_norm(a.x, w.ff2.ln_g, w.ff2.ln_b),
-                       w.ff2.w1, w.ff2.b1, w.ff2.w2, w.ff2.b2)
-        a.x = layer_norm(a.x + 0.5 * h, w.out_ln_g, w.out_ln_b)
-
-
-def _empty_caches(model: ModelConfig, dtype):
-    d = model.d_model
-    return [np.zeros((0, d), dtype) for _ in range(model.n_layers)]
-
-
-def encoder_layer_forward(flat_x: np.ndarray, layer: LayerWeights,
-                          table: RelPosTable, ctx: ContextConfig,
-                          model: ModelConfig, *, att_cache: np.ndarray | None = None,
-                          conv_cache: np.ndarray | None = None,
-                          emit: int | None = None, final: bool = True,
-                          valid: int | None = None,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One layer over one audio's flat step region.
-
-    Returns (outputs, new attention cache, new conv cache, output validity).
-    Chunk starts land every c frames from the region start; ``final`` marks a
-    region that ends at the true audio end.
-    """
-    dtype = np.asarray(flat_x).dtype
-    cov = flat_x.shape[0]
-    d = model.d_model
-    st = StreamState(audio_id="_", total_frames=cov)
-    st.att_caches = [att_cache.astype(dtype) if att_cache is not None
-                     else np.zeros((0, d), dtype)]
-    st.conv_caches = [conv_cache.astype(dtype) if conv_cache is not None
-                      else np.zeros((0, d), dtype)]
-    a = _AudioStep(state=st, start=0, emit=cov if emit is None else emit, cov=cov,
-                   final=final, n_rows=-(-cov // ctx.c),
-                   x=np.array(flat_x, dtype=dtype),
-                   valid=cov if valid is None else valid)
-    _layer_pass([a], layer, table, ctx, model, 0, dtype)
-    return a.x, a.new_att[0], a.new_conv[0], a.valid
+        a.state.att_caches[layer_idx] = att_cache
+        a.state.conv_caches[layer_idx] = conv_cache
+    return layer_norm(x + _half_ff(x, lw.ff2), lw.out_ln_g, lw.out_ln_b)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +550,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
     Only the scheduled chunks' outputs are emitted; lookahead outputs are
-    discarded and re-derived from raw input next step. Caches are updated from
-    the flattened per-layer inputs at the emit frontier.
+    discarded and re-derived from raw input next step. The regions of all
+    audios are packed into one buffer that every layer runs over, and caches
+    are cut from each layer's inputs at the emit frontier. ``weights`` and
+    ``table`` should already be in ``dtype``, as encode_full passes them.
     """
     steps: list[_AudioStep] = []
+    hidden: list[np.ndarray] = []
     for aid in schedule.audio_order():
         st = states[aid]
         rows = schedule.rows_for(aid)
@@ -629,7 +572,6 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         emit = sum(p.valid_frames for p in rows)
         la = min(schedule.lookahead.get(aid, 0), st.total_frames - start - emit)
         cov = emit + la
-        final = (start + cov == st.total_frames)
         feats = features[aid]
         t_raw = feats.shape[0]
         raw_start, raw_end = 8 * start, 8 * (start + cov)
@@ -641,30 +583,31 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
             fresh = np.concatenate([fresh,
                                     np.zeros((pad, feats.shape[1]), feats.dtype)])
         buf = np.concatenate([cache, fresh])
-        hidden = subsample_forward(buf, raw_start - cache.shape[0], start,
-                                   start + cov, weights.subsample, t_raw, dtype)
+        hidden.append(subsample_forward(buf, raw_start - cache.shape[0], start,
+                                        start + cov, weights.subsample, t_raw, dtype))
         end_raw = 8 * (start + emit)
         st.raw_cache = feats[max(0, end_raw - RAW_CACHE_FRAMES):
                              min(end_raw, t_raw)].copy()
-        if not st.att_caches and model.n_layers:
-            st.att_caches = _empty_caches(model, dtype)
-            st.conv_caches = _empty_caches(model, dtype)
-        steps.append(_AudioStep(state=st, start=start, emit=emit, cov=cov,
-                                final=final, n_rows=-(-cov // ctx.c), x=hidden,
-                                valid=cov))
+        if not st.att_caches:
+            empty = np.zeros((0, model.d_model), dtype)
+            st.att_caches = [empty] * model.n_layers
+            st.conv_caches = [empty] * model.n_layers
+        steps.append(_AudioStep(state=st, emit=emit, cov=cov,
+                                final=(start + cov == st.total_frames), valid=cov))
+    x = np.concatenate(hidden)
+    del hidden
+    geo = _step_rows(steps, ctx.c)
     for k in range(model.n_layers):
-        _layer_pass(steps, weights.layers[k], table, ctx, model, k, dtype)
+        x = _layer_pass(steps, x, geo, weights.layers[k], table, ctx, model, k)
+    x = x[geo.emitted]
+    if model.n_layers:
+        x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
+    at = 0
     for a in steps:
-        x = a.x
-        if model.n_layers:
-            x = layer_norm(x, weights.after_ln_g.astype(dtype, copy=False),
-                           weights.after_ln_b.astype(dtype, copy=False))
-        out[a.state.audio_id] = x[: a.emit].copy()
+        out[a.state.audio_id] = x[at:at + a.emit]
+        at += a.emit
         a.state.frames_consumed += a.emit
-        for k in range(model.n_layers):
-            a.state.att_caches[k] = a.new_att[k]
-            a.state.conv_caches[k] = a.new_conv[k]
     return out
 
 
@@ -679,7 +622,9 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     """
     require_valid(model, ctx)
     l_conv = derive_l_conv(model.kernel_size)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    weights = cast_params(weights, dtype)
+    table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
+                                            model.l_max), dtype)
     plans: dict[str, list] = {}
     states: dict[str, StreamState] = {}
     blocks: dict[str, list[np.ndarray]] = {}
@@ -702,29 +647,3 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     return {aid: (np.concatenate(parts) if parts
                   else np.zeros((0, model.d_model), dtype))
             for aid, parts in blocks.items()}
-
-
-def layer_stack_forward(hidden: np.ndarray, weights: EncoderWeights,
-                        ctx: ContextConfig, model: ModelConfig,
-                        dtype=np.float32) -> np.ndarray:
-    """Run the layer stack over an already-subsampled sequence in one step.
-
-    Single audio, every chunk scheduled, no lookahead machinery; windows clip
-    at the sequence ends. Useful for isolating the stack's receptive field.
-    """
-    require_valid(model, ctx)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
-    x = np.asarray(hidden, dtype=dtype)
-    cov = x.shape[0]
-    st = StreamState(audio_id="_", total_frames=cov)
-    st.att_caches = _empty_caches(model, dtype)
-    st.conv_caches = _empty_caches(model, dtype)
-    a = _AudioStep(state=st, start=0, emit=cov, cov=cov, final=True,
-                   n_rows=-(-cov // ctx.c), x=x.copy(), valid=cov)
-    for k in range(model.n_layers):
-        _layer_pass([a], weights.layers[k], table, ctx, model, k, dtype)
-    out = a.x
-    if model.n_layers:
-        out = layer_norm(out, weights.after_ln_g.astype(dtype, copy=False),
-                         weights.after_ln_b.astype(dtype, copy=False))
-    return out

@@ -176,4 +176,9 @@ def load_features(path) -> np.ndarray:
             f"{path}: payload length {len(blob) - 16} bytes does not match "
             f"header {t} x {dim} float32"
         )
-    return np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, dim).copy()
+    frames = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, dim).copy()
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad.size:
+        raise FeatureFormatError(f"{path}: {bad.size} of {t} frames hold non-finite "
+                                 f"values, the first is frame {bad[0]}")
+    return frames

@@ -7,9 +7,28 @@ implementations stay independent of the fast path.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace
+
 import numpy as np
 
 LN_EPS = 1e-5
+
+
+def cast_params(params, dtype):
+    """Copy of a parameter container with every array converted to ``dtype``.
+
+    Walks dataclass fields and lists, so one call converts a whole encoder;
+    arrays already in ``dtype`` are shared, not copied, and non-array fields
+    are kept as they are.
+    """
+    if is_dataclass(params):
+        return replace(params, **{f.name: cast_params(getattr(params, f.name), dtype)
+                                  for f in fields(params)})
+    if isinstance(params, list):
+        return [cast_params(p, dtype) for p in params]
+    if isinstance(params, np.ndarray):
+        return params.astype(dtype, copy=False)
+    return params
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .attention import AttentionParams, rel_pos_encoding
 from .config import ContextConfig, ModelConfig
 from .encoder import EncoderWeights
-from .functional import ff_forward, glu, layer_norm, swish
+from .functional import cast_params, ff_forward, glu, layer_norm, swish
 
 
 @dataclass
@@ -77,7 +77,7 @@ def dense_attention_reference(x: np.ndarray, params: AttentionParams,
     key produce the zero vector, mirroring the engine's convention.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = params.astype(np.float64)
+    p = cast_params(params, np.float64)
     L, d = x.shape
     d_k = d // n_heads
     qh = (x @ p.wq).reshape(L, n_heads, d_k)
@@ -139,7 +139,7 @@ def full_subsample(features: np.ndarray, weights: EncoderWeights,
                    dtype=np.float64) -> np.ndarray:
     """Whole-sequence 8x subsampling; the chunk-wise engine must match it."""
     x = np.asarray(features, dtype=dtype)
-    sub = weights.subsample.astype(dtype)
+    sub = cast_params(weights.subsample, dtype)
     for blk in sub.blocks:
         x = swish(_conv_stride2_full(x, blk.dw_w) @ blk.pw_w + blk.pw_b)
     return x @ sub.out_w + sub.out_b
@@ -156,15 +156,16 @@ def _depthwise_same_full(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _conv_module_full(x: np.ndarray, lw, dtype) -> np.ndarray:
-    cp = lw.conv.astype(dtype)
-    h = layer_norm(x, lw.conv_ln_g.astype(dtype), lw.conv_ln_b.astype(dtype))
+    lw = cast_params(lw, dtype)
+    cp = lw.conv
+    h = layer_norm(x, lw.conv_ln_g, lw.conv_ln_b)
     g = glu(h @ cp.pw_in_w + cp.pw_in_b)
     y = _depthwise_same_full(g, cp.dw)
     return swish(layer_norm(y, cp.ln_scale, cp.ln_shift)) @ cp.pw_out_w + cp.pw_out_b
 
 
 def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
-    f = ff.astype(dtype)
+    f = cast_params(ff, dtype)
     return 0.5 * ff_forward(layer_norm(x, f.ln_g, f.ln_b), f.w1, f.b1, f.w2, f.b2)
 
 
@@ -175,26 +176,26 @@ def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
 def full_context_encode(features: np.ndarray, weights: EncoderWeights,
                         model: ModelConfig, dtype=np.float64) -> np.ndarray:
     """Identical layer math with no chunking and unlimited context."""
+    weights = cast_params(weights, dtype)
     x = full_subsample(features, weights, dtype)
     L = x.shape[0]
     all_true = np.ones((L, L), dtype=bool)
     for lw in weights.layers:
         x = x + _macaron_ff(x, lw.ff1, dtype)
-        h = layer_norm(x, lw.att_ln_g.astype(dtype), lw.att_ln_b.astype(dtype))
+        h = layer_norm(x, lw.att_ln_g, lw.att_ln_b)
         x = x + dense_attention_reference(h, lw.att, all_true, model.n_heads)
         x = x + _conv_module_full(x, lw, dtype)
         x = x + _macaron_ff(x, lw.ff2, dtype)
-        x = layer_norm(x, lw.out_ln_g.astype(dtype), lw.out_ln_b.astype(dtype))
+        x = layer_norm(x, lw.out_ln_g, lw.out_ln_b)
     if weights.layers:
-        x = layer_norm(x, weights.after_ln_g.astype(dtype),
-                       weights.after_ln_b.astype(dtype))
+        x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     return x
 
 
 def _chunk_attention_loop(h: np.ndarray, lw, ctx: ContextConfig,
                           model: ModelConfig, dtype) -> np.ndarray:
     """Per-chunk windowed attention via explicit slices, one chunk at a time."""
-    p = lw.att.astype(dtype)
+    p = cast_params(lw.att, dtype)
     L, d = h.shape
     n_heads = model.n_heads
     d_k = d // n_heads
@@ -236,19 +237,19 @@ def loop_oct_encode(features: dict[str, np.ndarray], weights: EncoderWeights,
     only at the audio's own boundaries, convolutions run over the whole
     sequence, and audios never interact.
     """
+    weights = cast_params(weights, dtype)
     out: dict[str, np.ndarray] = {}
     for aid, feats in features.items():
         x = full_subsample(feats, weights, dtype)
         for lw in weights.layers:
             x = x + _macaron_ff(x, lw.ff1, dtype)
-            h = layer_norm(x, lw.att_ln_g.astype(dtype), lw.att_ln_b.astype(dtype))
+            h = layer_norm(x, lw.att_ln_g, lw.att_ln_b)
             x = x + _chunk_attention_loop(h, lw, ctx, model, dtype)
             x = x + _conv_module_full(x, lw, dtype)
             x = x + _macaron_ff(x, lw.ff2, dtype)
-            x = layer_norm(x, lw.out_ln_g.astype(dtype), lw.out_ln_b.astype(dtype))
+            x = layer_norm(x, lw.out_ln_g, lw.out_ln_b)
         if weights.layers:
-            x = layer_norm(x, weights.after_ln_g.astype(dtype),
-                           weights.after_ln_b.astype(dtype))
+            x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
         out[aid] = x
     return out
 
@@ -262,8 +263,8 @@ def _poisoning_oct(rng):
     from . import chunking
     original = chunking.oct_segment
 
-    def wrapped(flat, starts, l, c, r, plans=None):
-        batch = original(flat, starts, l, c, r, plans)
+    def wrapped(*args, **kwargs):
+        batch = original(*args, **kwargs)
         noise = rng.normal(size=batch.rows.shape).astype(batch.rows.dtype)
         batch.rows = np.where(batch.mask[..., None], batch.rows, noise)
         return batch

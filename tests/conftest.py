@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from chunkasr import encoder
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import init_weights
 
@@ -31,3 +34,30 @@ def rel_err(actual, expected):
     expected = np.asarray(expected, dtype=np.float64)
     scale = max(float(np.max(np.abs(expected))) if expected.size else 0.0, 1e-12)
     return float(np.max(np.abs(actual - expected))) / scale if actual.size else 0.0
+
+
+def dropping_oldest_att_frame():
+    """encode_step with an off-by-one bug: each attention cache loses its oldest frame."""
+    real = encoder.encode_step
+
+    def broken(states, *args, **kwargs):
+        out = real(states, *args, **kwargs)
+        for st in states.values():
+            st.att_caches = [cache[1:] for cache in st.att_caches]
+        return out
+
+    return broken
+
+
+def write_cfkw(path, tensors):
+    """A checkpoint container holding exactly ``tensors`` (name -> array)."""
+    with open(path, "wb") as fh:
+        fh.write(b"CFKW")
+        fh.write(struct.pack("<II", 1, len(tensors)))
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            raw = name.encode()
+            fh.write(struct.pack("<H", len(raw)) + raw)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())

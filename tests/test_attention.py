@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from chunkasr.attention import (AttentionParams, DistanceRangeError,
-                                attention_scores, build_rel_pos_table,
-                                chunk_attention, masked_softmax,
-                                rel_pos_encoding, update_att_cache)
+from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batch,
+                                build_rel_pos_table, chunk_attention,
+                                masked_softmax, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
+
+
+def attention_scores(row, p, table, l, c, r, n_heads):
+    """Logits (H, c+r, l+c+r) of one row, scored as a one-row batch."""
+    return _score_batch(row[None], p, table, l, c, r, n_heads)[0]
 
 
 def random_params(rng, d):
@@ -39,11 +43,15 @@ def test_rel_pos_encoding_closed_form():
 
 def test_table_covers_row_window():
     table = build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=16)
+    assert table.encodings.shape[0] == table.max_dist - table.min_dist + 1
     for dist in range(-8, 13):
-        vec = table.lookup(dist)
+        vec = table.encodings[dist - table.min_dist]
         assert np.array_equal(vec, rel_pos_encoding(dist, 8))
+    # a row geometry wider than the table is refused, not wrapped around
+    rows = np.zeros((1, 8 + 4 + 6, 8))
     with pytest.raises(DistanceRangeError):
-        table.lookup(17)
+        _score_batch(rows, random_params(np.random.default_rng(0), 8), table,
+                     8, 4, 6, 1)
     with pytest.raises(DistanceRangeError):
         build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=8)
 
@@ -161,7 +169,7 @@ def test_chunk_attention_two_audio_batch_equals_solo(rng):
     ba, bb = rows_for(xa), rows_for(xb)
     combined = ChunkBatch(rows=np.concatenate([ba.rows, bb.rows]),
                           mask=np.concatenate([ba.mask, bb.mask]),
-                          plans=ba.plans + bb.plans, l=ctx.l_att, c=ctx.c, r=ctx.r)
+                          l=ctx.l_att, c=ctx.c, r=ctx.r)
     out = chunk_attention(combined, p, table, heads)
     solo_a = chunk_attention(ba, p, table, heads)
     solo_b = chunk_attention(bb, p, table, heads)
@@ -216,11 +224,3 @@ def test_dtype_paths(rng):
         got = np.concatenate([out[j, :ctx.c] for j in range(n)])
         assert rel_err(got, ref) <= tol
 
-
-def test_update_att_cache():
-    flat = np.arange(15, dtype=np.float64).reshape(15, 1)
-    cache = update_att_cache(flat, 4)
-    assert cache[:, 0].tolist() == [11, 12, 13, 14]
-    assert update_att_cache(flat, 0).shape == (0, 1)
-    short = update_att_cache(flat[:2], 4)
-    assert short[:, 0].tolist() == [0, 1]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chunkasr.chunking import (ChunkingError, ChunkPlan, SchedulerError,
-                               StreamState, build_masks, carve_chunks,
+from chunkasr.chunking import (ChunkingError, StreamState, carve_chunks,
                                oct_segment, schedule_step)
 from chunkasr.config import ConfigError, ContextConfig
 
@@ -75,13 +74,16 @@ def test_oct_then_unmask_recovers_sequence(rng):
     assert np.array_equal(np.concatenate(pieces), flat)
 
 
-def test_build_masks_two_audio_layout():
+def test_row_bounds_two_audio_layout():
     # X has 23 frames (8 chunks), rows 5..7 scheduled; Y has 10 frames,
-    # rows 0..2 scheduled. l, c, r = 4, 3, 2.
-    plans = [ChunkPlan("x", 5, 3, False), ChunkPlan("x", 6, 3, False),
-             ChunkPlan("x", 7, 2, True), ChunkPlan("y", 0, 3, False),
-             ChunkPlan("y", 1, 3, False), ChunkPlan("y", 2, 3, False)]
-    mask = build_masks(plans, 4, 3, 2, {"x": (15, 23), "y": (0, 10)})
+    # rows 0..2 scheduled. l, c, r = 4, 3, 2. Both live in one buffer, X at
+    # [0, 23) and Y at [23, 33), and each row is bounded by its own audio.
+    flat = np.arange(33, dtype=np.float64)[:, None]
+    starts = [15, 18, 21, 23, 26, 29]
+    lo = [0, 0, 0, 23, 23, 23]
+    hi = [23, 23, 23, 33, 33, 33]
+    batch = oct_segment(flat, starts, 4, 3, 2, lo, hi)
+    mask = batch.mask
     assert mask.shape == (6, 9)
     assert mask[0].sum() == 9 and mask[1].sum() == 9
     # X row 7 covers frames 17..25: the chunk pad at 23 and the two
@@ -94,21 +96,17 @@ def test_build_masks_two_audio_layout():
     assert mask[4].sum() == 8
     # Y row 2 covers 2..10; frame 10 is past the 10-frame audio
     assert mask[5].sum() == 8
+    # no row reads the other audio's frames; masked slots hold zeros
+    assert np.all(batch.rows[:3][mask[:3]] < 23)
+    assert np.all(batch.rows[3:][mask[3:]] >= 23)
+    assert np.all(batch.rows[~mask] == 0.0)
 
 
-def test_build_masks_trivial_all_true():
-    plans = [ChunkPlan("a", 0, 4, True)]
-    mask = build_masks(plans, 0, 4, 0, {"a": (0, 4)})
-    assert mask.all()
-
-
-def test_build_masks_rejects_out_of_order_rows():
-    plans = [ChunkPlan("a", 1, 3, False), ChunkPlan("a", 1, 3, False)]
-    with pytest.raises(SchedulerError):
-        build_masks(plans, 2, 3, 1, {"a": (3, 30)})
-    plans = [ChunkPlan("a", 2, 3, False)]
-    with pytest.raises(SchedulerError):
-        build_masks(plans, 2, 3, 1, {"a": (3, 30)})
+def test_row_bounds_trivial_all_true():
+    flat = np.ones((4, 2))
+    assert oct_segment(flat, [0], 0, 4, 0, lo=0, hi=4).mask.all()
+    # bounds past the buffer are clipped to it
+    assert oct_segment(flat, [0], 2, 4, 2, lo=-5, hi=9).mask.sum() == 4
 
 
 def make_states(lengths):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from chunkasr import cli
+from chunkasr import cli, encoder
 from chunkasr.config import ModelConfig
 from chunkasr.encoder import init_model, post_frames, save_checkpoint
 from chunkasr.frontend import load_features, save_features, write_wav
+from conftest import dropping_oldest_att_frame, write_cfkw
 
 
 @pytest.fixture
@@ -131,6 +132,28 @@ def test_encode_accepts_feature_inputs(workdir, rng):
     assert hidden.shape == (post_frames(123), ModelConfig().d_model)
 
 
+def test_encode_rejects_non_finite_features(workdir, rng, capsys):
+    feats = rng.normal(size=(123, 80)).astype(np.float32)
+    feats[40, 7] = np.nan
+    fpath = workdir / "nan.cfkf"
+    save_features(fpath, feats)
+    rc = cli.main(["encode", "--seed", "3", "--format", "features",
+                   "--output-dir", str(workdir / "enc4"), str(fpath)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite" in err and "first is frame 40" in err
+    assert not (workdir / "enc4" / "nan.cfkf").exists()
+
+
+def test_non_numeric_layer_id_is_checkpoint_error(workdir, capsys):
+    bad = workdir / "layerx.cfkw"
+    write_cfkw(bad, {"layerX.a": np.zeros(3)})
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "layerX.a" in err
+
+
 def test_encode_matches_oracle_within_tolerance(workdir):
     from chunkasr.encoder import load_checkpoint
     from chunkasr.frontend import compute_fbank, read_wav
@@ -153,14 +176,7 @@ def test_selftest_exit_codes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "selftest ok" in out
     # inject an off-by-one cache bug; the streaming suite must catch it
-    from chunkasr import attention as att_mod
-    real = att_mod.update_att_cache
-
-    def broken(flat, l_att):
-        got = real(flat, l_att)
-        return got[:-1] if got.shape[0] > 0 else got
-
-    monkeypatch.setattr(att_mod, "update_att_cache", broken)
+    monkeypatch.setattr(encoder, "encode_step", dropping_oldest_att_frame())
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
-from chunkasr.conv import (ConvParams, chunk_depthwise_conv, conv_module_forward,
-                           update_conv_cache)
-from chunkasr.encoder import encode_full, init_weights
+from chunkasr.attention import build_rel_pos_table
+from chunkasr.chunking import StreamState, carve_chunks, schedule_step
+from chunkasr.conv import ConvParams, chunk_depthwise_conv, conv_module_forward
+from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
 from chunkasr.functional import layer_norm
 from chunkasr.oracle import _conv_module_full, _depthwise_same_full, loop_oct_encode
 from conftest import rel_err
@@ -115,8 +116,18 @@ def test_module_poison_is_bitwise_invisible(rng):
 
 @pytest.mark.parametrize("kernel,cache", [(15, 7), (1, 0)])
 def test_cache_length_follows_kernel(kernel, cache, rng):
-    flat = rng.normal(size=(30, 4))
-    assert update_conv_cache(flat, (kernel - 1) // 2).shape[0] == cache
+    # after a step that emits 12 frames, every layer keeps (kernel - 1) / 2
+    model = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                        kernel_size=kernel, vocab_size=4, l_max=32)
+    ctx = ContextConfig(l_att=4, c=4, r=2)
+    feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32)}
+    states = {"a": StreamState("a", post_frames(8 * 30))}
+    plans = {"a": carve_chunks(30, ctx.c, "a")}
+    sched = schedule_step(list(states.values()), plans, 3, ctx, 2, cache)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
+    encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table)
+    assert states["a"].frames_consumed == 12
+    assert [c.shape[0] for c in states["a"].conv_caches] == [cache, cache]
 
 
 def test_streaming_two_step_equals_one_step_conv_path(rng):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from chunkasr import encoder
+from chunkasr import chunking, encoder
 from chunkasr.attention import build_rel_pos_table
-from chunkasr.chunking import SchedulerError, StreamState, carve_chunks, schedule_step
+from chunkasr.chunking import (ChunkPlan, SchedulerError, StepSchedule, StreamState,
+                               carve_chunks, schedule_step)
 from chunkasr.config import ContextConfig, ModelConfig, derive_l_conv
 from chunkasr.encoder import (CheckpointError, encode_full, encode_step,
-                              encoder_layer_forward, init_model, init_weights,
-                              layer_stack_forward, load_checkpoint, post_frames,
+                              init_model, init_weights, load_checkpoint, post_frames,
                               save_checkpoint, subsample_forward)
 from chunkasr.functional import layer_norm
-from chunkasr.oracle import full_context_encode, full_subsample, loop_oct_encode
-from conftest import rel_err
+from chunkasr.oracle import (_chunk_attention_loop, _macaron_ff, full_context_encode,
+                             full_subsample, loop_oct_encode)
+from conftest import rel_err, write_cfkw
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,9 @@ def test_subsample_rejects_missing_margins(small_weights, rng):
 # layer forward
 # ---------------------------------------------------------------------------
 
-def zero_branch_layer(model):
-    lw = init_weights(model, seed=0).layers[0]
+def zero_branch_weights(model):
+    w = init_weights(model, seed=0)
+    lw = w.layers[0]
     lw.ff1.w2 = np.zeros_like(lw.ff1.w2)
     lw.ff1.b2 = np.zeros_like(lw.ff1.b2)
     lw.ff2.w2 = np.zeros_like(lw.ff2.w2)
@@ -70,18 +72,24 @@ def zero_branch_layer(model):
     lw.att.bo = np.zeros_like(lw.att.bo)
     lw.conv.pw_out_w = np.zeros_like(lw.conv.pw_out_w)
     lw.conv.pw_out_b = np.zeros_like(lw.conv.pw_out_b)
-    return lw
+    rng = np.random.default_rng(1)
+    lw.out_ln_g = rng.uniform(0.5, 1.5, size=lw.out_ln_g.shape).astype(np.float32)
+    lw.out_ln_b = rng.normal(size=lw.out_ln_b.shape).astype(np.float32)
+    return w
 
 
-def test_zero_branch_layer_reduces_to_output_norm(small_model, small_ctx, rng):
+def test_zero_branch_layer_reduces_to_output_norm(small_ctx, rng):
     # with all residual branches zeroed the layer is exactly its final norm
-    lw = zero_branch_layer(small_model)
-    table = build_rel_pos_table(small_ctx.l_att, small_ctx.c, small_ctx.r,
-                                small_model.d_model, small_model.l_max)
-    x = rng.normal(size=(12, small_model.d_model))
-    out, _, _, _ = encoder_layer_forward(x, lw, table, small_ctx, small_model)
-    expected = layer_norm(x, lw.out_ln_g.astype(np.float64),
-                          lw.out_ln_b.astype(np.float64))
+    model = ModelConfig(n_layers=1, d_model=32, n_heads=2, d_ff=64,
+                        kernel_size=15, vocab_size=8, l_max=64)
+    w = zero_branch_weights(model)
+    lw = w.layers[0]
+    feats = rng.normal(size=(12 * 8 - 5, 80)).astype(np.float32)
+    out = encode_full({"a": feats}, w, small_ctx, model, budget=2,
+                      dtype=np.float64)["a"]
+    x = full_subsample(feats, w, np.float64)
+    expected = layer_norm(layer_norm(x, lw.out_ln_g, lw.out_ln_b),
+                          w.after_ln_g, w.after_ln_b)
     assert rel_err(out, expected) <= 1e-12
 
 
@@ -99,6 +107,18 @@ def test_layer_matches_full_context_composition(small_model, rng):
     assert rel_err(got["a"], ref) <= 1e-12
 
 
+def encode_in_one_step(feats, w, ctx, model):
+    return encode_full({"a": feats}, w, ctx, model, budget=10 ** 6)["a"]
+
+
+def perturbed(feats, post_frame):
+    # post frame t reads raw frames [8t - 7, 8t + 7], so raw frame 8t reaches
+    # post frame t and no other
+    out = feats.copy()
+    out[8 * post_frame] += 1.0
+    return out
+
+
 def test_layer_receptive_field_grows_by_window_per_layer(rng):
     # with c=3, r=2 a single layer sees 2 future frames; stacking layers
     # extends the horizon chunk by chunk (frames 0..2 depend on 11 at N=4)
@@ -106,15 +126,14 @@ def test_layer_receptive_field_grows_by_window_per_layer(rng):
                         kernel_size=1, vocab_size=4, l_max=32, seed=1)
     ctx = ContextConfig(l_att=6, c=3, r=2)
     w = init_weights(model, seed=4)
-    hidden = rng.normal(size=(20, 16)).astype(np.float32)
-    base = layer_stack_forward(hidden, w, ctx, model)
-    pert = hidden.copy()
-    pert[5] += 1.0  # frame 5 is outside chunk 0's window [0, 5)
-    out = layer_stack_forward(pert, w, ctx, model)
+    feats = rng.normal(size=(20 * 8, 80)).astype(np.float32)
+    base = encode_in_one_step(feats, w, ctx, model)
+    # frame 5 is outside chunk 0's window [0, 5)
+    out = encode_in_one_step(perturbed(feats, 5), w, ctx, model)
     assert np.array_equal(out[:3], base[:3])
-    pert2 = hidden.copy()
-    pert2[4] += 1.0  # frame 4 is inside the window
-    out2 = layer_stack_forward(pert2, w, ctx, model)
+    assert not np.array_equal(out[5], base[5])
+    # frame 4 is inside the window
+    out2 = encode_in_one_step(perturbed(feats, 4), w, ctx, model)
     assert not np.array_equal(out2[:3], base[:3])
 
 
@@ -172,16 +191,12 @@ def test_receptive_field_bound_eleven_frames(rng):
                         kernel_size=1, vocab_size=4, l_max=32)
     ctx = ContextConfig(l_att=6, c=3, r=2)
     w = init_weights(model, seed=9)
-    hidden = rng.normal(size=(30, 16)).astype(np.float32)
-    base = layer_stack_forward(hidden, w, ctx, model)
+    feats = rng.normal(size=(30 * 8, 80)).astype(np.float32)
+    base = encode_in_one_step(feats, w, ctx, model)
     for offset in (11, 12, 20):
-        pert = hidden.copy()
-        pert[3 + offset] += 1.0
-        out = layer_stack_forward(pert, w, ctx, model)
+        out = encode_in_one_step(perturbed(feats, 3 + offset), w, ctx, model)
         assert np.array_equal(out[:3], base[:3])
-    pert = hidden.copy()
-    pert[3 + 10] += 1.0
-    out = layer_stack_forward(pert, w, ctx, model)
+    out = encode_in_one_step(perturbed(feats, 3 + 10), w, ctx, model)
     assert not np.array_equal(out[:3], base[:3])
 
 
@@ -193,6 +208,91 @@ def test_zero_layer_model_is_subsample_only(rng):
     feats = rng.normal(size=(100, 80)).astype(np.float32)
     got = encode_full({"a": feats}, w, ctx, model, budget=2, dtype=np.float64)
     assert rel_err(got["a"], full_subsample(feats, w, np.float64)) <= 1e-12
+
+
+def run_step(states, sched, feats, w, ctx, model, dtype=np.float32):
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    return encode_step(states, sched, feats, w, ctx, model, table, dtype)
+
+
+def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
+                                              small_weights, rng):
+    c = small_ctx.c
+    feats = {"x": rng.normal(size=(8 * 20, 80)).astype(np.float32)}
+
+    def run(consumed, chunks):
+        states = {"x": StreamState("x", 20, frames_consumed=consumed)}
+        sched = StepSchedule(rows=[ChunkPlan("x", i, c, False) for i in chunks],
+                             lookahead={})
+        return run_step(states, sched, feats, small_weights, small_ctx, small_model)
+
+    # the first chunk must continue where the audio stopped
+    with pytest.raises(SchedulerError, match="continue"):
+        run(c, [2, 3])
+    with pytest.raises(SchedulerError, match="continue"):
+        run(c, [0, 1])
+    # and the chunks of one audio must be contiguous
+    with pytest.raises(SchedulerError, match="non-contiguous"):
+        run(0, [0, 2])
+    with pytest.raises(SchedulerError, match="non-contiguous"):
+        run(0, [0, 1, 1])
+
+
+def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
+                                             small_weights, rng, monkeypatch):
+    # three audios in one step: FF and the row gather run once per sublayer,
+    # over all audios together
+    calls = {"ff": 0, "gather": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(encoder, "ff_forward", counting("ff", encoder.ff_forward))
+    monkeypatch.setattr(chunking, "oct_segment",
+                        counting("gather", chunking.oct_segment))
+    lengths = {"a": 50, "b": 23, "c": 9}
+    feats = {k: rng.normal(size=(n, 80)).astype(np.float32)
+             for k, n in lengths.items()}
+    states = {k: StreamState(k, post_frames(n)) for k, n in lengths.items()}
+    plans = {k: carve_chunks(st.total_frames, small_ctx.c, k)
+             for k, st in states.items()}
+    sched = schedule_step(list(states.values()), plans, 100, small_ctx,
+                          small_model.n_layers, derive_l_conv(small_model.kernel_size))
+    assert sched.audio_order() == ["a", "b", "c"]
+    run_step(states, sched, feats, small_weights, small_ctx, small_model)
+    assert calls == {"ff": 2 * small_model.n_layers,
+                     "gather": 2 * small_model.n_layers}
+
+
+def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
+    # after a step, each layer's attention cache is the last l_att frames of
+    # its attention input before the emit frontier and the conv cache the last
+    # l_conv frames of the conv input; a short audio keeps what it has
+    model = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                        kernel_size=5, vocab_size=4, l_max=32)
+    ctx = ContextConfig(l_att=4, c=3, r=2)
+    w = init_weights(model, seed=3)
+    lw = w.layers[0]
+    feats = {"b": rng.normal(size=(9, 80)).astype(np.float32),     # 2 frames
+             "a": rng.normal(size=(8 * 40, 80)).astype(np.float32)}
+    states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
+    plans = {k: carve_chunks(st.total_frames, ctx.c, k) for k, st in states.items()}
+    sched = schedule_step(list(states.values()), plans, 4, ctx, 1, 2)
+    out = run_step(states, sched, feats, w, ctx, model, np.float64)
+    assert {k: v.shape[0] for k, v in out.items()} == {"b": 2, "a": 9}
+    for aid, st in states.items():
+        emit = st.frames_consumed
+        x = full_subsample(feats[aid], w, np.float64)
+        x1 = x + _macaron_ff(x, lw.ff1, np.float64)
+        h = layer_norm(x1, lw.att_ln_g, lw.att_ln_b)
+        x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
+        att, conv = st.att_caches[0], st.conv_caches[0]
+        assert att.shape[0] == min(4, emit) and conv.shape[0] == min(2, emit)
+        assert rel_err(att, x1[emit - att.shape[0]:emit]) <= 1e-12
+        assert rel_err(conv, x2[emit - conv.shape[0]:emit]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +334,11 @@ def test_checkpoint_missing_tensors_reported(tmp_path, small_model):
     w, head, vocab = init_model(small_model, seed=11)
     path = tmp_path / "m.cfkw"
     save_checkpoint(path, w, head, vocab)
-    from chunkasr.encoder import _read_tensors, _tensor_map
-    import struct
+    from chunkasr.encoder import _tensor_map
     tensors = _tensor_map(w, head, vocab)
     dropped = {k: v for k, v in tensors.items() if not k.startswith("layer2.att")}
     bad = tmp_path / "bad.cfkw"
-    with open(bad, "wb") as fh:
-        fh.write(b"CFKW")
-        fh.write(struct.pack("<II", 1, len(dropped)))
-        for name, arr in dropped.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            raw = name.encode()
-            fh.write(struct.pack("<H", len(raw)) + raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    write_cfkw(bad, dropped)
     with pytest.raises(CheckpointError, match="layer2.att"):
         load_checkpoint(bad)
 
@@ -273,3 +363,18 @@ def test_rerun_determinism_end_to_end(small_model, small_ctx, small_weights, rng
     one = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     two = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     assert np.array_equal(one["a"], two["a"])
+
+
+def test_checkpoint_rejects_non_numeric_layer_id(tmp_path):
+    bad = tmp_path / "x.cfkw"
+    write_cfkw(bad, {"layerX.a": np.zeros(2)})
+    with pytest.raises(CheckpointError, match="layerX.a"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_layer_id_beyond_tensor_count(tmp_path):
+    # one tensor cannot describe 10^8 layers; refused before any per-layer work
+    bad = tmp_path / "big.cfkw"
+    write_cfkw(bad, {"layer99999999.x": np.zeros(1)})
+    with pytest.raises(CheckpointError, match="99999999"):
+        load_checkpoint(bad)

@@ -8,7 +8,7 @@ from chunkasr.oracle import (OracleReport, chunk_window_mask, compare,
                              full_context_encode, full_subsample,
                              loop_oct_encode, run_selftest)
 from test_attention import random_params
-from conftest import rel_err
+from conftest import dropping_oldest_att_frame, rel_err
 
 
 def test_all_true_mask_is_standard_relative_attention(rng):
@@ -105,13 +105,9 @@ def test_selftest_all_green():
 
 def test_selftest_catches_injected_cache_bug(monkeypatch):
     # an off-by-one in the attention cache must break the streaming suite
-    from chunkasr import attention as att_mod
+    from chunkasr import encoder
 
-    def broken(flat, l_att):
-        n = flat.shape[0]
-        return flat[max(0, n - l_att - 1): max(0, n - 1)].copy()
-
-    monkeypatch.setattr(att_mod, "update_att_cache", broken)
+    monkeypatch.setattr(encoder, "encode_step", dropping_oldest_att_frame())
     reports = run_selftest(seed=0)
     failed = {r.suite for r in reports if not r.passed}
     assert "streaming" in failed or "masked_batch" in failed
