@@ -111,10 +111,12 @@ def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
     idx = dist - table.min_dist
     if idx.min() < 0 or idx.max() >= table.encodings.shape[0]:
         raise DistanceRangeError("row geometry exceeds the positional table")
-    pos = np.take_along_axis(
+    content += np.take_along_axis(
         pos_all, np.broadcast_to(idx, pos_all.shape[:2] + idx.shape), axis=-1
     )
-    return (content + pos) * (1.0 / math.sqrt(d_k))
+    del pos_all   # the largest buffer; freed before the softmax needs its own
+    content *= 1.0 / math.sqrt(d_k)
+    return content
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> np.ndarray:

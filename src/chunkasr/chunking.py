@@ -11,8 +11,9 @@ masked positions can never change downstream results bit-wise.
 
 The scheduler packs pending chunks from several audios into one step, in
 audio order then chunk order, up to a row budget. Every audio that continues
-past the step also gets a lookahead tail; the tail is re-derived from the raw
-input next step rather than cached, so only left contexts persist as caches.
+past the step also gets a lookahead tail, so that the emitted chunks are exact
+at every layer. The engine computes each tail frame once and holds it until
+a later step emits it or reads it as context.
 """
 
 from __future__ import annotations
@@ -62,19 +63,28 @@ class ChunkBatch:
 
 @dataclass
 class StreamState:
-    """Per-audio decoding state: caches and progress counters.
+    """Per-audio decoding state: held frames and progress counters.
 
-    Cache arrays hold only frames that actually exist; before warm-up they are
-    shorter than their nominal lengths and the missing history shows up as
-    masked row positions, never as fabricated zero history.
+    Every sublayer has an exactness frontier that only moves forward (see
+    encoder._frontiers). Each layer's attention cache holds its exact
+    attention inputs from l_att frames before its attention frontier to its
+    input frontier; its conv cache holds the conv inputs from l_conv frames
+    before its output frontier to its attention frontier. Frames between two
+    frontiers wait in a cache until a later step makes the windows that read
+    them exact. Caches hold only frames that actually exist; before warm-up
+    the missing history shows up as masked row positions, never as
+    fabricated zero history.
     """
 
     audio_id: str
     total_frames: int                      # post-subsample frames in the audio
-    frames_consumed: int = 0
-    raw_cache: np.ndarray | None = None    # (<=l_raw, n_mels) raw fbank tail
-    att_caches: list[np.ndarray] = field(default_factory=list)  # per layer (<=l_att, d)
-    conv_caches: list[np.ndarray] = field(default_factory=list) # per layer (<=l_conv, d)
+    frames_consumed: int = 0               # emit frontier
+    frames_subsampled: int = 0             # subsample frontier
+    raw_cache: np.ndarray | None = None    # (<=l_raw, n_mels) raw fbank frames
+                                           # before the subsample frontier
+    att_caches: list[np.ndarray] = field(default_factory=list)  # per layer, attention inputs
+    conv_caches: list[np.ndarray] = field(default_factory=list) # per layer, conv inputs
+    out_cache: np.ndarray | None = None    # last layer's outputs past the emit frontier
 
     @property
     def done(self) -> bool:
@@ -148,7 +158,7 @@ def schedule_step(states: list[StreamState], plans: dict[str, list[ChunkPlan]],
     At most ``m_budget`` chunk rows are scheduled. Each scheduled audio that
     still has frames past its scheduled chunks gets a lookahead tail of
     required_lookahead frames (clipped to what remains); the tail is computed
-    but never emitted. Returns None when nothing is pending.
+    now but emitted by later steps. Returns None when nothing is pending.
     """
     if m_budget < 1:
         raise ConfigError(f"m_budget must be >= 1, got {m_budget}")

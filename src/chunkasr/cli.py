@@ -25,8 +25,8 @@ from .config import (ConfigError, ContextConfig, ModelConfig, context_from_strin
 from .ctc import DecodeState, format_transcript_line, project_logits
 from .encoder import (CheckpointError, check_shapes, encode_full, init_model,
                       load_checkpoint)
-from .frontend import (AudioFormatError, FeatureFormatError, compute_fbank,
-                       load_features, read_wav, save_features)
+from .frontend import (AudioFormatError, FeatureFormatError, FeatureMatrix,
+                       compute_fbank, load_features, read_wav, save_features)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -131,7 +131,11 @@ def _load_features_for(job_inputs) -> dict[str, np.ndarray]:
         if kind == "wav":
             features[aid] = compute_fbank(read_wav(path)).frames
         else:
-            features[aid] = load_features(path)
+            frames = load_features(path)
+            try:
+                features[aid] = FeatureMatrix(frames).frames
+            except FeatureFormatError as exc:
+                raise FeatureFormatError(f"{path}: {exc}") from None
     return features
 
 

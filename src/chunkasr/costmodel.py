@@ -159,9 +159,10 @@ def memory_estimate(t_post: int, ctx: ContextConfig, model: ModelConfig,
 
     dense: per-head score matrices plus frame activations, quadratic in T'.
     masked/chunked: the budgeted rows' score blocks and activations; constant
-    in T' once the audio is longer than one step. Persistent caches and the
-    lookahead recompute rows are excluded (config-dependent constants,
-    independent of both budget and duration).
+    in T' once the audio is longer than one step. Persistent state is
+    excluded: each layer's held frames (left contexts plus exact lookahead
+    frames not yet emitted) are config-dependent constants, independent of
+    both budget and duration.
     """
     d, h, ff = model.d_model, model.n_heads, model.d_ff
     if mode == "dense":

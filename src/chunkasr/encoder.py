@@ -1,19 +1,21 @@
 """Subsampling front block, the chunked encoder stack, and the step driver.
 
 The engine processes audio as decode steps. A step covers the scheduled
-chunks (emitted) plus a lookahead tail (computed, discarded, re-derived from
-raw input next step). The step regions of all its audios are packed back to
-back into one ragged (sum of regions, d) buffer, with per-audio offsets, and
-every layer runs over that buffer: each position-wise op (feed-forward,
-layer norm) runs once, and each sequential sublayer makes one gather of
-overlapping chunk rows for all audios from [cache | region] buffers, runs
-one batched attention or convolution, and puts the chunk outputs back with
-one indexing. Every row is bounded by its own audio's frames, so windows
-never cross into a neighbour. A per-audio validity frontier tracks how many
-lookahead frames are still exact: attention quantizes validity to whole
-chunk windows and the depthwise conv consumes l_conv more frames per layer.
-The scheduler sizes the lookahead so every emitted frame stays exact, which
-makes multi-step, batched, and single-step runs agree on emitted frames.
+chunks (emitted) plus a lookahead tail that brings them to exactness at
+every layer. Each sublayer of each audio has an exactness frontier: the
+subsample's grows with the region, attention's follows its input in whole
+chunk windows, and the depthwise conv's trails attention's by l_conv frames.
+A layer runs only on what crossed its frontiers this step; the exact frames
+past the emit frontier stay in the audio's state, so every frame goes
+through every layer once, whatever the budget. The new frames of all audios
+at a layer are packed back to back into one ragged (sum of new frames, d)
+buffer: each position-wise op (feed-forward, layer norm) runs once, and each
+sequential sublayer makes one gather of overlapping chunk rows for all
+audios from [cache | new] buffers, runs one batched attention or
+convolution, and puts the outputs back with one indexing. Every row is
+bounded by its own audio's exact frames, so windows never cross into a
+neighbour. The scheduler sizes the lookahead so every emitted frame is
+exact, which makes multi-step, batched, and single-step runs agree.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -274,7 +276,7 @@ def _read_tensors(path) -> dict[str, np.ndarray]:
             off += 1
             dims = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
+            size = math.prod(dims)   # exact, where an int64 product would wrap
             end = off + 4 * size
             if end > len(blob):
                 raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
@@ -432,108 +434,109 @@ def subsample_forward(raw_buf: np.ndarray, buf_start: int, post_start: int,
 class _AudioStep:
     state: StreamState
     emit: int             # frames emitted this step
-    cov: int              # region frames including lookahead
-    final: bool           # the region reaches the audio end
-    valid: int            # exact prefix length of the region
+    cov: int              # new frames in the current layer buffer: the layer's
+                          # inputs before _layer_pass, the frames it ran after
 
 
-@dataclass
-class _StepRows:
-    """Row geometry of one step over its ragged (sum of cov, d) buffer.
+def _frontiers(ready: np.ndarray, total: np.ndarray, ctx: ContextConfig,
+               l_conv: int, n_layers: int) -> np.ndarray:
+    """Exactness frontiers of every sublayer, one column per audio.
 
-    Audio i's region occupies buffer frames [off[i], off[i] + cov[i]), and its
-    chunk rows start every c frames from the region start.
+    Row 0 is ``ready``, the post frames subsampled so far; rows 2k + 1 and
+    2k + 2 are layer k's attention and output frontiers. Every frame below a
+    frontier is exact. Attention validity is whole chunk windows
+    ([l_att | c | r] must lie below the input frontier) and the conv then
+    needs l_conv frames past each output; once an input reaches the audio
+    end, every later frontier is the end too.
     """
-
-    off: np.ndarray       # (N,) first buffer frame of each region
-    owner: np.ndarray     # (B,) audio of each row
-    first: np.ndarray     # (B,) first frame of each row within its region
-    row: np.ndarray       # (sum cov,) row whose chunk holds each buffer frame
-    col: np.ndarray       # (sum cov,) that frame's position in the chunk
-    emitted: np.ndarray   # buffer frames emitted this step, audio by audio
-
-
-def _step_rows(steps: list[_AudioStep], c: int) -> _StepRows:
-    cov = np.array([a.cov for a in steps])
-    emit = np.array([a.emit for a in steps])
-    n_rows = -(-cov // c)
-    row0 = np.cumsum(n_rows) - n_rows
-    off = np.cumsum(cov) - cov
-    owner = np.repeat(np.arange(len(steps)), n_rows)
-    audio = np.repeat(np.arange(len(steps)), cov)
-    local = np.arange(audio.size) - off[audio]
-    return _StepRows(off=off, owner=owner,
-                     first=c * (np.arange(owner.size) - row0[owner]),
-                     row=row0[audio] + local // c, col=local % c,
-                     emitted=np.flatnonzero(local < emit[audio]))
+    rows = [ready]
+    for _ in range(n_layers):
+        att = np.where(rows[-1] == total, total,
+                       np.maximum(0, ctx.c * ((rows[-1] - ctx.r) // ctx.c)))
+        rows += [att, np.where(att == total, total, np.maximum(0, att - l_conv))]
+    return np.array(rows)
 
 
-def _shrunk_validity(valid: int, cov: int, final: bool, c: int, r: int) -> int:
-    """Attention-output validity: whole chunk windows only, unless the region
-    ends at the real audio end (windows then clip semantically)."""
-    if final:
-        return cov
-    if valid < r:
-        return 0
-    return min(cov, c * ((valid - r) // c))
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and position within its owner of sum(counts) items, owner by owner."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _gather_rows(steps: list[_AudioStep], geo: _StepRows, x: np.ndarray,
-                 caches: list[np.ndarray], ln_g, ln_b, l: int, c: int, r: int,
-                 limits: list[int]) -> tuple[ChunkBatch, list[np.ndarray]]:
-    """Normalized [l | c | r] rows of every audio, gathered in one call.
-
-    The rows come from one buffer [cache_0 | region_0 | cache_1 | ...]; audio
-    i's rows may read its own cache and the first limits[i] frames of its
-    region, nothing else. Also returns each audio's next cache: the last l
-    frames before its emit frontier, taken before the norm.
-    """
+def _append_new(caches: list[np.ndarray], x: np.ndarray, counts: np.ndarray):
+    """The buffer [cache_0 | new_0 | cache_1 | new_1 | ...], where audio i's
+    counts[i] new frames follow each other's in x; also each audio's first
+    buffer index, cache length and segment length."""
     lens = np.array([cache.shape[0] for cache in caches])
-    ext = np.concatenate([part for cache, o, a in zip(caches, geo.off, steps)
-                          for part in (cache, x[o:o + a.cov])])
-    base = geo.off + np.cumsum(lens) - lens    # each audio's cache start
-    region = base + lens
-    new = [ext[max(b, s + a.emit - l):s + a.emit].copy()
-           for a, b, s in zip(steps, base, region)]
-    batch = chunking.oct_segment(layer_norm(ext, ln_g, ln_b),
-                                 region[geo.owner] + geo.first, l, c, r,
-                                 base[geo.owner], (region + limits)[geo.owner])
-    return batch, new
+    at = (np.cumsum(counts) - counts).tolist()
+    ext = np.concatenate([part for cache, a, n in zip(caches, at, counts.tolist())
+                          for part in (cache, x[a:a + n])])
+    seg = lens + counts
+    return ext, np.cumsum(seg) - seg, lens, seg
+
+
+def _sublayer(caches: list[np.ndarray], x: np.ndarray, before: np.ndarray,
+              after: np.ndarray, ln_g, ln_b, l: int, c: int, r: int, run):
+    """A residual chunk sublayer over the held and new inputs of every audio.
+
+    ``before`` and ``after`` are every audio's (input, output) frontiers of
+    the sublayer at the start and the end of the step. Audio i's cache holds
+    its inputs up to the first input frontier, x its inputs up to the second,
+    back to back with the other audios'. One gather builds normalized
+    [l | c | r] rows every c frames from the first output frontier until
+    they cover the second; a row reads only its own audio's held and new
+    inputs, all of them exact. ``run`` maps the batch to (rows, >= c, d)
+    outputs. Returns the residual sums at the frames between the output
+    frontiers, audio after audio, and each audio's inputs from l frames
+    before its new output frontier on, as its next cache.
+    """
+    (f_in, first), (f_end, last) = before, after
+    ext, base, lens, seg = _append_new(caches, x, f_end - f_in)
+    shift = base + lens - f_in                 # buffer index minus absolute frame
+    new = [ext[max(b, k):b + n].copy()
+           for b, k, n in zip(base.tolist(), (last - l + shift).tolist(), seg.tolist())]
+    n_rows = -(-(last - first) // c)
+    owner, j = _ragged(n_rows)
+    lead = first + shift
+    batch = chunking.oct_segment(layer_norm(ext, ln_g, ln_b), lead[owner] + c * j,
+                                 l, c, r, base[owner], (base + seg)[owner])
+    audio, local = _ragged(last - first)
+    row = (np.cumsum(n_rows) - n_rows)[audio] + local // c
+    return ext[lead[audio] + local] + run(batch)[row, local % c], new
 
 
 def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
     return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2)
 
 
-def _layer_pass(steps: list[_AudioStep], x: np.ndarray, geo: _StepRows,
-                lw: LayerWeights, table: RelPosTable, ctx: ContextConfig,
-                model: ModelConfig, layer_idx: int) -> np.ndarray:
-    """One encoder layer over the ragged buffer of every audio in the step.
+def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
+                after: np.ndarray, lw: LayerWeights, table: RelPosTable,
+                ctx: ContextConfig, model: ModelConfig, layer_idx: int) -> np.ndarray:
+    """One encoder layer over the frames that became exact at its input.
 
     Composition: half-step FF, relative MHSA over chunk rows, convolution
-    module, half-step FF, per-layer output norm; residuals throughout. Every
-    position-wise op runs once over the buffer, each sequential sublayer
-    gathers its rows once, and the chunk outputs go back in one indexing.
+    module, half-step FF, per-layer output norm; residuals throughout.
+    ``before`` and ``after`` hold each audio's input, attention and output
+    frontiers of this layer at the start and the end of the step; x holds
+    the inputs between them. The FF runs on those new inputs, attention on
+    the chunk rows whose window became exact, the conv, FF and output norm
+    on the frames that became exact; each sublayer reads its left context
+    and the frames still pending from its cache. Returns the new outputs.
     """
-    c, l_att, r = ctx.c, ctx.l_att, ctx.r
+    c = ctx.c
     l_conv = (lw.conv.kernel_size - 1) // 2
     x = x + _half_ff(x, lw.ff1)
-    batch, att_caches = _gather_rows(
-        steps, geo, x, [a.state.att_caches[layer_idx] for a in steps],
-        lw.att_ln_g, lw.att_ln_b, l_att, c, r, [a.valid for a in steps])
-    x += chunk_attention(batch, lw.att, table, model.n_heads)[geo.row, geo.col]
-    v_att = [_shrunk_validity(a.valid, a.cov, a.final, c, r) for a in steps]
-    batch, conv_caches = _gather_rows(
-        steps, geo, x, [a.state.conv_caches[layer_idx] for a in steps],
-        lw.conv_ln_g, lw.conv_ln_b, l_conv, c, l_conv, v_att)
-    x += conv_module_forward(batch.rows, lw.conv, batch.mask)[geo.row, geo.col]
-    for a, v, att_cache, conv_cache in zip(steps, v_att, att_caches, conv_caches):
-        a.valid = a.cov if a.final else max(0, v - l_conv)
-        if a.valid < a.emit:
-            raise SchedulerError(
-                "lookahead shortfall: emitted frames lost exactness "
-                f"(valid {a.valid} < emit {a.emit})"
-            )
+    x, att_caches = _sublayer(
+        [a.state.att_caches[layer_idx] for a in steps], x, before[:2], after[:2],
+        lw.att_ln_g, lw.att_ln_b, ctx.l_att, c, ctx.r,
+        lambda batch: chunk_attention(batch, lw.att, table, model.n_heads))
+    x, conv_caches = _sublayer(
+        [a.state.conv_caches[layer_idx] for a in steps], x, before[1:], after[1:],
+        lw.conv_ln_g, lw.conv_ln_b, l_conv, c, l_conv,
+        lambda batch: conv_module_forward(batch.rows, lw.conv, batch.mask))
+    for a, n, att_cache, conv_cache in zip(steps, (after[2] - before[2]).tolist(),
+                                           att_caches, conv_caches):
+        a.cov = n
         a.state.att_caches[layer_idx] = att_cache
         a.state.conv_caches[layer_idx] = conv_cache
     return layer_norm(x + _half_ff(x, lw.ff2), lw.out_ln_g, lw.out_ln_b)
@@ -549,14 +552,18 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 dtype=np.float32) -> dict[str, np.ndarray]:
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
-    Only the scheduled chunks' outputs are emitted; lookahead outputs are
-    discarded and re-derived from raw input next step. The regions of all
-    audios are packed into one buffer that every layer runs over, and caches
-    are cut from each layer's inputs at the emit frontier. ``weights`` and
-    ``table`` should already be in ``dtype``, as encode_full passes them.
+    Each audio's region (scheduled chunks plus lookahead) is subsampled only
+    past its subsample frontier, and each layer runs only on the frames that
+    became exact at its input this step, packed for all audios into one
+    buffer. Exact frames past the emit frontier stay in the state's caches
+    for the next step, so no frame is computed twice at any layer. The
+    scheduled chunks are emitted from the last layer's held frames.
+    ``weights`` and ``table`` should already be in ``dtype``, as encode_full
+    passes them.
     """
     steps: list[_AudioStep] = []
     hidden: list[np.ndarray] = []
+    ready: list[int] = []
     for aid in schedule.audio_order():
         st = states[aid]
         rows = schedule.rows_for(aid)
@@ -571,40 +578,60 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 raise SchedulerError(f"audio {aid!r}: non-contiguous chunks scheduled")
         emit = sum(p.valid_frames for p in rows)
         la = min(schedule.lookahead.get(aid, 0), st.total_frames - start - emit)
-        cov = emit + la
-        feats = features[aid]
-        t_raw = feats.shape[0]
-        raw_start, raw_end = 8 * start, 8 * (start + cov)
-        cache = st.raw_cache if st.raw_cache is not None else \
-            np.zeros((0, feats.shape[1]), feats.dtype)
-        fresh = feats[raw_start: min(raw_end, t_raw)]
-        pad = (raw_end - raw_start) - fresh.shape[0]
-        if pad > 0:
-            fresh = np.concatenate([fresh,
-                                    np.zeros((pad, feats.shape[1]), feats.dtype)])
-        buf = np.concatenate([cache, fresh])
-        hidden.append(subsample_forward(buf, raw_start - cache.shape[0], start,
-                                        start + cov, weights.subsample, t_raw, dtype))
-        end_raw = 8 * (start + emit)
-        st.raw_cache = feats[max(0, end_raw - RAW_CACHE_FRAMES):
-                             min(end_raw, t_raw)].copy()
-        if not st.att_caches:
+        done = st.frames_subsampled
+        end = max(done, start + emit + la)
+        if end > done:
+            feats = features[aid]
+            t_raw = feats.shape[0]
+            raw_start, raw_end = 8 * done, 8 * end
+            cache = st.raw_cache if st.raw_cache is not None else \
+                np.zeros((0, feats.shape[1]), feats.dtype)
+            fresh = feats[raw_start: min(raw_end, t_raw)]
+            pad = (raw_end - raw_start) - fresh.shape[0]
+            if pad > 0:
+                fresh = np.concatenate([fresh,
+                                        np.zeros((pad, feats.shape[1]), feats.dtype)])
+            buf = np.concatenate([cache, fresh])
+            hidden.append(subsample_forward(buf, raw_start - cache.shape[0], done,
+                                            end, weights.subsample, t_raw, dtype))
+            st.raw_cache = feats[max(0, raw_end - RAW_CACHE_FRAMES):
+                                 min(raw_end, t_raw)].copy()
+        if st.out_cache is None:
             empty = np.zeros((0, model.d_model), dtype)
             st.att_caches = [empty] * model.n_layers
             st.conv_caches = [empty] * model.n_layers
-        steps.append(_AudioStep(state=st, emit=emit, cov=cov,
-                                final=(start + cov == st.total_frames), valid=cov))
-    x = np.concatenate(hidden)
+            st.out_cache = empty
+        ready.append(done)
+        st.frames_subsampled = end
+        steps.append(_AudioStep(state=st, emit=emit, cov=end - done))
+    x = np.concatenate(hidden) if hidden else np.zeros((0, model.d_model), dtype)
     del hidden
-    geo = _step_rows(steps, ctx.c)
+    total = np.array([a.state.total_frames for a in steps])
+    l_conv = (weights.kernel_size - 1) // 2
+    before = _frontiers(np.array(ready), total, ctx, l_conv, model.n_layers)
+    after = _frontiers(np.array([a.state.frames_subsampled for a in steps]), total,
+                       ctx, l_conv, model.n_layers)
     for k in range(model.n_layers):
-        x = _layer_pass(steps, x, geo, weights.layers[k], table, ctx, model, k)
-    x = x[geo.emitted]
+        if not x.shape[0]:   # nothing new at this layer, so nothing above it
+            break
+        x = _layer_pass(steps, x, before[2 * k:2 * k + 3], after[2 * k:2 * k + 3],
+                        weights.layers[k], table, ctx, model, k)
+    buf, base, _, seg = _append_new([a.state.out_cache for a in steps], x,
+                                    np.array([a.cov for a in steps]))
+    emit = np.array([a.emit for a in steps])
+    if np.any(seg < emit):
+        raise SchedulerError(
+            "lookahead shortfall: fewer exact frames than scheduled "
+            f"({seg.tolist()} < {emit.tolist()})"
+        )
+    audio, local = _ragged(emit)
+    x = buf[base[audio] + local]
     if model.n_layers:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
     at = 0
-    for a in steps:
+    for a, b, n in zip(steps, base.tolist(), seg.tolist()):
+        a.state.out_cache = buf[b + a.emit:b + n].copy()
         out[a.state.audio_id] = x[at:at + a.emit]
         at += a.emit
         a.state.frames_consumed += a.emit

@@ -326,8 +326,10 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     multi = encode_full({"a": feats}, weights, ctx, model, budget=2)["a"]
     add(compare("streaming", multi, single, 1e-4))
 
-    # masked batch equals the per-audio loop oracle
-    batch_feats = {"long": feats, "short": rng.normal(size=(41, 80)).astype(np.float32)}
+    # masked batch equals the per-audio loop oracle; the short audio comes
+    # first, so both share the first step and the long one still computes
+    # frames in the second, from the frames it held
+    batch_feats = {"short": rng.normal(size=(41, 80)).astype(np.float32), "long": feats}
     ref = loop_oct_encode(batch_feats, weights, ctx, model)
     got = encode_full(batch_feats, weights, ctx, model, budget=3)
     worst = max(compare("mb", got[k], ref[k], 0).max_rel_err for k in ref)

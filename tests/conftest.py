@@ -37,7 +37,9 @@ def rel_err(actual, expected):
 
 
 def dropping_oldest_att_frame():
-    """encode_step with an off-by-one bug: each attention cache loses its oldest frame."""
+    """encode_step with an off-by-one bug: each attention cache loses its oldest
+    frame. A cache starts with its left context, and after a step that
+    context is never empty when l_att > 0, so the frame lost is context."""
     real = encoder.encode_step
 
     def broken(states, *args, **kwargs):

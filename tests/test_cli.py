@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -152,6 +153,32 @@ def test_non_numeric_layer_id_is_checkpoint_error(workdir, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "layerX.a" in err
+
+
+def test_checkpoint_dims_past_int64_are_checkpoint_error(workdir, capsys):
+    # 2**63 elements: an int64 product wraps to 0, the exact one is far past
+    # the end of this 32-byte file
+    bad = workdir / "huge.cfkw"
+    bad.write_bytes(b"CFKW" + struct.pack("<II", 1, 1) + struct.pack("<H", 5) + b"ctc.w"
+                    + struct.pack("<B3I", 3, 2 ** 21, 2 ** 21, 2 ** 21))
+    assert bad.stat().st_size == 32
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "truncated payload" in err and "ctc.w" in err
+
+
+def test_encode_rejects_features_of_the_wrong_width(workdir, rng, capsys):
+    fpath = workdir / "narrow.cfkf"
+    save_features(fpath, rng.normal(size=(40, 3)).astype(np.float32))
+    # the container itself holds any width: encode writes d_model-wide frames
+    assert load_features(fpath).shape == (40, 3)
+    rc = cli.main(["encode", "--seed", "3", "--format", "features",
+                   "--output-dir", str(workdir / "enc5"), str(fpath)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "narrow.cfkf" in err and "T x 80" in err
+    assert not (workdir / "enc5" / "narrow.cfkf").exists()
 
 
 def test_encode_matches_oracle_within_tolerance(workdir):

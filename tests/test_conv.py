@@ -116,18 +116,25 @@ def test_module_poison_is_bitwise_invisible(rng):
 
 @pytest.mark.parametrize("kernel,cache", [(15, 7), (1, 0)])
 def test_cache_length_follows_kernel(kernel, cache, rng):
-    # after a step that emits 12 frames, every layer keeps (kernel - 1) / 2
+    # after a step that emits 12 frames, every layer's conv cache holds
+    # (kernel - 1) / 2 frames of left context before its output frontier,
+    # then the conv inputs up to its attention frontier. With kernel 15 the
+    # step subsamples 12 + 22 frames: layer 0's attention is exact up to
+    # 4 * ((34 - 2) // 4) = 32 and its conv 7 short of that, and layer 1
+    # follows from 25; with kernel 1 it subsamples 12 + 6 frames.
+    att_end, conv_end = {15: ((32, 20), (25, 13)), 1: ((16, 12), (16, 12))}[kernel]
     model = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                         kernel_size=kernel, vocab_size=4, l_max=32)
     ctx = ContextConfig(l_att=4, c=4, r=2)
-    feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32)}
-    states = {"a": StreamState("a", post_frames(8 * 30))}
-    plans = {"a": carve_chunks(30, ctx.c, "a")}
+    feats = {"a": rng.normal(size=(8 * 60, 80)).astype(np.float32)}
+    states = {"a": StreamState("a", post_frames(8 * 60))}
+    plans = {"a": carve_chunks(60, ctx.c, "a")}
     sched = schedule_step(list(states.values()), plans, 3, ctx, 2, cache)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
     encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table)
     assert states["a"].frames_consumed == 12
-    assert [c.shape[0] for c in states["a"].conv_caches] == [cache, cache]
+    assert [c.shape[0] for c in states["a"].conv_caches] == \
+        [cache + a - o for a, o in zip(att_end, conv_end)]
 
 
 def test_streaming_two_step_equals_one_step_conv_path(rng):

@@ -6,12 +6,14 @@ from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import (ChunkPlan, SchedulerError, StepSchedule, StreamState,
                                carve_chunks, schedule_step)
 from chunkasr.config import ContextConfig, ModelConfig, derive_l_conv
+from chunkasr.costmodel import batch_cost
 from chunkasr.encoder import (CheckpointError, encode_full, encode_step,
                               init_model, init_weights, load_checkpoint, post_frames,
                               save_checkpoint, subsample_forward)
+from chunkasr.frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES
 from chunkasr.functional import layer_norm
-from chunkasr.oracle import (_chunk_attention_loop, _macaron_ff, full_context_encode,
-                             full_subsample, loop_oct_encode)
+from chunkasr.oracle import (_chunk_attention_loop, _conv_module_full, _macaron_ff,
+                             full_context_encode, full_subsample, loop_oct_encode)
 from conftest import rel_err, write_cfkw
 
 
@@ -236,6 +238,9 @@ def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
         run(0, [0, 2])
     with pytest.raises(SchedulerError, match="non-contiguous"):
         run(0, [0, 1, 1])
+    # and without lookahead the emitted frames would not be exact
+    with pytest.raises(SchedulerError, match="lookahead shortfall"):
+        run(0, [0, 1])
 
 
 def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
@@ -268,9 +273,10 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
 
 
 def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
-    # after a step, each layer's attention cache is the last l_att frames of
-    # its attention input before the emit frontier and the conv cache the last
-    # l_conv frames of the conv input; a short audio keeps what it has
+    # after a step, the attention cache is the attention input from l_att
+    # frames before the attention frontier up to the subsample frontier, and
+    # the conv cache the conv input from l_conv frames before the output
+    # frontier up to the attention frontier; a short audio keeps what it has
     model = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
                         kernel_size=5, vocab_size=4, l_max=32)
     ctx = ContextConfig(l_att=4, c=3, r=2)
@@ -283,16 +289,141 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
     sched = schedule_step(list(states.values()), plans, 4, ctx, 1, 2)
     out = run_step(states, sched, feats, w, ctx, model, np.float64)
     assert {k: v.shape[0] for k, v in out.items()} == {"b": 2, "a": 9}
+    # "a" subsamples its 9 frames and 5 of lookahead; chunk windows
+    # [q - 4, q + 5) that end by frame 14 make attention exact up to 12, and
+    # the conv (l_conv = 2) up to 10. "b" ends inside the step.
+    frontiers = {"b": (2, 2, 2), "a": (14, 12, 10)}
     for aid, st in states.items():
-        emit = st.frames_consumed
+        ready, att_end, conv_end = frontiers[aid]
+        assert st.frames_subsampled == ready
         x = full_subsample(feats[aid], w, np.float64)
         x1 = x + _macaron_ff(x, lw.ff1, np.float64)
         h = layer_norm(x1, lw.att_ln_g, lw.att_ln_b)
         x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
         att, conv = st.att_caches[0], st.conv_caches[0]
-        assert att.shape[0] == min(4, emit) and conv.shape[0] == min(2, emit)
-        assert rel_err(att, x1[emit - att.shape[0]:emit]) <= 1e-12
-        assert rel_err(conv, x2[emit - conv.shape[0]:emit]) <= 1e-12
+        att_from, conv_from = max(0, att_end - 4), max(0, conv_end - 2)
+        assert att.shape[0] == ready - att_from and conv.shape[0] == att_end - conv_from
+        assert rel_err(att, x1[att_from:ready]) <= 1e-12
+        assert rel_err(conv, x2[conv_from:att_end]) <= 1e-12
+
+
+# (n_layers, kernel_size, (l_att, c, r), budget, raw frames per audio): every
+# batch takes several steps
+GEOMETRIES = [
+    (3, 5, (4, 3, 4), 1, (93, 200, 315)),   # lookahead 19 > the 12-frame audio; 3 does not divide 4
+    (2, 3, (5, 4, 0), 4, (240, 73, 136)),   # r = 0
+    (2, 7, (6, 4, 6), 16, (800, 557, 40)),  # budget 16; 4 does not divide 6
+]
+
+
+def geometry(case, seed):
+    n_layers, kernel, (l_att, c, r), budget, lengths = case
+    model = ModelConfig(n_layers=n_layers, d_model=8, n_heads=2, d_ff=16,
+                        kernel_size=kernel, vocab_size=4, l_max=l_att + c + r)
+    rng = np.random.default_rng(seed)
+    feats = {f"a{i}": rng.normal(size=(t, 80)).astype(np.float32)
+             for i, t in enumerate(lengths)}
+    return model, ContextConfig(l_att, c, r), budget, init_weights(model, seed=seed), feats
+
+
+@pytest.mark.parametrize("case", GEOMETRIES)
+def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
+    model, ctx, budget, w, feats = geometry(case, seed=5)
+    seen = {"rows": 0, "frames": 0, "steps": 0}
+
+    def counting(fn, key, size):
+        def wrapped(*args, **kwargs):
+            seen[key] += size(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(encoder, "chunk_attention",
+                        counting(encoder.chunk_attention, "rows",
+                                 lambda args: args[0].rows.shape[0]))
+    monkeypatch.setattr(encoder, "subsample_forward",
+                        counting(encoder.subsample_forward, "frames",
+                                 lambda args: args[3] - args[2]))
+    monkeypatch.setattr(encoder, "encode_step",
+                        counting(encoder.encode_step, "steps", lambda args: 1))
+    encode_full(feats, w, ctx, model, budget=budget)
+    t_post = [post_frames(f.shape[0]) for f in feats.values()]
+    seconds = [(WINDOW_SAMPLES + HOP_SAMPLES * (f.shape[0] - 1)) / SAMPLE_RATE
+               for f in feats.values()]
+    predicted = sum(a.rows for a in batch_cost(seconds, ctx, model).audios)
+    assert seen["steps"] > 1
+    assert seen["frames"] == sum(t_post)
+    assert seen["rows"] == model.n_layers * sum(-(-t // ctx.c) for t in t_post)
+    assert seen["rows"] == model.n_layers * predicted
+
+
+def oracle_layers(feats, w, ctx, model):
+    """Loop-oracle attention input, conv input and output of every layer."""
+    x = full_subsample(feats, w, np.float64)
+    layers = []
+    for lw in w.layers:
+        x1 = x + _macaron_ff(x, lw.ff1, np.float64)
+        h = layer_norm(x1, lw.att_ln_g, lw.att_ln_b)
+        x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
+        x3 = x2 + _conv_module_full(x2, lw, np.float64)
+        x = layer_norm(x3 + _macaron_ff(x3, lw.ff2, np.float64), lw.out_ln_g, lw.out_ln_b)
+        layers.append((x1, x2, x))
+    return x, layers
+
+
+def exact_frontiers(ready, total, ctx, l_conv, n_layers):
+    """(attention, output) frontier of each layer, from their definition: a
+    chunk's attention output is exact once its whole window is, a conv
+    output once l_conv exact frames follow it, and everything at the end."""
+    out, f = [], ready
+    for _ in range(n_layers):
+        att = 0
+        while att + ctx.c + ctx.r <= f:
+            att += ctx.c
+        att = total if f == total else att
+        f = total if att == total else max(0, att - l_conv)
+        out.append((att, f))
+    return out
+
+
+def assert_same(held, expected):
+    assert held.shape == expected.shape
+    assert rel_err(held, expected) <= 1e-12
+
+
+@pytest.mark.parametrize("case", GEOMETRIES)
+def test_held_frames_equal_oracle_layer_outputs(case):
+    # after every step each audio holds exactly its exact frames past each
+    # frontier, equal to the oracle's
+    model, ctx, budget, w, feats = geometry(case, seed=6)
+    l_conv = derive_l_conv(model.kernel_size)
+    states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
+    plans = {k: carve_chunks(st.total_frames, ctx.c, k) for k, st in states.items()}
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    ref = {k: oracle_layers(f, w, ctx, model) for k, f in feats.items()}
+    ready = dict.fromkeys(feats, 0)
+    while True:
+        sched = schedule_step(list(states.values()), plans, budget, ctx,
+                              model.n_layers, l_conv)
+        if sched is None:
+            break
+        start = {k: st.frames_consumed for k, st in states.items()}
+        for aid in sched.audio_order():
+            emit = sum(p.valid_frames for p in sched.rows_for(aid))
+            ready[aid] = max(ready[aid], start[aid] + emit + sched.lookahead.get(aid, 0))
+        out = encode_step(states, sched, feats, w, ctx, model, table, np.float64)
+        for aid, block in out.items():
+            st, (top, layers) = states[aid], ref[aid]
+            assert_same(block, layer_norm(top, w.after_ln_g, w.after_ln_b)
+                        [start[aid]:st.frames_consumed])
+            assert st.frames_subsampled == ready[aid]
+            f_in = ready[aid]
+            for k, (att_end, f_out) in enumerate(
+                    exact_frontiers(ready[aid], st.total_frames, ctx, l_conv, model.n_layers)):
+                x1, x2, _ = layers[k]
+                assert_same(st.att_caches[k], x1[max(0, att_end - ctx.l_att):f_in])
+                assert_same(st.conv_caches[k], x2[max(0, f_out - l_conv):att_end])
+                f_in = f_out
+            assert_same(st.out_cache, layers[-1][2][st.frames_consumed:f_in])
 
 
 # ---------------------------------------------------------------------------

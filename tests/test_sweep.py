@@ -1,8 +1,9 @@
 """Seeded random-geometry sweep of the engine against the per-audio loop oracle.
 
 Each case batches several audios of different lengths into one encode_full
-call and compares every audio, in float64, with oracle.loop_oct_encode. The
-fixed cases pin the edge geometries; the seeded ones vary everything at once.
+call and compares every audio with oracle.loop_oct_encode, for an engine run
+in float64 (1e-8) and one in float32 (1e-4). The fixed cases pin the edge
+geometries; the seeded ones vary everything at once.
 """
 
 import numpy as np
@@ -53,11 +54,12 @@ def setup(case, seed):
 @pytest.mark.parametrize("index,case", list(enumerate(geometries())))
 def test_masked_batch_matches_loop_oracle(index, case):
     model, ctx, budget, w, feats = setup(case, seed=100 + index)
-    got = encode_full(feats, w, ctx, model, budget=budget, dtype=np.float64)
     ref = loop_oct_encode(feats, w, ctx, model)
-    for aid in feats:
-        assert got[aid].shape == ref[aid].shape
-        assert rel_err(got[aid], ref[aid]) <= 1e-8, (aid, case)
+    for dtype, tol in ((np.float64, 1e-8), (np.float32, 1e-4)):
+        got = encode_full(feats, w, ctx, model, budget=budget, dtype=dtype)
+        for aid in feats:
+            assert got[aid].shape == ref[aid].shape and got[aid].dtype == dtype
+            assert rel_err(got[aid], ref[aid]) <= tol, (aid, case, dtype)
 
 
 def test_budget_one_equals_unbounded_budget():
