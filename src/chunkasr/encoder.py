@@ -37,6 +37,7 @@ little-endian payload}. Tensor names are fixed strings:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -257,35 +258,45 @@ def save_checkpoint(path, weights: EncoderWeights, head: CtcHead, vocab: Vocab) 
 
 
 def _read_tensors(path) -> dict[str, np.ndarray]:
+    """Every tensor of a CFKW file, each payload read straight into its array.
+
+    A payload is checked against the file size before its array is
+    allocated, so a few-byte file cannot ask for a large allocation.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint container")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 12
-    tensors: dict[str, np.ndarray] = {}
-    try:
+        size_on_disk = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            raw = fh.read(n)
+            if len(raw) < n:
+                raise CheckpointError(f"{path}: truncated tensor table")
+            return raw
+
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint container")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
+            (nlen,) = struct.unpack("<H", take(2))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: a tensor name is not valid UTF-8") from None
+            (rank,) = struct.unpack("<B", take(1))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank))
             size = math.prod(dims)   # exact, where an int64 product would wrap
-            end = off + 4 * size
-            if end > len(blob):
+            if fh.tell() + 4 * size > size_on_disk:
                 raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-            tensors[name] = np.frombuffer(blob[off:end], dtype="<f4").reshape(dims).copy()
-            off = end
-    except struct.error:
-        raise CheckpointError(f"{path}: truncated tensor table") from None
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+            arr = np.empty(dims, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
+            tensors[name] = arr
+        trailing = size_on_disk - fh.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
     return tensors
 
 
@@ -353,7 +364,11 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
         raise CheckpointError(f"{path}: missing tensors: {', '.join(sorted(missing))}")
     if tensors:
         raise CheckpointError(f"{path}: unknown tensors: {', '.join(sorted(tensors))}")
-    vocab = Vocab(tokens=vocab_arr.astype(np.uint8).tobytes().decode("utf-8").split("\n"))
+    try:
+        text = vocab_arr.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: vocab.utf8 is not valid UTF-8") from None
+    vocab = Vocab(tokens=text.split("\n"))
     if head.w.shape[1] != len(vocab.tokens):
         raise CheckpointError(
             f"{path}: ctc head vocab dim {head.w.shape[1]} != {len(vocab.tokens)} tokens"

@@ -168,6 +168,28 @@ def test_checkpoint_dims_past_int64_are_checkpoint_error(workdir, capsys):
     assert err.count("\n") == 1 and "truncated payload" in err and "ctc.w" in err
 
 
+def test_tensor_name_not_utf8_is_checkpoint_error(workdir, capsys):
+    bad = workdir / "name.cfkw"
+    bad.write_bytes(b"CFKW" + struct.pack("<II", 1, 1) + struct.pack("<H", 2) + b"\xff\xfe"
+                    + struct.pack("<BI", 1, 1) + struct.pack("<f", 0.0))
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "UTF-8" in err
+
+
+def test_vocab_not_utf8_is_checkpoint_error(workdir, capsys):
+    w, head, vocab = init_model(ModelConfig(), seed=0)
+    tensors = encoder._tensor_map(w, head, vocab)
+    tensors["vocab.utf8"] = np.array([255, 97], dtype=np.float32)
+    bad = workdir / "vocab.cfkw"
+    write_cfkw(bad, tensors)
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "vocab.utf8" in err and "UTF-8" in err
+
+
 def test_encode_rejects_features_of_the_wrong_width(workdir, rng, capsys):
     fpath = workdir / "narrow.cfkf"
     save_features(fpath, rng.normal(size=(40, 3)).astype(np.float32))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,36 @@ def test_checkpoint_truncation_and_magic(tmp_path, small_model):
     junk.write_bytes(b"WHAT" + blob[4:])
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(junk)
+
+
+def test_checkpoint_tensors_are_own_writable_arrays(tmp_path, small_model):
+    w, head, vocab = init_model(small_model, seed=11)
+    path = tmp_path / "m.cfkw"
+    save_checkpoint(path, w, head, vocab)
+    loaded = encoder._read_tensors(path)
+    assert loaded.keys() == encoder._tensor_map(w, head, vocab).keys()
+    for arr in loaded.values():
+        assert arr.dtype == np.float32 and arr.base is None
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+
+
+def test_checkpoint_version_and_trailing_bytes(tmp_path, small_model):
+    w, head, vocab = init_model(small_model, seed=11)
+    path = tmp_path / "m.cfkw"
+    save_checkpoint(path, w, head, vocab)
+    blob = path.read_bytes()
+    extra = tmp_path / "e.cfkw"
+    extra.write_bytes(blob + b"xyz")
+    with pytest.raises(CheckpointError, match="3 trailing bytes"):
+        load_checkpoint(extra)
+    newer = tmp_path / "v.cfkw"
+    newer.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported version 2"):
+        load_checkpoint(newer)
+    table = tmp_path / "h.cfkw"
+    table.write_bytes(blob[:13])
+    with pytest.raises(CheckpointError, match="truncated tensor table"):
+        load_checkpoint(table)
 
 
 def test_rerun_determinism_end_to_end(small_model, small_ctx, small_weights, rng):
