@@ -1,9 +1,10 @@
 """Relative multi-head self-attention over chunk rows.
 
 Each row holds l left-context, c chunk, and r lookahead positions. Queries are
-the c + r chunk-plus-lookahead positions; keys and values are all l + c + r
-positions, so the relative-distance geometry is identical for every row. The
-per-pair score is
+the c chunk positions; keys and values are all l + c + r positions, so the
+relative-distance geometry is identical for every row. The lookahead frames
+act only as keys here: the row that holds them as its chunk computes their
+outputs. The per-pair score is
 
     e[j, t] = ((x_j Wq + u) . (x_t Wk) + (x_j Wq + v) . (R_{j-t} Wr)) / sqrt(d_k)
 
@@ -35,9 +36,6 @@ class RelPosTable:
     min_dist: int
     max_dist: int
     encodings: np.ndarray  # (max_dist - min_dist + 1, d_model) float64
-
-    def slice(self, dtype=np.float64) -> np.ndarray:
-        return self.encodings.astype(dtype, copy=False)
 
 
 @dataclass
@@ -92,31 +90,38 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
                  l: int, c: int, r: int, n_heads: int) -> np.ndarray:
-    """Per-head logits (B, H, c+r, l+c+r) for pre-normalized, mask-zeroed rows.
+    """Per-head logits (B, H, c, l+c+r) of each row's chunk queries.
 
-    ``p`` must already be in the rows' dtype."""
+    ``rows`` are pre-normalized and mask-zeroed; ``p`` must already be in
+    their dtype. Chunk query i and key t are l + i - t apart, so one row
+    needs only the W + c - 1 distances from l + c - 1 down to l - (W - 1),
+    W = l + c + r. The positional term is one matmul against those
+    distances in descending order; query i's scores are then entries
+    c - 1 - i + t of its row of that product, which makes the (c, W) score
+    block a skewed view (offset c - 1, row stride n - 1) of the contiguous
+    (c, n) product: the relative shift of Transformer-XL, with no gather.
+    """
     dtype = rows.dtype
-    d_k = rows.shape[-1] // n_heads
-    q_in = rows[:, l:, :]
-    qh = _split_heads(q_in @ p.wq, n_heads)               # (B, H, c+r, d_k)
-    kh = _split_heads(rows @ p.wk, n_heads)               # (B, H, W, d_k)
-    uh = p.u.reshape(n_heads, 1, d_k)
-    vh = p.v.reshape(n_heads, 1, d_k)
-    content = (qh + uh) @ kh.swapaxes(-1, -2)             # (B, H, c+r, W)
-    rho = table.slice(dtype) @ p.wr                       # (n_dist, d)
-    rho_h = rho.reshape(-1, n_heads, d_k).transpose(1, 0, 2)  # (H, n_dist, d_k)
-    pos_all = np.einsum("bhqe,hne->bhqn", qh + vh, rho_h)
     width = l + c + r
-    dist = (l + np.arange(c + r))[:, None] - np.arange(width)[None, :]
-    idx = dist - table.min_dist
-    if idx.min() < 0 or idx.max() >= table.encodings.shape[0]:
+    d_k = rows.shape[-1] // n_heads
+    qh = _split_heads(rows[:, l:l + c] @ p.wq, n_heads)     # (B, H, c, d_k)
+    kh = _split_heads(rows @ p.wk, n_heads)                 # (B, H, W, d_k)
+    scores = (qh + p.u.reshape(n_heads, 1, d_k)) @ kh.swapaxes(-1, -2)  # (B, H, c, W)
+    lo = l - (width - 1) - table.min_dist    # table index of the smallest distance
+    hi = l + c - 1 - table.min_dist          # and of the largest
+    if lo < 0 or hi >= table.encodings.shape[0]:
         raise DistanceRangeError("row geometry exceeds the positional table")
-    content += np.take_along_axis(
-        pos_all, np.broadcast_to(idx, pos_all.shape[:2] + idx.shape), axis=-1
-    )
-    del pos_all   # the largest buffer; freed before the softmax needs its own
-    content *= 1.0 / math.sqrt(d_k)
-    return content
+    n = hi - lo + 1
+    desc = np.ascontiguousarray(table.encodings[lo:hi + 1][::-1], dtype=dtype)
+    rho_h = (desc @ p.wr).reshape(n, n_heads, d_k).transpose(1, 2, 0)  # (H, d_k, n)
+    pos = np.ascontiguousarray((qh + p.v.reshape(n_heads, 1, d_k)) @ rho_h)  # (B, H, c, n)
+    step = pos.itemsize
+    scores += np.lib.stride_tricks.as_strided(
+        pos[..., c - 1:], shape=scores.shape,
+        strides=pos.strides[:2] + ((n - 1) * step, step), writeable=False)
+    del pos   # the largest buffer; freed before the softmax needs its own
+    scores *= 1.0 / math.sqrt(d_k)
+    return scores
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> np.ndarray:
@@ -140,10 +145,12 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> n
 
 def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTable,
                     n_heads: int, beta: float = 1.0) -> np.ndarray:
-    """Attention outputs (B, c+r, d) for a batch of gathered rows.
+    """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
+    The r lookahead positions serve only as keys and values: a later row
+    computes their outputs.
     """
     rows = np.where(batch.mask[..., None], batch.rows,
                     np.zeros((), dtype=batch.rows.dtype))
@@ -152,7 +159,7 @@ def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTab
     logits = _score_batch(rows, p, table, batch.l, batch.c, batch.r, n_heads)
     weights = masked_softmax(logits, batch.mask[:, None, None, :], beta)
     vh = _split_heads(rows @ p.wv, n_heads)               # (B, H, W, d_k)
-    zh = weights @ vh                                     # (B, H, c+r, d_k)
+    zh = weights @ vh                                     # (B, H, c, d_k)
     out = _merge_heads(zh) @ p.wo + p.bo
     any_key = batch.mask.any(axis=-1)
     return np.where(any_key[:, None, None], out, np.zeros((), dtype=dtype))

@@ -4,11 +4,11 @@ masked vs naive padded batching.
 Conventions (also printed in report headers): one multiply-accumulate counts
 as 2 FLOPs; only matmul-like terms are counted (norms, activations, and the
 softmax are ignored); per-layer row costs use the row's query coverage
-(c + r positions) and key coverage (l_att + c + r positions). The attention
-window term counts content scores, positional scores, and value mixing, so a
-full-context configuration (l_att = r = 0, c = L) degenerates to exactly the
-dense count. Wall-clock seconds and GB are out of scope; only frame counts,
-FLOPs, and activation-element counts are modeled.
+(its c chunk positions) and key coverage (l_att + c + r positions). The
+attention window term counts content scores, positional scores, and value
+mixing, so a full-context configuration (l_att = r = 0, c = L) degenerates to
+exactly the dense count. Wall-clock seconds and GB are out of scope; only
+frame counts, FLOPs, and activation-element counts are modeled.
 """
 
 from __future__ import annotations
@@ -36,13 +36,14 @@ def attention_flops(t_post: int, ctx: ContextConfig, model: ModelConfig) -> int:
     """Window-dependent attention FLOPs for one audio, all layers.
 
     Per row: content scores + positional scores + value mixing, each a
-    (c + r) x (l_att + c + r) x d_model matmul. Exactly linear in the chunk
-    count n = ceil(T'/c) for a fixed context.
+    c x (l_att + c + r) x d_model matmul (only the chunk positions query;
+    the r lookahead positions are keys). Exactly linear in the chunk count
+    n = ceil(T'/c) for a fixed context.
     """
     if t_post < 1:
         raise ConfigError(f"t_post must be >= 1, got {t_post}")
     n = -(-t_post // ctx.c)
-    q = ctx.c + ctx.r
+    q = ctx.c
     w = ctx.l_att + ctx.c + ctx.r
     per_row = 3 * 2 * q * w * model.d_model
     return model.n_layers * n * per_row
@@ -54,7 +55,7 @@ def dense_attention_flops(t_post: int, model: ModelConfig) -> int:
 
 
 def _per_row_fixed_flops(ctx: ContextConfig, model: ModelConfig) -> dict[str, int]:
-    q = ctx.c + ctx.r
+    q = ctx.c
     w = ctx.l_att + ctx.c + ctx.r
     d, ff, k = model.d_model, model.d_ff, model.kernel_size
     proj = 2 * d * d * (2 * q + 2 * w)          # q + out on queries, k + v on keys
@@ -170,7 +171,7 @@ def memory_estimate(t_post: int, ctx: ContextConfig, model: ModelConfig,
     if mode not in ("masked", "chunked"):
         raise ConfigError(f"mode must be 'dense', 'masked' or 'chunked', got {mode!r}")
     rows = min(budget, -(-t_post // ctx.c))
-    q = ctx.c + ctx.r
+    q = ctx.c
     w = ctx.l_att + ctx.c + ctx.r
     return 2 * h * rows * q * w + 8 * rows * w * d + 2 * rows * q * ff
 

@@ -13,7 +13,7 @@ from conftest import rel_err
 
 
 def attention_scores(row, p, table, l, c, r, n_heads):
-    """Logits (H, c+r, l+c+r) of one row, scored as a one-row batch."""
+    """Logits (H, c, l+c+r) of one row's chunk queries, as a one-row batch."""
     return _score_batch(row[None], p, table, l, c, r, n_heads)[0]
 
 
@@ -64,25 +64,36 @@ def test_scores_zero_inputs_zero_bias(rng):
     table = build_rel_pos_table(l, c, r, d)
     row = np.zeros((l + c + r, d))
     logits = attention_scores(row, p, table, l, c, r, n_heads=1)
-    assert logits.shape == (1, c + r, l + c + r)
+    assert logits.shape == (1, c, l + c + r)
     assert np.allclose(logits, 0.0)
 
 
 def test_scores_match_term_by_term_reference(rng):
     # literal four-term evaluation of the score for every (query, key) pair
-    d, l, c, r = 4, 3, 2, 2
-    p = random_params(rng, d)
-    table = build_rel_pos_table(l, c, r, d)
-    row = rng.normal(size=(l + c + r, d))
-    logits = attention_scores(row, p, table, l, c, r, n_heads=1)[0]
-    for qi in range(c + r):
-        j = l + qi
-        for t in range(l + c + r):
-            q = row[j] @ p.wq
-            k = row[t] @ p.wk
-            rho = rel_pos_encoding(j - t, d) @ p.wr
-            expected = (q @ k + q @ rho + p.u @ k + p.v @ rho) / math.sqrt(d)
-            assert logits[qi, t] == pytest.approx(expected, rel=1e-9)
+    for l, c, r, n_heads in [(3, 2, 2, 1),    # the base case
+                             (0, 3, 2, 1),    # no left context
+                             (4, 3, 0, 1),    # no lookahead
+                             (3, 1, 2, 1),    # one-frame chunks
+                             (2, 3, 5, 1),    # c does not divide r
+                             (5, 4, 3, 2)]:   # several heads
+        d = 4 * n_heads
+        d_k = d // n_heads
+        p = random_params(rng, d)
+        table = build_rel_pos_table(l, c, r, d)
+        row = rng.normal(size=(l + c + r, d))
+        logits = attention_scores(row, p, table, l, c, r, n_heads)
+        assert logits.shape == (n_heads, c, l + c + r)
+        for h in range(n_heads):
+            heads = slice(h * d_k, (h + 1) * d_k)
+            u, v = p.u[heads], p.v[heads]
+            for qi in range(c):
+                j = l + qi
+                for t in range(l + c + r):
+                    q = (row[j] @ p.wq)[heads]
+                    k = (row[t] @ p.wk)[heads]
+                    rho = (rel_pos_encoding(j - t, d) @ p.wr)[heads]
+                    expected = (q @ k + q @ rho + u @ k + v @ rho) / math.sqrt(d_k)
+                    assert logits[h, qi, t] == pytest.approx(expected, rel=1e-9)
 
 
 def test_scores_equal_content_equal_distance_symmetry(rng):
@@ -220,7 +231,7 @@ def test_dtype_paths(rng):
         batch = oct_segment(x.astype(dtype), ctx.c * np.arange(n),
                             ctx.l_att, ctx.c, ctx.r)
         out = chunk_attention(batch, p, table, heads)
-        assert out.dtype == dtype
+        assert out.dtype == dtype and out.shape == (n, ctx.c, d)
         got = np.concatenate([out[j, :ctx.c] for j in range(n)])
         assert rel_err(got, ref) <= tol
 

@@ -26,14 +26,15 @@ def test_chunked_flops_linear_dense_quadratic():
 
 
 def test_key_span_is_window_width():
-    # [128, 64, 128]: every row sees 320 keys regardless of audio length
+    # [128, 64, 128]: every row sees 320 keys regardless of audio length;
+    # only its 64 chunk positions query them
     per_row_keys = PAPER_CTX.l_att + PAPER_CTX.c + PAPER_CTX.r
     assert per_row_keys == 320
     model = paper_model()
     for t_post in (64, 640, 64000):
         n = -(-t_post // PAPER_CTX.c)
         flops = attention_flops(t_post, PAPER_CTX, model)
-        assert flops == model.n_layers * n * 3 * 2 * (64 + 128) * 320 * 512
+        assert flops == model.n_layers * n * 3 * 2 * 64 * 320 * 512
 
 
 def test_full_context_config_degenerates_to_dense():
