@@ -129,18 +129,19 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> n
 
     Masked keys get weight exactly 0 (via a -inf logit before normalization).
     A query with at least one valid key sums to 1; a fully masked query gets
-    an all-zero weight row.
+    an all-zero weight row. Works in one full-size buffer; ``logits`` is not
+    modified.
     """
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-    neg = np.array(-np.inf, dtype=logits.dtype)
-    shifted = np.where(mask, logits * beta, neg)
-    peak = shifted.max(axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, np.zeros((), dtype=logits.dtype))
-    weights = np.exp(shifted - peak)
-    weights = np.where(mask, weights, np.zeros((), dtype=logits.dtype))
+    weights = logits * beta
+    np.copyto(weights, -np.inf, where=~np.asarray(mask, dtype=bool))
+    peak = weights.max(axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0     # so exp(-inf - peak) is exactly 0
+    weights -= peak
+    np.exp(weights, out=weights)
     denom = weights.sum(axis=-1, keepdims=True)
-    safe = np.where(denom > 0, denom, np.ones((), dtype=logits.dtype))
-    return weights / safe
+    denom[~(denom > 0)] = 1
+    weights /= denom
+    return weights
 
 
 def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTable,

@@ -235,3 +235,37 @@ def test_dtype_paths(rng):
         got = np.concatenate([out[j, :ctx.c] for j in range(n)])
         assert rel_err(got, ref) <= tol
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_masked_softmax_bitwise_equals_reference_formula(rng, dtype, beta):
+    def reference(logits, mask, beta):
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
+        neg = np.array(-np.inf, dtype=logits.dtype)
+        shifted = np.where(mask, logits * beta, neg)
+        peak = shifted.max(axis=-1, keepdims=True)
+        peak = np.where(np.isfinite(peak), peak, np.zeros((), dtype=logits.dtype))
+        weights = np.exp(shifted - peak)
+        weights = np.where(mask, weights, np.zeros((), dtype=logits.dtype))
+        denom = weights.sum(axis=-1, keepdims=True)
+        safe = np.where(denom > 0, denom, np.ones((), dtype=logits.dtype))
+        return weights / safe
+
+    logits = (rng.normal(size=(3, 2, 5, 9)) * 20).astype(dtype)
+    logits[0, 0, 0, 2] = np.inf
+    logits[0, 1, 1, 4] = -np.inf
+    logits[1, 0, 2, :] = -np.inf
+    logits[2, 1, 3, 0] = np.nan
+    mask = rng.random((3, 1, 1, 9)) < 0.7
+    mask[0, ..., [2, 4]] = True         # +inf and -inf among the valid keys
+    mask[2, ..., 0] = True              # and a NaN
+    mask[1] = False                     # fully masked rows
+    before = logits.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = masked_softmax(logits, mask, beta)
+        want = reference(logits, mask, beta)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok].view(np.uint8), want[ok].view(np.uint8))
+    assert np.array_equal(logits, before, equal_nan=True)
