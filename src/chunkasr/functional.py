@@ -32,13 +32,9 @@ def cast_params(params, dtype):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign for numerical stability in both float32 and float64.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0 and e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def swish(x: np.ndarray) -> np.ndarray:
