@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,22 @@ def test_cost_command_prints_published_ratio(capsys, tmp_path):
     ratio = float(out.strip().splitlines()[-1].split(":")[1])
     assert abs(ratio / 3.38 - 1.0) <= 0.05
     assert csv_path.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import chunkasr
+    src = str(Path(chunkasr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-m", "chunkasr", "cost",
+                          "--durations", "1,30,60,900,1800,3600", "--context", "128,64,128"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert run.returncode == 0, run.stderr
+    ratio = float(run.stdout.strip().splitlines()[-1].split(":")[1])
+    assert abs(ratio / 3.38 - 1.0) <= 0.05
+    bad = subprocess.run([sys.executable, "-m", "chunkasr", "cost", "--durations", "abc"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert bad.returncode == 2
 
 
 def test_cost_bad_durations(capsys):
