@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunking import ChunkBatch
-from .functional import cast_params
 
 
 class DistanceRangeError(ValueError):
@@ -151,16 +150,15 @@ def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTab
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row
-    computes their outputs.
+    computes their outputs. ``params`` must already be in the rows' dtype.
     """
     rows = np.where(batch.mask[..., None], batch.rows,
                     np.zeros((), dtype=batch.rows.dtype))
     dtype = rows.dtype
-    p = cast_params(params, dtype)
-    logits = _score_batch(rows, p, table, batch.l, batch.c, batch.r, n_heads)
+    logits = _score_batch(rows, params, table, batch.l, batch.c, batch.r, n_heads)
     weights = masked_softmax(logits, batch.mask[:, None, None, :], beta)
-    vh = _split_heads(rows @ p.wv, n_heads)               # (B, H, W, d_k)
+    vh = _split_heads(rows @ params.wv, n_heads)          # (B, H, W, d_k)
     zh = weights @ vh                                     # (B, H, c, d_k)
-    out = _merge_heads(zh) @ p.wo + p.bo
+    out = _merge_heads(zh) @ params.wo + params.bo
     any_key = batch.mask.any(axis=-1)
     return np.where(any_key[:, None, None], out, np.zeros((), dtype=dtype))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .functional import cast_params, glu, layer_norm, swish
+from .functional import glu, layer_norm, swish
 
 
 @dataclass
@@ -70,14 +70,14 @@ def conv_module_forward(rows: np.ndarray, params: ConvParams,
     pointwise (d -> 2d) -> GLU -> depthwise -> layer norm (feature axis,
     valid positions only) -> swish -> pointwise (d -> d). Rows carry the
     sublayer's pre-normalized values with symmetric l_conv margins; the output
-    drops the margins, one vector per fully supported position.
+    drops the margins, one vector per fully supported position. ``params``
+    must already be in the rows' dtype.
     """
     rows = np.asarray(rows)
-    p = cast_params(params, rows.dtype)
     if mask is not None:
         rows = np.where(np.asarray(mask, dtype=bool)[..., None], rows,
                         np.zeros((), dtype=rows.dtype))
-    gated = glu(rows @ p.pw_in_w + p.pw_in_b)
-    y = chunk_depthwise_conv(gated, p.dw, mask)
-    y = swish(layer_norm(y, p.ln_scale, p.ln_shift))
-    return y @ p.pw_out_w + p.pw_out_b
+    gated = glu(rows @ params.pw_in_w + params.pw_in_b)
+    y = chunk_depthwise_conv(gated, params.dw, mask)
+    y = swish(layer_norm(y, params.ln_scale, params.ln_shift))
+    return y @ params.pw_out_w + params.pw_out_b

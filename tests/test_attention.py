@@ -8,6 +8,7 @@ from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batc
                                 masked_softmax, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
+from chunkasr.functional import cast_params
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
 
@@ -230,7 +231,7 @@ def test_dtype_paths(rng):
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
         batch = oct_segment(x.astype(dtype), ctx.c * np.arange(n),
                             ctx.l_att, ctx.c, ctx.r)
-        out = chunk_attention(batch, p, table, heads)
+        out = chunk_attention(batch, cast_params(p, dtype), table, heads)
         assert out.dtype == dtype and out.shape == (n, ctx.c, d)
         got = np.concatenate([out[j, :ctx.c] for j in range(n)])
         assert rel_err(got, ref) <= tol
