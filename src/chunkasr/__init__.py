@@ -16,7 +16,7 @@ from .chunking import (ChunkBatch, ChunkPlan, StreamState, carve_chunks,
                        oct_segment, schedule_step)
 from .attention import (AttentionParams, RelPosTable, build_rel_pos_table,
                         chunk_attention, masked_softmax, rel_pos_encoding)
-from .conv import ConvParams, chunk_depthwise_conv, conv_module_forward
+from .conv import ConvParams, conv_module_forward, depthwise_conv
 from .encoder import (EncoderWeights, encode_full, encode_step, init_model,
                       init_weights, load_checkpoint, save_checkpoint)
 from .ctc import CtcHead, Vocab, default_vocab, greedy_decode, project_logits

@@ -1,13 +1,14 @@
-"""Chunk carving, overlapping chunk rows with their masks, and the scheduler.
+"""Chunk carving, overlapping attention rows with their masks, and the scheduler.
 
 An audio is treated as a batch of equal-sized chunks of c post-subsample
-frames. Sequential operators (attention, depthwise conv) see overlapping rows
-[start - l, start + c + r) gathered from one flat buffer. A decode step packs
-the regions of all its audios into that buffer back to back, so every row
-carries its own [lo, hi) bounds: the extent of its audio's frames in the
-buffer. Positions outside a row's bounds carry a false mask bit and a 0.0
-value, so windows never reach into a neighbouring audio and randomizing
-masked positions can never change downstream results bit-wise.
+frames. Attention sees overlapping rows [start - l, start + c + r) gathered
+from one flat buffer (the depthwise conv needs no rows: it runs on each
+audio's contiguous frames). A decode step packs the regions of all its
+audios into that buffer back to back, so every row carries its own [lo, hi)
+bounds: the extent of its audio's frames in the buffer. Positions outside a
+row's bounds carry a false mask bit and a 0.0 value, so windows never reach
+into a neighbouring audio and randomizing masked positions can never change
+downstream results bit-wise.
 
 The scheduler packs pending chunks from several audios into one step, in
 audio order then chunk order, up to a row budget. Every audio that continues
@@ -44,9 +45,9 @@ class ChunkPlan:
 
 @dataclass
 class ChunkBatch:
-    """B gathered rows of l + c + r positions with a validity mask.
+    """B gathered attention rows of l + c + r positions with a validity mask.
 
-    rows[b][p] is 0.0 wherever mask[b][p] is False; consumers re-apply the
+    rows[b][p] is 0.0 wherever mask[b][p] is False; attention re-applies the
     mask defensively so poisoned masked values never reach any output.
     """
 
@@ -72,8 +73,8 @@ class StreamState:
     before its output frontier to its attention frontier. Frames between two
     frontiers wait in a cache until a later step makes the windows that read
     them exact. Caches hold only frames that actually exist; before warm-up
-    the missing history shows up as masked row positions, never as
-    fabricated zero history.
+    the missing history shows up as masked attention-row positions and as
+    the conv's zero padding at the audio start, never as fabricated history.
     """
 
     audio_id: str

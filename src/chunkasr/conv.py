@@ -1,15 +1,15 @@
-"""Conformer convolution module executed chunk-wise with left caches.
+"""Conformer convolution module on each audio's contiguous frames.
 
-The depthwise kernel is symmetric, so a chunk row needs l_conv = (k - 1) / 2
-frames of margin on each side. Rows may carry any margin width; only output
-positions with full in-row support are returned, and the per-step validity
-tracking guarantees every emitted frame had real support. Normalization is a
-LayerNorm over the feature axis only, so masking cannot bias its statistics.
-
-Masking detail: the gated activations are re-zeroed at masked positions right
-before the depthwise conv. A full-sequence conv zero-pads at real audio
-boundaries, so zeroing there (rather than letting the pointwise bias leak in)
-is what keeps chunk-wise outputs equal to the full-sequence ones.
+The engine hands the module one buffer with a segment per audio, back to
+back: the audio's layer-normed conv inputs from l_conv = (k - 1) / 2 frames
+before the first output of the step (or from the audio start) up to the
+layer's attention frontier. The depthwise kernel is symmetric, so output
+frame t reads inputs t - l_conv .. t + l_conv, and the engine's frontiers
+keep every such read inside t's segment unless it falls past a real audio
+boundary, where a full-sequence conv reads zero padding. Each segment is
+therefore convolved as its own zero-padded ("same") sequence, with no rows
+and no masks. Normalization is a LayerNorm over the feature axis only, so
+it never mixes positions.
 """
 
 from __future__ import annotations
@@ -37,47 +37,40 @@ class ConvParams:
         return self.dw.shape[0]
 
 
-def chunk_depthwise_conv(rows: np.ndarray, kernel: np.ndarray,
-                         mask: np.ndarray | None = None) -> np.ndarray:
-    """Depthwise convolution over rows, returning fully supported positions.
+def depthwise_conv(x: np.ndarray, kernel: np.ndarray, seg, at) -> np.ndarray:
+    """Depthwise "same" convolution of each segment, read at buffer frames.
 
-    rows is (B, W, d); output is (B, W - (k - 1), d) with
-    out[b, p] = sum_k kernel[k] * rows[b, p + k], channels independent. Masked
-    input positions are zeroed first, matching the zero padding a
-    full-sequence conv sees at real audio boundaries.
+    x is (sum(seg), d): segments of seg[i] frames back to back. Output j is
+    sum_w kernel[w] * x[at[j] + w - (k - 1) / 2], channels independent,
+    where a read outside at[j]'s own segment is zero.
     """
-    rows = np.asarray(rows)
-    kernel = np.asarray(kernel, dtype=rows.dtype)
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
-    if rows.shape[1] < k:
-        raise ConfigError(
-            f"rows of width {rows.shape[1]} are shorter than the kernel reach {k}; "
-            "margins must satisfy the cache formula"
-        )
-    if mask is not None:
-        rows = np.where(np.asarray(mask, dtype=bool)[..., None], rows,
-                        np.zeros((), dtype=rows.dtype))
-    windows = np.lib.stride_tricks.sliding_window_view(rows, k, axis=1)
-    return np.einsum("bpcw,wc->bpc", windows, kernel)
+    seg = np.asarray(seg, dtype=np.int64)
+    at = np.asarray(at, dtype=np.int64)
+    if not at.size:
+        return np.zeros((0, x.shape[1]), np.result_type(x, kernel))
+    half = (k - 1) // 2
+    # half zero frames before every segment and after the last one
+    owner = np.repeat(np.arange(seg.size), seg)
+    padded = np.zeros((x.shape[0] + (seg.size + 1) * half, x.shape[1]), x.dtype)
+    padded[np.arange(x.shape[0]) + (owner + 1) * half] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+    y = np.einsum("pcw,wc->pc", windows, kernel)
+    return y[at + half * np.searchsorted(np.cumsum(seg), at, side="right")]
 
 
-def conv_module_forward(rows: np.ndarray, params: ConvParams,
-                        mask: np.ndarray | None = None) -> np.ndarray:
-    """Convolution block on gathered rows; the caller adds the residual.
+def conv_module_forward(x: np.ndarray, params: ConvParams, seg, at) -> np.ndarray:
+    """Convolution block at buffer frames ``at``; the caller adds the residual.
 
-    pointwise (d -> 2d) -> GLU -> depthwise -> layer norm (feature axis,
-    valid positions only) -> swish -> pointwise (d -> d). Rows carry the
-    sublayer's pre-normalized values with symmetric l_conv margins; the output
-    drops the margins, one vector per fully supported position. ``params``
-    must already be in the rows' dtype.
+    x holds the sublayer's layer-normed inputs, one segment of seg[i] frames
+    per audio, and ``params`` must already be in its dtype. Pointwise
+    (d -> 2d) and GLU run on every buffer frame, the depthwise conv on each
+    segment, then layer norm (feature axis) -> swish -> pointwise (d -> d)
+    only on the output frames.
     """
-    rows = np.asarray(rows)
-    if mask is not None:
-        rows = np.where(np.asarray(mask, dtype=bool)[..., None], rows,
-                        np.zeros((), dtype=rows.dtype))
-    gated = glu(rows @ params.pw_in_w + params.pw_in_b)
-    y = chunk_depthwise_conv(gated, params.dw, mask)
+    gated = glu(x @ params.pw_in_w + params.pw_in_b)
+    y = depthwise_conv(gated, params.dw, seg, at)
     y = swish(layer_norm(y, params.ln_scale, params.ln_shift))
     return y @ params.pw_out_w + params.pw_out_b

@@ -9,12 +9,13 @@ A layer runs only on what crossed its frontiers this step; the exact frames
 past the emit frontier stay in the audio's state, so every frame goes
 through every layer once, whatever the budget. The new frames of all audios
 at a layer are packed back to back into one ragged (sum of new frames, d)
-buffer: each position-wise op (feed-forward, layer norm) runs once, and each
-sequential sublayer makes one gather of overlapping chunk rows for all
-audios from [cache | new] buffers, runs one batched attention or
-convolution, and puts the outputs back with one indexing. Every row is
-bounded by its own audio's exact frames, so windows never cross into a
-neighbour. The scheduler sizes the lookahead so every emitted frame is
+buffer, so each position-wise op (feed-forward, layer norm) runs once. The
+two sequential sublayers read one buffer of every audio's [cache | new]
+segment. Attention gathers overlapping [l_att | c | r] chunk rows for all
+audios at once, each row masked to its own audio's segment; the conv runs
+straight on the segments, each convolved as its own zero-padded sequence.
+Both put their outputs back with one indexing, and neither reads into a
+neighbouring audio. The scheduler sizes the lookahead so every emitted frame is
 exact, which makes multi-step, batched, and single-step runs agree.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
@@ -491,33 +492,29 @@ def _append_new(caches: list[np.ndarray], x: np.ndarray, counts: np.ndarray):
 
 
 def _sublayer(caches: list[np.ndarray], x: np.ndarray, before: np.ndarray,
-              after: np.ndarray, ln_g, ln_b, l: int, c: int, r: int, run):
-    """A residual chunk sublayer over the held and new inputs of every audio.
+              after: np.ndarray, ln_g, ln_b, l: int, run):
+    """A residual sublayer over the held and new inputs of every audio.
 
     ``before`` and ``after`` are every audio's (input, output) frontiers of
     the sublayer at the start and the end of the step. Audio i's cache holds
     its inputs up to the first input frontier, x its inputs up to the second,
-    back to back with the other audios'. One gather builds normalized
-    [l | c | r] rows every c frames from the first output frontier until
-    they cover the second; a row reads only its own audio's held and new
-    inputs, all of them exact. ``run`` maps the batch to (rows, >= c, d)
-    outputs. Returns the residual sums at the frames between the output
-    frontiers, audio after audio, and each audio's inputs from l frames
-    before its new output frontier on, as its next cache.
+    back to back with the other audios'. ``run(h, seg, at, local)`` gets the
+    normalized [cache_i | new_i] buffer h, each audio's segment length in
+    it, and the buffer index of every frame between the output frontiers
+    with its place among its audio's outputs; it returns one output per such
+    frame, read from that frame's own segment only, whose inputs are all
+    exact. Returns the residual sums at those frames, audio after audio, and
+    each audio's inputs from l frames before its new output frontier on, as
+    its next cache.
     """
     (f_in, first), (f_end, last) = before, after
     ext, base, lens, seg = _append_new(caches, x, f_end - f_in)
     shift = base + lens - f_in                 # buffer index minus absolute frame
     new = [ext[max(b, k):b + n].copy()
            for b, k, n in zip(base.tolist(), (last - l + shift).tolist(), seg.tolist())]
-    n_rows = -(-(last - first) // c)
-    owner, j = _ragged(n_rows)
-    lead = first + shift
-    batch = chunking.oct_segment(layer_norm(ext, ln_g, ln_b), lead[owner] + c * j,
-                                 l, c, r, base[owner], (base + seg)[owner])
     audio, local = _ragged(last - first)
-    row = (np.cumsum(n_rows) - n_rows)[audio] + local // c
-    return ext[lead[audio] + local] + run(batch)[row, local % c], new
+    at = (first + shift)[audio] + local
+    return ext[at] + run(layer_norm(ext, ln_g, ln_b), seg, at, local), new
 
 
 def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
@@ -538,17 +535,24 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
     on the frames that became exact; each sublayer reads its left context
     and the frames still pending from its cache. Returns the new outputs.
     """
-    c = ctx.c
-    l_conv = (lw.conv.kernel_size - 1) // 2
+    def attend(h, seg, at, local):
+        # a chunk's [l_att | c | r] row starts at its first output frame
+        col = local % ctx.c
+        end = np.cumsum(seg)
+        owner = np.searchsorted(end, at[col == 0], side="right")
+        batch = chunking.oct_segment(h, at[col == 0], ctx.l_att, ctx.c, ctx.r,
+                                     (end - seg)[owner], end[owner])
+        out = chunk_attention(batch, lw.att, table, model.n_heads)
+        return out[np.cumsum(col == 0) - 1, col]
+
     x = x + _half_ff(x, lw.ff1)
     x, att_caches = _sublayer(
         [a.state.att_caches[layer_idx] for a in steps], x, before[:2], after[:2],
-        lw.att_ln_g, lw.att_ln_b, ctx.l_att, c, ctx.r,
-        lambda batch: chunk_attention(batch, lw.att, table, model.n_heads))
+        lw.att_ln_g, lw.att_ln_b, ctx.l_att, attend)
     x, conv_caches = _sublayer(
         [a.state.conv_caches[layer_idx] for a in steps], x, before[1:], after[1:],
-        lw.conv_ln_g, lw.conv_ln_b, l_conv, c, l_conv,
-        lambda batch: conv_module_forward(batch.rows, lw.conv, batch.mask))
+        lw.conv_ln_g, lw.conv_ln_b, derive_l_conv(model.kernel_size),
+        lambda h, seg, at, local: conv_module_forward(h, lw.conv, seg, at))
     for a, n, att_cache, conv_cache in zip(steps, (after[2] - before[2]).tolist(),
                                            att_caches, conv_caches):
         a.cov = n

@@ -4,10 +4,10 @@ import pytest
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import StreamState, carve_chunks, schedule_step
-from chunkasr.conv import ConvParams, chunk_depthwise_conv, conv_module_forward
+from chunkasr.conv import ConvParams, conv_module_forward, depthwise_conv
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
-from chunkasr.functional import layer_norm
-from chunkasr.oracle import _conv_module_full, _depthwise_same_full, loop_oct_encode
+from chunkasr.functional import cast_params, layer_norm
+from chunkasr.oracle import _conv_module_full, _depthwise_same_full
 from conftest import rel_err
 
 
@@ -23,52 +23,59 @@ def random_conv_params(rng, d, k):
     )
 
 
+def segment_layout(rng, lengths, d):
+    """Back-to-back segments of the given lengths, and each one's first index."""
+    x = rng.normal(size=(sum(lengths), d))
+    return x, np.cumsum(lengths) - np.array(lengths)
+
+
 def test_identity_kernel_passes_input_through(rng):
     d = 4
-    rows = rng.normal(size=(2, 9, d))
+    x, _ = segment_layout(rng, [5, 4], d)
     kernel = np.zeros((3, d))
     kernel[1] = 1.0
-    out = chunk_depthwise_conv(rows, kernel)
-    assert out.shape == (2, 7, d)
-    assert np.allclose(out, rows[:, 1:8])
+    out = depthwise_conv(x, kernel, [5, 4], np.arange(9))
+    assert out.shape == (9, d)
+    assert np.array_equal(out, x)
 
 
-def test_depthwise_matches_full_sequence_on_interior(rng):
-    d, k, c = 6, 5, 4
-    l_conv = (k - 1) // 2
-    x = rng.normal(size=(20, d))
+def test_depthwise_matches_full_sequence_per_segment(rng):
+    # every segment convolves as its own zero-padded sequence, including
+    # segments shorter than the kernel reach and an empty one
+    d, k = 6, 5
+    lengths = [20, 1, 0, 3, 11]
+    x, starts = segment_layout(rng, lengths, d)
     kernel = rng.normal(size=(k, d))
-    full = _depthwise_same_full(x, kernel)
-    starts = np.arange(0, 20, c)
-    idx = starts[:, None] + np.arange(-l_conv, c + l_conv)[None, :]
-    mask = (idx >= 0) & (idx < 20)
-    rows = np.where(mask[..., None], x[np.clip(idx, 0, 19)], 0.0)
-    out = chunk_depthwise_conv(rows, kernel, mask)
-    got = np.concatenate([out[j] for j in range(len(starts))])
-    assert rel_err(got, full) <= 1e-12
+    out = depthwise_conv(x, kernel, lengths, np.arange(x.shape[0]))
+    full = np.concatenate([_depthwise_same_full(x[s:s + n], kernel)
+                           for s, n in zip(starts, lengths)])
+    assert rel_err(out, full) <= 1e-12
+    # a subset of frames reads the same values
+    at = np.array([2, 19, 20, 22, 30])
+    assert np.array_equal(depthwise_conv(x, kernel, lengths, at), out[at])
 
 
-def test_depthwise_rejects_even_kernel_and_short_rows(rng):
+def test_depthwise_rejects_even_kernel(rng):
     with pytest.raises(ConfigError):
-        chunk_depthwise_conv(rng.normal(size=(1, 8, 2)), rng.normal(size=(4, 2)))
-    with pytest.raises(ConfigError):
-        chunk_depthwise_conv(rng.normal(size=(1, 2, 2)), rng.normal(size=(5, 2)))
+        depthwise_conv(rng.normal(size=(8, 2)), rng.normal(size=(4, 2)), [8], [0])
 
 
 def test_no_leak_between_audios_in_one_batch(rng):
-    # rows from two audios packed together: poisoning the first audio's
-    # content must not reach the second audio's outputs
-    d, k = 4, 3
-    ka = rng.normal(size=(k, d))
-    rows = rng.normal(size=(4, 8, d))
-    mask = np.ones((4, 8), bool)
-    mask[2, :1] = False  # second audio's first row has no real left margin
-    base = chunk_depthwise_conv(rows, ka, mask)
-    rows2 = rows.copy()
-    rows2[:2] += 100.0          # perturb only the first audio's rows
-    rows2[2, 0] = 1e9           # and the masked margin of the second audio
-    out2 = chunk_depthwise_conv(rows2, ka, mask)
-    assert np.array_equal(out2[2:], base[2:])
+    # outputs of one audio's segment read nothing of its neighbours', not
+    # even where its kernel reaches past the segment's ends
+    d, k = 4, 7
+    lengths = [9, 12, 5]
+    p = random_conv_params(rng, d, k)
+    x, starts = segment_layout(rng, lengths, d)
+    at = starts[1] + np.arange(lengths[1])
+    base = conv_module_forward(x, p, lengths, at)
+    dirty = x.copy()
+    dirty[:starts[1]] = rng.normal(size=(starts[1], d)) * 1e6
+    dirty[starts[2]:] = np.nan    # any read of it would show
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(conv_module_forward(dirty, p, lengths, at), base)
+        assert np.array_equal(depthwise_conv(dirty, p.dw, lengths, at),
+                              depthwise_conv(x, p.dw, lengths, at))
 
 
 def test_module_zero_input_zero_bias_gives_zero(rng):
@@ -77,41 +84,22 @@ def test_module_zero_input_zero_bias_gives_zero(rng):
     p.pw_in_b = np.zeros(2 * d)
     p.pw_out_b = np.zeros(d)
     p.ln_shift = np.zeros(d)
-    rows = np.zeros((2, 3 + 2 * ((k - 1) // 2), d))
-    out = conv_module_forward(rows, p)
+    out = conv_module_forward(np.zeros((7, d)), p, [3, 4], np.arange(7))
     assert np.allclose(out, 0.0)
 
 
 def test_module_matches_straight_line_reference(rng, small_model):
-    # gathered rows against the whole-sequence module on interior frames
-    d, k, c = small_model.d_model, small_model.kernel_size, 4
-    l_conv = (k - 1) // 2
+    # normalized segments against the whole-sequence module of each segment
+    d = small_model.d_model
     w = init_weights(small_model, seed=3)
-    lw = w.layers[0]
-    x = rng.normal(size=(24, d))
-    h = layer_norm(x, lw.conv_ln_g.astype(np.float64), lw.conv_ln_b.astype(np.float64))
-    full = _conv_module_full(x, lw, np.float64)
-    starts = np.arange(0, 24, c)
-    idx = starts[:, None] + np.arange(-l_conv, c + l_conv)[None, :]
-    mask = (idx >= 0) & (idx < 24)
-    rows = np.where(mask[..., None], h[np.clip(idx, 0, 23)], 0.0)
-    out = conv_module_forward(rows, lw.conv, mask)
-    got = np.concatenate([out[j] for j in range(len(starts))])
-    assert rel_err(got, full) <= 1e-10
-
-
-def test_module_poison_is_bitwise_invisible(rng):
-    d, k = 4, 3
-    p = random_conv_params(rng, d, k)
-    rows = rng.normal(size=(3, 9, d)).astype(np.float32)
-    mask = np.ones((3, 9), bool)
-    mask[:, :2] = False
-    mask[-1, -3:] = False
-    rows = np.where(mask[..., None], rows, 0.0).astype(np.float32)
-    base = conv_module_forward(rows, p, mask)
-    rows2 = np.where(mask[..., None], rows,
-                     rng.normal(size=rows.shape).astype(np.float32) * 1e5)
-    assert np.array_equal(conv_module_forward(rows2, p, mask), base)
+    lw = cast_params(w.layers[0], np.float64)
+    lengths = [24, 6, 17]
+    x, starts = segment_layout(rng, lengths, d)
+    h = layer_norm(x, lw.conv_ln_g, lw.conv_ln_b)
+    out = conv_module_forward(h, lw.conv, lengths, np.arange(x.shape[0]))
+    full = np.concatenate([_conv_module_full(x[s:s + n], lw, np.float64)
+                           for s, n in zip(starts, lengths)])
+    assert rel_err(out, full) <= 1e-10
 
 
 @pytest.mark.parametrize("kernel,cache", [(15, 7), (1, 0)])
@@ -160,15 +148,14 @@ def test_depthwise_receptive_field_is_exactly_lconv(rng):
     d, k = 3, 7
     l_conv = (k - 1) // 2
     kernel = rng.normal(size=(k, d))
-    x = rng.normal(size=(1, 30, d))
-    base = chunk_depthwise_conv(x, kernel)
-    for pos, out_pos in [(0, 10), (30 - 1, 10)]:
+    x = rng.normal(size=(30, d))
+    at = np.arange(30)
+    base = depthwise_conv(x, kernel, [30], at)
+    for pos in (0, 10, 30 - 1):
         x2 = x.copy()
-        x2[0, pos] += 5.0
-        out2 = chunk_depthwise_conv(x2, kernel)
-        # output j reads inputs [j, j + 2*l_conv]
-        touched = [j for j in range(base.shape[1])
-                   if j <= pos <= j + 2 * l_conv]
-        untouched = [j for j in range(base.shape[1]) if j not in touched]
-        assert np.array_equal(out2[0, untouched], base[0, untouched])
-        assert not np.array_equal(out2[0, touched], base[0, touched])
+        x2[pos] += 5.0
+        out2 = depthwise_conv(x2, kernel, [30], at)
+        # output j reads inputs [j - l_conv, j + l_conv]
+        touched = abs(at - pos) <= l_conv
+        assert np.array_equal(out2[~touched], base[~touched])
+        assert not np.array_equal(out2[touched], base[touched])

@@ -247,9 +247,9 @@ def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
 
 def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
                                              small_weights, rng, monkeypatch):
-    # three audios in one step: FF and the row gather run once per sublayer,
-    # over all audios together
-    calls = {"ff": 0, "gather": 0}
+    # three audios in one step: each FF, the attention row gather and the
+    # conv run once per layer, over all audios together
+    calls = {"ff": 0, "gather": 0, "conv": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -260,6 +260,8 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
     monkeypatch.setattr(encoder, "ff_forward", counting("ff", encoder.ff_forward))
     monkeypatch.setattr(chunking, "oct_segment",
                         counting("gather", chunking.oct_segment))
+    monkeypatch.setattr(encoder, "conv_module_forward",
+                        counting("conv", encoder.conv_module_forward))
     lengths = {"a": 50, "b": 23, "c": 9}
     feats = {k: rng.normal(size=(n, 80)).astype(np.float32)
              for k, n in lengths.items()}
@@ -271,7 +273,8 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
     assert sched.audio_order() == ["a", "b", "c"]
     run_step(states, sched, feats, small_weights, small_ctx, small_model)
     assert calls == {"ff": 2 * small_model.n_layers,
-                     "gather": 2 * small_model.n_layers}
+                     "gather": small_model.n_layers,
+                     "conv": small_model.n_layers}
 
 
 def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
@@ -331,22 +334,26 @@ def geometry(case, seed):
 @pytest.mark.parametrize("case", GEOMETRIES)
 def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
     model, ctx, budget, w, feats = geometry(case, seed=5)
-    seen = {"rows": 0, "frames": 0, "steps": 0}
+    seen = {"rows": 0, "frames": 0, "steps": 0, "conv": 0}
 
     def counting(fn, key, size):
         def wrapped(*args, **kwargs):
-            seen[key] += size(args)
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            seen[key] += size(args, out)
+            return out
         return wrapped
 
     monkeypatch.setattr(encoder, "chunk_attention",
                         counting(encoder.chunk_attention, "rows",
-                                 lambda args: args[0].rows.shape[0]))
+                                 lambda args, out: args[0].rows.shape[0]))
+    monkeypatch.setattr(encoder, "conv_module_forward",
+                        counting(encoder.conv_module_forward, "conv",
+                                 lambda args, out: out.shape[0]))
     monkeypatch.setattr(encoder, "subsample_forward",
                         counting(encoder.subsample_forward, "frames",
-                                 lambda args: args[3] - args[2]))
+                                 lambda args, out: args[3] - args[2]))
     monkeypatch.setattr(encoder, "encode_step",
-                        counting(encoder.encode_step, "steps", lambda args: 1))
+                        counting(encoder.encode_step, "steps", lambda args, out: 1))
     encode_full(feats, w, ctx, model, budget=budget)
     t_post = [post_frames(f.shape[0]) for f in feats.values()]
     seconds = [(WINDOW_SAMPLES + HOP_SAMPLES * (f.shape[0] - 1)) / SAMPLE_RATE
@@ -356,6 +363,8 @@ def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
     assert seen["frames"] == sum(t_post)
     assert seen["rows"] == model.n_layers * sum(-(-t // ctx.c) for t in t_post)
     assert seen["rows"] == model.n_layers * predicted
+    # the conv computes each frame once per layer, no chunk-row remainder
+    assert seen["conv"] == model.n_layers * sum(t_post)
 
 
 def oracle_layers(feats, w, ctx, model):
