@@ -8,6 +8,7 @@ pre-emphasis, no dither, no mean/variance normalization.
 
 from __future__ import annotations
 
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -162,21 +163,26 @@ def save_features(path, frames: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature container; byte-exact round trip with save_features."""
+    """Read a feature container; byte-exact round trip with save_features.
+
+    The payload size is checked against the file before anything is allocated.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"{path}: bad magic, not a feature container")
-    version, t, dim = struct.unpack_from("<III", blob, 4)
-    if version != FEATURE_VERSION:
-        raise FeatureFormatError(f"{path}: unsupported version {version}")
-    expected = 16 + 4 * t * dim
-    if len(blob) != expected:
-        raise FeatureFormatError(
-            f"{path}: payload length {len(blob) - 16} bytes does not match "
-            f"header {t} x {dim} float32"
-        )
-    frames = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, dim).copy()
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != FEATURE_MAGIC:
+            raise FeatureFormatError(f"{path}: bad magic, not a feature container")
+        version, t, dim = struct.unpack_from("<III", head, 4)
+        if version != FEATURE_VERSION:
+            raise FeatureFormatError(f"{path}: unsupported version {version}")
+        payload = os.fstat(fh.fileno()).st_size - 16
+        if payload == 4 * t * dim:
+            frames = np.empty((t, dim), dtype="<f4")
+            payload = fh.readinto(frames)   # short only if the file shrank meanwhile
+        if payload != 4 * t * dim:
+            raise FeatureFormatError(
+                f"{path}: payload length {payload} bytes does not match "
+                f"header {t} x {dim} float32"
+            )
     bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
     if bad.size:
         raise FeatureFormatError(f"{path}: {bad.size} of {t} frames hold non-finite "

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ def test_container_truncation(tmp_path, rng):
     blob = path.read_bytes()
     path.write_bytes(blob[:-4])  # drop one float
     with pytest.raises(FeatureFormatError, match="payload length"):
+        load_features(path)
+
+
+def test_container_frames_are_own_writable_arrays(tmp_path, rng):
+    path = tmp_path / "x.cfkf"
+    save_features(path, rng.normal(size=(6, 80)).astype(np.float32))
+    frames = load_features(path)
+    assert frames.flags.writeable and frames.flags.c_contiguous
+    assert frames.flags.owndata and frames.base is None
+
+
+def test_container_header_past_file_size_allocates_nothing(tmp_path):
+    # a 16-byte file claiming (2^32 - 1)^2 frames fails on its size alone
+    path = tmp_path / "huge.cfkf"
+    path.write_bytes(b"CFKF" + struct.pack("<III", 1, 2 ** 32 - 1, 2 ** 32 - 1))
+    with pytest.raises(FeatureFormatError, match="payload length 0 bytes"):
         load_features(path)
 
 
