@@ -605,12 +605,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
             raw_start, raw_end = 8 * done, 8 * end
             cache = st.raw_cache if st.raw_cache is not None else \
                 np.zeros((0, feats.shape[1]), feats.dtype)
-            fresh = feats[raw_start: min(raw_end, t_raw)]
-            pad = (raw_end - raw_start) - fresh.shape[0]
-            if pad > 0:
-                fresh = np.concatenate([fresh,
-                                        np.zeros((pad, feats.shape[1]), feats.dtype)])
-            buf = np.concatenate([cache, fresh])
+            buf = np.concatenate([cache, feats[raw_start:raw_end]])
             hidden.append(subsample_forward(buf, raw_start - cache.shape[0], done,
                                             end, weights.subsample, t_raw, dtype))
             st.raw_cache = feats[max(0, raw_end - RAW_CACHE_FRAMES):
