@@ -13,10 +13,9 @@ frame counts, FLOPs, and activation-element counts are modeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .config import ConfigError, ContextConfig, ModelConfig, derive_l_conv
+from .config import ConfigError, ContextConfig, ModelConfig
 from .frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, N_MELS
 
 FLOP_NOTE = ("FLOPs: 1 multiply-accumulate = 2 FLOPs; matmul-like terms only "

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import chunking
 from .attention import AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention
-from .chunking import ChunkBatch, SchedulerError, StepSchedule, StreamState
+from .chunking import SchedulerError, StepSchedule, StreamState
 from .config import ContextConfig, ModelConfig, derive_l_conv, require_valid
 from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, default_vocab
@@ -621,7 +621,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     x = np.concatenate(hidden) if hidden else np.zeros((0, model.d_model), dtype)
     del hidden
     total = np.array([a.state.total_frames for a in steps])
-    l_conv = (weights.kernel_size - 1) // 2
+    l_conv = derive_l_conv(model.kernel_size)
     before = _frontiers(np.array(ready), total, ctx, l_conv, model.n_layers)
     after = _frontiers(np.array([a.state.frames_subsampled for a in steps]), total,
                        ctx, l_conv, model.n_layers)

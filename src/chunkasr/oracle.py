@@ -280,7 +280,7 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     """
     from . import chunking, ctc
     from .attention import build_rel_pos_table, chunk_attention
-    from .chunking import carve_chunks, oct_segment
+    from .chunking import oct_segment
     from .encoder import encode_full, init_weights
 
     rng = np.random.default_rng(seed)
