@@ -15,8 +15,8 @@ segment. Attention gathers overlapping [l_att | c | r] chunk rows for all
 audios at once, each row masked to its own audio's segment; the conv runs
 straight on the segments, each convolved as its own zero-padded sequence.
 Both put their outputs back with one indexing, and neither reads into a
-neighbouring audio. The scheduler sizes the lookahead so every emitted frame is
-exact, which makes multi-step, batched, and single-step runs agree.
+neighbouring audio. The scheduler sizes the lookahead so every emitted
+frame is exact, which makes multi-step, batched, and single-step runs agree.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -538,12 +538,13 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
     def attend(h, seg, at, local):
         # a chunk's [l_att | c | r] row starts at its first output frame
         col = local % ctx.c
+        head = col == 0
         end = np.cumsum(seg)
-        owner = np.searchsorted(end, at[col == 0], side="right")
-        batch = chunking.oct_segment(h, at[col == 0], ctx.l_att, ctx.c, ctx.r,
+        owner = np.searchsorted(end, at[head], side="right")
+        batch = chunking.oct_segment(h, at[head], ctx.l_att, ctx.c, ctx.r,
                                      (end - seg)[owner], end[owner])
         out = chunk_attention(batch, lw.att, table, model.n_heads)
-        return out[np.cumsum(col == 0) - 1, col]
+        return out[np.cumsum(head) - 1, col]
 
     x = x + _half_ff(x, lw.ff1)
     x, att_caches = _sublayer(
