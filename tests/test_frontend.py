@@ -103,7 +103,7 @@ def test_container_frames_are_own_writable_arrays(tmp_path, rng):
 
 
 def test_container_header_past_file_size_allocates_nothing(tmp_path):
-    # a 16-byte file claiming (2^32 - 1)^2 frames fails on its size alone
+    # a 16-byte file claiming (2^32 - 1) x (2^32 - 1) values fails on its size alone
     path = tmp_path / "huge.cfkf"
     path.write_bytes(b"CFKF" + struct.pack("<III", 1, 2 ** 32 - 1, 2 ** 32 - 1))
     with pytest.raises(FeatureFormatError, match="payload length 0 bytes"):
