@@ -78,6 +78,27 @@ def test_no_leak_between_audios_in_one_batch(rng):
                               depthwise_conv(x, p.dw, lengths, at))
 
 
+def test_module_poison_is_bitwise_invisible(rng):
+    # in float32, frames no output reads (farther than l_conv from every
+    # output frame of their segment, or in a segment with no outputs) may
+    # hold anything without changing a bit of the outputs
+    d, k = 4, 3
+    p = cast_params(random_conv_params(rng, d, k), np.float32)
+    lengths = [9, 9, 9]
+    x, starts = segment_layout(rng, lengths, d)
+    x = x.astype(np.float32)
+    at = np.concatenate([starts[0] + np.arange(2, 9), starts[2] + np.arange(2, 6)])
+    read = np.zeros(x.shape[0], bool)
+    for off in range(-(k // 2), k // 2 + 1):
+        read[at + off] = True
+    read[starts[1]:starts[2]] = False
+    assert not read[starts[0]] and not read[-1]
+    base = conv_module_forward(x, p, lengths, at)
+    dirty = np.where(read[:, None], x,
+                     rng.normal(size=x.shape).astype(np.float32) * 1e5)
+    assert np.array_equal(conv_module_forward(dirty, p, lengths, at), base)
+
+
 def test_module_zero_input_zero_bias_gives_zero(rng):
     d, k = 6, 5
     p = random_conv_params(rng, d, k)
