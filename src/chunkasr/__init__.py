@@ -22,6 +22,6 @@ from .encoder import (EncoderWeights, encode_full, encode_step, init_model,
 from .ctc import CtcHead, Vocab, default_vocab, greedy_decode, project_logits
 from .oracle import (dense_attention_reference, full_context_encode,
                      loop_oct_encode)
-from .costmodel import attention_flops, batch_cost, memory_estimate
+from .costmodel import attention_flops, batch_cost
 
 __version__ = "0.1.0"

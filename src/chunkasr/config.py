@@ -83,9 +83,27 @@ def required_lookahead(ctx: ContextConfig, n_layers: int, l_conv: int) -> int:
     return u
 
 
+# Upper bounds on the fields that size the weights and the relative-position
+# table. Each is at least 4x the paper-scale model (12 layers, d_model 256,
+# d_ff 1024, kernel 31, l_max 320) and 2x a 17-layer, 512-wide large Conformer.
+MODEL_CAPS = {"n_layers": 64, "d_model": 2048, "d_ff": 8192, "kernel_size": 255,
+              "vocab_size": 65536, "l_max": 8192}
+
+
 def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
-    """Check every invariant; returns all violations, not just the first."""
+    """Check every invariant; returns all violations, not just the first.
+
+    Besides the lower bounds, every field in MODEL_CAPS has an upper bound:
+    n_layers <= 64, d_model <= 2048, d_ff <= 8192, kernel_size <= 255,
+    vocab_size <= 65536 and l_max <= 8192. So a config of a few bytes cannot
+    start unbounded work in init_weights or build_rel_pos_table, and since
+    l_max must cover l_att + c + r, the context is bounded too.
+    """
     problems = []
+    for name, cap in MODEL_CAPS.items():
+        value = getattr(model, name)
+        if value > cap:
+            problems.append(f"{name} must be <= {cap}, got {value}")
     if ctx.c < 1:
         problems.append(f"c must be >= 1, got {ctx.c}")
     if ctx.l_att < 0:

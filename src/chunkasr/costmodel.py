@@ -7,8 +7,8 @@ softmax are ignored); per-layer row costs use the row's query coverage
 (its c chunk positions) and key coverage (l_att + c + r positions). The
 attention window term counts content scores, positional scores, and value
 mixing, so a full-context configuration (l_att = r = 0, c = L) degenerates to
-exactly the dense count. Wall-clock seconds and GB are out of scope; only
-frame counts, FLOPs, and activation-element counts are modeled.
+exactly the dense count. Wall-clock seconds and memory are out of scope; only
+frame counts and FLOPs are modeled.
 """
 
 from __future__ import annotations
@@ -151,28 +151,6 @@ def batch_cost(durations: list[float], ctx: ContextConfig, model: ModelConfig,
                         naive_total_flops=sum(a.total_flops for a in naive),
                         masked_total_flops=sum(a.total_flops for a in masked))
     return report
-
-
-def memory_estimate(t_post: int, ctx: ContextConfig, model: ModelConfig,
-                    mode: str = "masked", budget: int = 1) -> int:
-    """Peak transient activation elements for one layer's worth of work.
-
-    dense: per-head score matrices plus frame activations, quadratic in T'.
-    masked/chunked: the budgeted rows' score blocks and activations; constant
-    in T' once the audio is longer than one step. Persistent state is
-    excluded: each layer's held frames (left contexts plus exact lookahead
-    frames not yet emitted) are config-dependent constants, independent of
-    both budget and duration.
-    """
-    d, h, ff = model.d_model, model.n_heads, model.d_ff
-    if mode == "dense":
-        return 2 * h * t_post * t_post + 8 * t_post * d + 2 * t_post * ff
-    if mode not in ("masked", "chunked"):
-        raise ConfigError(f"mode must be 'dense', 'masked' or 'chunked', got {mode!r}")
-    rows = min(budget, -(-t_post // ctx.c))
-    q = ctx.c
-    w = ctx.l_att + ctx.c + ctx.r
-    return 2 * h * rows * q * w + 8 * rows * w * d + 2 * rows * q * ff
 
 
 def format_cost_table(report: CostReport) -> str:

@@ -660,7 +660,9 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
 
     Loops schedule and step until all chunks are emitted; deterministic for
     fixed weights and inputs. ``on_emit`` is called as
-    on_emit(audio_id, block, start_frame) after each step.
+    on_emit(audio_id, block, start_frame) after each step. Each audio's
+    (post_frames(T), d_model) output is allocated once, and every emitted
+    block is copied into it at its start frame.
     """
     require_valid(model, ctx)
     l_conv = derive_l_conv(model.kernel_size)
@@ -669,12 +671,12 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
                                             model.l_max), dtype)
     plans: dict[str, list] = {}
     states: dict[str, StreamState] = {}
-    blocks: dict[str, list[np.ndarray]] = {}
+    out: dict[str, np.ndarray] = {}
     for aid, feats in features.items():
         t_post = post_frames(feats.shape[0])
         plans[aid] = chunking.carve_chunks(t_post, ctx.c, aid)
         states[aid] = StreamState(audio_id=aid, total_frames=t_post)
-        blocks[aid] = []
+        out[aid] = np.empty((t_post, model.d_model), dtype)
     while True:
         sched = chunking.schedule_step(list(states.values()), plans, budget, ctx,
                                        model.n_layers, l_conv)
@@ -683,9 +685,8 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
         emitted = encode_step(states, sched, features, weights, ctx, model,
                               table, dtype)
         for aid, block in emitted.items():
+            start = states[aid].frames_consumed - block.shape[0]
             if on_emit is not None:
-                on_emit(aid, block, states[aid].frames_consumed - block.shape[0])
-            blocks[aid].append(block)
-    return {aid: (np.concatenate(parts) if parts
-                  else np.zeros((0, model.d_model), dtype))
-            for aid, parts in blocks.items()}
+                on_emit(aid, block, start)
+            out[aid][start:start + block.shape[0]] = block
+    return out

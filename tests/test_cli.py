@@ -100,6 +100,20 @@ def test_config_mismatch_is_checkpoint_error(workdir):
     assert rc == 4
 
 
+@pytest.mark.parametrize("field", ["n_layers", "d_model", "d_ff", "kernel_size",
+                                   "vocab_size", "l_max"])
+def test_oversized_config_exits_4_before_allocating(workdir, monkeypatch, capsys,
+                                                    field):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({field: 100000001}))
+    monkeypatch.setattr(cli, "init_model", lambda *a, **k: pytest.fail("allocated"))
+    rc = cli.main(["encode", "--seed", "0", "--config", str(cfg), "--output-dir",
+                   str(workdir / "enc"), str(workdir / "one.wav")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{field} must be <= " in err and err.count("\n") == 1
+
+
 def test_timestamps_flag_appends_spans(workdir, capsys):
     rc = cli.main(["transcribe", "--checkpoint", str(workdir / "model.cfkw"),
                    "--timestamps", str(workdir / "two.wav")])

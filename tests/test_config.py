@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chunkasr.config import (ConfigError, ContextConfig, ModelConfig,
+from chunkasr.config import (MODEL_CAPS, ConfigError, ContextConfig, ModelConfig,
                              context_from_string, derive_l_conv, derive_r_rel,
                              load_config, required_lookahead, validate)
 
@@ -104,6 +104,15 @@ def test_validate_reports_every_violation():
                     l_max=1),
         ContextConfig(l_att=-1, c=0, r=-2))
     assert len(problems) >= 6
+
+
+@pytest.mark.parametrize("field", sorted(MODEL_CAPS))
+def test_validate_caps_each_size_field(field):
+    cap = MODEL_CAPS[field]
+    assert validate(ModelConfig(**{field: cap}), ContextConfig()) == []
+    for value in (cap + 2, 10 ** 8 + 1):
+        problems = validate(ModelConfig(**{field: value}), ContextConfig())
+        assert f"{field} must be <= {cap}, got {value}" in problems
 
 
 def test_load_config_roundtrip(tmp_path):

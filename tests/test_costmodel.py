@@ -4,7 +4,7 @@ import pytest
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.costmodel import (attention_flops, batch_cost, cost_csv,
                                 dense_attention_flops, format_cost_table,
-                                memory_estimate, raw_frames_for_duration)
+                                raw_frames_for_duration)
 from chunkasr.oracle import dense_attention_opcount
 
 TABLE_DURATIONS = [1.0, 30.0, 60.0, 900.0, 1800.0, 3600.0]
@@ -102,30 +102,6 @@ def test_raw_frame_formula():
     assert raw_frames_for_duration(1.0) == 98
     with pytest.raises(ConfigError):
         raw_frames_for_duration(0.0)
-
-
-def test_memory_chunked_independent_of_duration():
-    model = ModelConfig()
-    vals = {memory_estimate(t, PAPER_CTX, model, "chunked", budget=4)
-            for t in (1000, 10000, 100000)}
-    assert len(vals) == 1
-
-
-def test_memory_dense_quadratic_term():
-    model = ModelConfig()
-    small = memory_estimate(1000, PAPER_CTX, model, "dense")
-    big = memory_estimate(2000, PAPER_CTX, model, "dense")
-    assert big > 3.5 * small  # dominated by the T'^2 score matrices
-
-
-def test_memory_chunked_below_dense_past_window_width():
-    # transient activation elements: one budgeted row vs the dense layer
-    span = PAPER_CTX.l_att + PAPER_CTX.c + PAPER_CTX.r
-    for model in (ModelConfig(), paper_model()):
-        for t_post in (span + 1, 500, 5000, 50000):
-            chunked = memory_estimate(t_post, PAPER_CTX, model, "chunked", budget=1)
-            dense = memory_estimate(t_post, PAPER_CTX, model, "dense")
-            assert chunked < dense
 
 
 def test_report_rendering():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,6 +536,43 @@ def test_rerun_determinism_end_to_end(small_model, small_ctx, small_weights, rng
     one = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     two = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     assert np.array_equal(one["a"], two["a"])
+
+
+def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_ctx,
+                                                             small_weights, rng):
+    feats = {"a": rng.normal(size=(150, 80)).astype(np.float32),
+             "b": rng.normal(size=(61, 80)).astype(np.float32)}
+    blocks = {aid: [] for aid in feats}
+
+    def on_emit(aid, block, start):
+        assert start == sum(b.shape[0] for b in blocks[aid])
+        blocks[aid].append(block)
+
+    out = encode_full(feats, small_weights, small_ctx, small_model, budget=2,
+                      on_emit=on_emit)
+    for aid, hidden in out.items():
+        assert hidden.flags.c_contiguous and hidden.flags.owndata
+        assert hidden.base is None and len(blocks[aid]) > 1
+        assert np.array_equal(hidden, np.concatenate(blocks[aid]))
+
+
+def test_working_memory_is_flat_in_duration(rng):
+    model = ModelConfig(n_layers=1, d_model=64, n_heads=2, d_ff=64, kernel_size=3,
+                        vocab_size=5, l_max=128)
+    ctx = ContextConfig(l_att=16, c=64, r=16)
+    w = init_weights(model, seed=1)
+    encode_full({"a": rng.normal(size=(800, 80)).astype(np.float32)}, w, ctx, model)
+    extra = []
+    for t_post in (1000, 2000):   # outputs of 250 and 500 KiB
+        feats = {"a": rng.normal(size=(8 * t_post, 80)).astype(np.float32)}
+        tracemalloc.start()
+        try:
+            out = encode_full(feats, w, ctx, model, budget=1)["a"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert abs(extra[1] - extra[0]) <= 16 * 1024
 
 
 def test_checkpoint_rejects_non_numeric_layer_id(tmp_path):

@@ -1,12 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chunkasr import frontend
-from chunkasr.frontend import (AudioFormatError, FeatureFormatError, PcmAudio,
-                               compute_fbank, load_features, num_frames,
-                               read_wav, save_features, write_wav)
+from chunkasr.frontend import (FBANK_BLOCK, AudioFormatError, FeatureFormatError,
+                               PcmAudio, compute_fbank, load_features,
+                               mel_filterbank, num_frames, read_wav, save_features,
+                               write_wav)
 
 
 def make_audio(n, rng=None, dc=None):
@@ -15,6 +17,57 @@ def make_audio(n, rng=None, dc=None):
     else:
         samples = (rng.normal(scale=3000, size=n)).astype(np.int16)
     return PcmAudio(samples=samples)
+
+
+def reference_fbank(samples):
+    """Whole-audio log-mel formula: one gathered (T, 400) frame matrix."""
+    t = num_frames(len(samples))
+    x = np.asarray(samples, dtype=np.float64) / 32768.0
+    starts = np.arange(t) * 160
+    frames = x[starts[:, None] + np.arange(400)[None, :]]
+    frames = frames * np.hamming(400)
+    spec = np.fft.rfft(frames, n=512, axis=1)
+    power = spec.real**2 + spec.imag**2
+    energies = power @ mel_filterbank().T
+    return np.log(np.maximum(energies, 1e-10)).astype(np.float32)
+
+
+def samples_for(frames, tail=0):
+    return 400 + 160 * (frames - 1) + tail
+
+
+@pytest.mark.parametrize("frames", [1, FBANK_BLOCK - 1, FBANK_BLOCK, FBANK_BLOCK + 1,
+                                    2 * FBANK_BLOCK + 1])
+def test_blocks_are_bit_identical_to_the_whole_audio_formula(rng, frames):
+    for tail in (0, 1, 159):
+        audio = make_audio(samples_for(frames, tail), rng)
+        got = compute_fbank(audio).frames
+        assert got.shape == (frames, 80)
+        assert np.array_equal(got.view(np.uint32),
+                              reference_fbank(audio.samples).view(np.uint32))
+
+
+def test_full_scale_input_is_bit_identical(rng):
+    samples = rng.choice(np.array([-32767, 32767], np.int16),
+                         size=samples_for(FBANK_BLOCK + 1, 77))
+    got = compute_fbank(PcmAudio(samples)).frames
+    assert np.array_equal(got.view(np.uint32), reference_fbank(samples).view(np.uint32))
+
+
+def test_working_memory_is_flat_in_duration(rng):
+    compute_fbank(make_audio(samples_for(FBANK_BLOCK), rng))   # one-time costs out
+    extra = []
+    for blocks in (3, 6):
+        audio = make_audio(samples_for(blocks * FBANK_BLOCK), rng)
+        tracemalloc.start()
+        try:
+            out = compute_fbank(audio).frames
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert abs(extra[0] - extra[1]) <= 64 * 1024
+    assert max(extra) < 64 * 2 ** 20
 
 
 def test_one_second_is_98_frames(rng):
