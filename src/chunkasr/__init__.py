@@ -9,11 +9,10 @@ the fast path.
 """
 
 from .config import (ConfigError, ContextConfig, ModelConfig, derive_l_conv,
-                     derive_r_rel, load_config, required_lookahead, validate)
+                     load_config, required_lookahead, validate)
 from .frontend import (FeatureMatrix, PcmAudio, compute_fbank, load_features,
                        read_wav, save_features)
-from .chunking import (ChunkBatch, ChunkPlan, StreamState, carve_chunks,
-                       oct_segment, schedule_step)
+from .chunking import ChunkBatch, ChunkPlan, StreamState, oct_segment, schedule_step
 from .attention import (AttentionParams, RelPosTable, build_rel_pos_table,
                         chunk_attention, masked_softmax, rel_pos_encoding)
 from .conv import ConvParams, conv_module_forward, depthwise_conv

@@ -123,7 +123,7 @@ def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
     return scores
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> np.ndarray:
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis restricted to masked-true keys.
 
     Masked keys get weight exactly 0 (via a -inf logit before normalization).
@@ -131,7 +131,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> n
     an all-zero weight row. Works in one full-size buffer; ``logits`` is not
     modified.
     """
-    weights = logits * beta
+    weights = logits.copy()
     np.copyto(weights, -np.inf, where=~np.asarray(mask, dtype=bool))
     peak = weights.max(axis=-1, keepdims=True)
     peak[~np.isfinite(peak)] = 0     # so exp(-inf - peak) is exactly 0
@@ -144,7 +144,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, beta: float = 1.0) -> n
 
 
 def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTable,
-                    n_heads: int, beta: float = 1.0) -> np.ndarray:
+                    n_heads: int) -> np.ndarray:
     """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
     Equals dense full-sequence relative attention restricted by the window
@@ -156,7 +156,7 @@ def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTab
                     np.zeros((), dtype=batch.rows.dtype))
     dtype = rows.dtype
     logits = _score_batch(rows, params, table, batch.l, batch.c, batch.r, n_heads)
-    weights = masked_softmax(logits, batch.mask[:, None, None, :], beta)
+    weights = masked_softmax(logits, batch.mask[:, None, None, :])
     vh = _split_heads(rows @ params.wv, n_heads)          # (B, H, W, d_k)
     zh = weights @ vh                                     # (B, H, c, d_k)
     out = _merge_heads(zh) @ params.wo + params.bo

@@ -1,4 +1,4 @@
-"""Chunk carving, overlapping attention rows with their masks, and the scheduler.
+"""The chunk scheduler, and overlapping attention rows with their masks.
 
 An audio is treated as a batch of equal-sized chunks of c post-subsample
 frames. Attention sees overlapping rows [start - l, start + c + r) gathered
@@ -10,21 +10,21 @@ row's bounds carry a false mask bit and a 0.0 value, so windows never reach
 into a neighbouring audio and randomizing masked positions can never change
 downstream results bit-wise.
 
-The scheduler packs pending chunks from several audios into one step, in
-audio order then chunk order, up to a row budget. Every audio that continues
-past the step also gets a lookahead tail, so that the emitted chunks are exact
-at every layer. The engine computes each tail frame once and holds it until
-a later step emits it or reads it as context.
+The scheduler takes the next chunks from each audio's emit frontier, in
+audio order then chunk order, up to a row budget, and makes a ChunkPlan only
+for the chunks it takes. The encoder step derives each audio's lookahead
+tail, which brings the emitted chunks to exactness at every layer; it
+computes each tail frame once and holds it until a later step emits it or
+reads it as context.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ContextConfig, ConfigError, required_lookahead
+from .config import ConfigError
 
 
 class ChunkingError(ValueError):
@@ -32,7 +32,7 @@ class ChunkingError(ValueError):
 
 
 class SchedulerError(RuntimeError):
-    """Internal scheduling inconsistency (duplicate or non-contiguous rows)."""
+    """Scheduled rows that skip, repeat or overrun an audio's chunks."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class ChunkPlan:
     audio_id: str
     chunk_index: int
     valid_frames: int
-    is_final: bool
 
 
 @dataclass
@@ -75,52 +74,24 @@ class StreamState:
     them exact. Caches hold only frames that actually exist; before warm-up
     the missing history shows up as masked attention-row positions and as
     the conv's zero padding at the audio start, never as fabricated history.
+    No raw features are held: the subsample reads its left margin from the
+    audio's features, which stay resident for the whole encode.
     """
 
     audio_id: str
     total_frames: int                      # post-subsample frames in the audio
     frames_consumed: int = 0               # emit frontier
     frames_subsampled: int = 0             # subsample frontier
-    raw_cache: np.ndarray | None = None    # (<=l_raw, n_mels) raw fbank frames
-                                           # before the subsample frontier
     att_caches: list[np.ndarray] = field(default_factory=list)  # per layer, attention inputs
     conv_caches: list[np.ndarray] = field(default_factory=list) # per layer, conv inputs
     out_cache: np.ndarray | None = None    # last layer's outputs past the emit frontier
 
-    @property
-    def done(self) -> bool:
-        return self.frames_consumed >= self.total_frames
-
 
 @dataclass
 class StepSchedule:
-    """One decode step: scheduled chunk rows plus per-audio lookahead frames."""
+    """One decode step: the chunk rows it emits, audio after audio."""
 
     rows: list[ChunkPlan]
-    lookahead: dict[str, int]
-
-    def rows_for(self, audio_id: str) -> list[ChunkPlan]:
-        return [p for p in self.rows if p.audio_id == audio_id]
-
-    def audio_order(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self.rows:
-            seen.setdefault(p.audio_id, None)
-        return list(seen)
-
-
-def carve_chunks(total_frames: int, c: int, audio_id: str = "audio") -> list[ChunkPlan]:
-    """Split total_frames into ceil(T/c) chunk plans; only the last is partial."""
-    if c < 1:
-        raise ConfigError(f"c must be >= 1, got {c}")
-    if total_frames < 1:
-        raise ChunkingError(f"cannot carve an empty input (T={total_frames})")
-    count = math.ceil(total_frames / c)
-    plans = []
-    for i in range(count):
-        valid = min(c, total_frames - i * c)
-        plans.append(ChunkPlan(audio_id, i, valid, is_final=(i == count - 1)))
-    return plans
 
 
 def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
@@ -151,34 +122,23 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
     return ChunkBatch(rows=rows, mask=mask, l=l, c=c, r=r)
 
 
-def schedule_step(states: list[StreamState], plans: dict[str, list[ChunkPlan]],
-                  m_budget: int, ctx: ContextConfig, n_layers: int,
-                  l_conv: int) -> StepSchedule | None:
+def schedule_step(states: list[StreamState], m_budget: int,
+                  c: int) -> StepSchedule | None:
     """Pick the next chunks across audios, audio order then chunk order.
 
-    At most ``m_budget`` chunk rows are scheduled. Each scheduled audio that
-    still has frames past its scheduled chunks gets a lookahead tail of
-    required_lookahead frames (clipped to what remains); the tail is computed
-    now but emitted by later steps. Returns None when nothing is pending.
+    At most ``m_budget`` chunk rows are scheduled. An audio's pending chunks
+    start at chunk ceil(frames_consumed / c), the first to begin at or past
+    its emit frontier; only an audio's last chunk is partial. Returns None
+    when nothing is pending.
     """
-    if m_budget < 1:
-        raise ConfigError(f"m_budget must be >= 1, got {m_budget}")
+    if m_budget < 1 or c < 1:
+        raise ConfigError(f"m_budget and c must be >= 1, got {m_budget} and {c}")
     rows: list[ChunkPlan] = []
-    lookahead: dict[str, int] = {}
-    la = required_lookahead(ctx, n_layers, l_conv)
     for state in states:
-        if state.done or len(rows) >= m_budget:
-            continue
-        pending = [p for p in plans[state.audio_id]
-                   if p.chunk_index * ctx.c >= state.frames_consumed]
-        take = pending[: m_budget - len(rows)]
-        if not take:
-            continue
-        rows.extend(take)
-        emitted = sum(p.valid_frames for p in take)
-        remaining = state.total_frames - state.frames_consumed - emitted
-        if remaining > 0:
-            lookahead[state.audio_id] = min(la, remaining)
-    if not rows:
-        return None
-    return StepSchedule(rows=rows, lookahead=lookahead)
+        if len(rows) == m_budget:
+            break
+        at = c * -(-state.frames_consumed // c)
+        while at < state.total_frames and len(rows) < m_budget:
+            rows.append(ChunkPlan(state.audio_id, at // c, min(c, state.total_frames - at)))
+            at += c
+    return StepSchedule(rows) if rows else None

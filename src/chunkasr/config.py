@@ -50,14 +50,6 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def derive_r_rel(ctx: ContextConfig, n_layers: int) -> int:
-    """Total future frames the input must include so every layer sees its
-    full right context for the emitted chunks: r + max(c, r) * (N - 1)."""
-    if n_layers < 1:
-        raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
-    return ctx.r + max(ctx.c, ctx.r) * (n_layers - 1)
-
-
 def derive_l_conv(kernel_size: int) -> int:
     """Convolution cache length (kernel_size - 1) / 2 for a symmetric kernel."""
     if kernel_size < 1 or kernel_size % 2 == 0:
@@ -72,8 +64,9 @@ def required_lookahead(ctx: ContextConfig, n_layers: int, l_conv: int) -> int:
     Attention validity is chunk-quantized (a frame is exact only if its whole
     chunk window was exact) and the depthwise conv consumes l_conv extra
     frames per layer, so the per-layer requirement is
-    u <- r + c * ceil((u + l_conv) / c). Equals derive_r_rel when l_conv = 0
-    and either c >= r or r is a multiple of c.
+    u <- r + c * ceil((u + l_conv) / c). With l_conv = 0, r >= 1 and either
+    c >= r or r a multiple of c, that is r + max(c, r) * (n_layers - 1) for
+    n_layers >= 1; with r = 0 it is 0.
     """
     if n_layers < 0:
         raise ConfigError(f"n_layers must be >= 0, got {n_layers}")

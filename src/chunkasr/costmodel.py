@@ -48,11 +48,6 @@ def attention_flops(t_post: int, ctx: ContextConfig, model: ModelConfig) -> int:
     return model.n_layers * n * per_row
 
 
-def dense_attention_flops(t_post: int, model: ModelConfig) -> int:
-    """Quadratic reference count with the same three window terms."""
-    return model.n_layers * 3 * 2 * t_post * t_post * model.d_model
-
-
 def _per_row_fixed_flops(ctx: ContextConfig, model: ModelConfig) -> dict[str, int]:
     q = ctx.c
     w = ctx.l_att + ctx.c + ctx.r

@@ -15,8 +15,8 @@ segment. Attention gathers overlapping [l_att | c | r] chunk rows for all
 audios at once, each row masked to its own audio's segment; the conv runs
 straight on the segments, each convolved as its own zero-padded sequence.
 Both put their outputs back with one indexing, and neither reads into a
-neighbouring audio. The scheduler sizes the lookahead so every emitted
-frame is exact, which makes multi-step, batched, and single-step runs agree.
+neighbouring audio. The step sizes the lookahead so every emitted frame
+is exact, which makes multi-step, batched, and single-step runs agree.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -46,8 +46,9 @@ import numpy as np
 
 from . import chunking
 from .attention import AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention
-from .chunking import SchedulerError, StepSchedule, StreamState
-from .config import ContextConfig, ModelConfig, derive_l_conv, require_valid
+from .chunking import ChunkingError, ChunkPlan, SchedulerError, StepSchedule, StreamState
+from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
+                     required_lookahead)
 from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, default_vocab
 from .frontend import N_MELS
@@ -55,7 +56,7 @@ from .functional import cast_params, ff_forward, layer_norm, swish
 
 CHECKPOINT_MAGIC = b"CFKW"
 CHECKPOINT_VERSION = 1
-RAW_CACHE_FRAMES = 7  # stride-2 kernel-3 stack reads 7 raw frames left of a block
+RAW_MARGIN_FRAMES = 7  # stride-2 kernel-3 stack reads 7 raw frames left of a block
 
 
 class CheckpointError(ValueError):
@@ -572,21 +573,27 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 dtype=np.float32) -> dict[str, np.ndarray]:
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
-    Each audio's region (scheduled chunks plus lookahead) is subsampled only
-    past its subsample frontier, and each layer runs only on the frames that
-    became exact at its input this step, packed for all audios into one
-    buffer. Exact frames past the emit frontier stay in the state's caches
-    for the next step, so no frame is computed twice at any layer. The
-    scheduled chunks are emitted from the last layer's held frames.
-    ``weights`` and ``table`` should already be in ``dtype``, as encode_full
-    passes them.
+    Each audio's region is its scheduled chunks plus a lookahead tail of
+    required_lookahead frames, clipped at the audio end, which brings the
+    scheduled chunks to exactness at every layer. The region is subsampled
+    only past the subsample frontier, reading its raw left margin from
+    ``features``, and each layer runs only on the frames that became exact
+    at its input this step, packed for all audios into one buffer. Exact
+    frames past the emit frontier stay in the state's caches for the next
+    step, so no frame is computed twice at any layer. The scheduled chunks
+    are emitted from the last layer's held frames. ``weights`` and ``table``
+    should already be in ``dtype``, as encode_full passes them.
     """
+    l_conv = derive_l_conv(model.kernel_size)
+    la = required_lookahead(ctx, model.n_layers, l_conv)
+    by_audio: dict[str, list[ChunkPlan]] = {}
+    for p in schedule.rows:
+        by_audio.setdefault(p.audio_id, []).append(p)
     steps: list[_AudioStep] = []
     hidden: list[np.ndarray] = []
     ready: list[int] = []
-    for aid in schedule.audio_order():
+    for aid, rows in by_audio.items():
         st = states[aid]
-        rows = schedule.rows_for(aid)
         start = st.frames_consumed
         if rows[0].chunk_index * ctx.c != start:
             raise SchedulerError(
@@ -597,20 +604,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
             if q.chunk_index != p.chunk_index + 1:
                 raise SchedulerError(f"audio {aid!r}: non-contiguous chunks scheduled")
         emit = sum(p.valid_frames for p in rows)
-        la = min(schedule.lookahead.get(aid, 0), st.total_frames - start - emit)
         done = st.frames_subsampled
-        end = max(done, start + emit + la)
+        end = max(done, min(start + emit + la, st.total_frames))
         if end > done:
             feats = features[aid]
-            t_raw = feats.shape[0]
-            raw_start, raw_end = 8 * done, 8 * end
-            cache = st.raw_cache if st.raw_cache is not None else \
-                np.zeros((0, feats.shape[1]), feats.dtype)
-            buf = np.concatenate([cache, feats[raw_start:raw_end]])
-            hidden.append(subsample_forward(buf, raw_start - cache.shape[0], done,
-                                            end, weights.subsample, t_raw, dtype))
-            st.raw_cache = feats[max(0, raw_end - RAW_CACHE_FRAMES):
-                                 min(raw_end, t_raw)].copy()
+            lo = max(0, 8 * done - RAW_MARGIN_FRAMES)
+            hidden.append(subsample_forward(feats[lo:8 * end], lo, done, end,
+                                            weights.subsample, feats.shape[0], dtype))
         if st.out_cache is None:
             empty = np.zeros((0, model.d_model), dtype)
             st.att_caches = [empty] * model.n_layers
@@ -622,7 +622,6 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     x = np.concatenate(hidden) if hidden else np.zeros((0, model.d_model), dtype)
     del hidden
     total = np.array([a.state.total_frames for a in steps])
-    l_conv = derive_l_conv(model.kernel_size)
     before = _frontiers(np.array(ready), total, ctx, l_conv, model.n_layers)
     after = _frontiers(np.array([a.state.frames_subsampled for a in steps]), total,
                        ctx, l_conv, model.n_layers)
@@ -665,21 +664,19 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     block is copied into it at its start frame.
     """
     require_valid(model, ctx)
-    l_conv = derive_l_conv(model.kernel_size)
     weights = cast_params(weights, dtype)
     table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
                                             model.l_max), dtype)
-    plans: dict[str, list] = {}
     states: dict[str, StreamState] = {}
     out: dict[str, np.ndarray] = {}
     for aid, feats in features.items():
         t_post = post_frames(feats.shape[0])
-        plans[aid] = chunking.carve_chunks(t_post, ctx.c, aid)
+        if not t_post:
+            raise ChunkingError(f"audio {aid!r} is empty: it has no feature frames")
         states[aid] = StreamState(audio_id=aid, total_frames=t_post)
         out[aid] = np.empty((t_post, model.d_model), dtype)
     while True:
-        sched = chunking.schedule_step(list(states.values()), plans, budget, ctx,
-                                       model.n_layers, l_conv)
+        sched = chunking.schedule_step(list(states.values()), budget, ctx.c)
         if sched is None:
             break
         emitted = encode_step(states, sched, features, weights, ctx, model,

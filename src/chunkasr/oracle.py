@@ -69,8 +69,7 @@ def _rel_table(span: int, d_model: int) -> np.ndarray:
 
 
 def dense_attention_reference(x: np.ndarray, params: AttentionParams,
-                              mask: np.ndarray, n_heads: int = 1,
-                              beta: float = 1.0) -> np.ndarray:
+                              mask: np.ndarray, n_heads: int = 1) -> np.ndarray:
     """Literal O(L^2) relative attention with an explicit L x L key mask.
 
     mask[j, t] is True where query j may attend key t. Queries with no valid
@@ -91,7 +90,7 @@ def dense_attention_reference(x: np.ndarray, params: AttentionParams,
     span = (rho.shape[0] - 1) // 2
     idx = np.arange(L)[:, None] - np.arange(L)[None, :] + span
     pos = np.take_along_axis(pos_all, np.broadcast_to(idx, (n_heads, L, L)), axis=2)
-    e = (content + pos) / math.sqrt(d_k) * beta
+    e = (content + pos) / math.sqrt(d_k)
     e = np.where(mask[None, :, :], e, -np.inf)
     peak = e.max(axis=-1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
@@ -110,14 +109,6 @@ def chunk_window_mask(length: int, ctx: ContextConfig) -> np.ndarray:
     t = np.arange(length)[None, :]
     chunk = j // ctx.c
     return (t >= chunk * ctx.c - ctx.l_att) & (t < (chunk + 1) * ctx.c + ctx.r)
-
-
-def dense_attention_opcount(L: int, d_model: int) -> int:
-    """Multiply-accumulate FLOPs actually performed by the dense path's
-    window-dependent terms: content scores, positional scores, value mixing.
-    Enumerated from the three L x L x d einsums above."""
-    per_term = 2 * L * L * d_model
-    return 3 * per_term
 
 
 # ---------------------------------------------------------------------------

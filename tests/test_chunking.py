@@ -1,31 +1,37 @@
 import numpy as np
 import pytest
 
-from chunkasr.chunking import (ChunkingError, StreamState, carve_chunks,
-                               oct_segment, schedule_step)
-from chunkasr.config import ConfigError, ContextConfig
+from chunkasr.attention import build_rel_pos_table
+from chunkasr.chunking import ChunkPlan, StreamState, oct_segment, schedule_step
+from chunkasr.config import ConfigError, ContextConfig, ModelConfig
+from chunkasr.encoder import encode_step, init_weights
+
+
+def partition(total_frames, c):
+    """Every chunk of one audio, scheduled in a single step."""
+    return schedule_step([StreamState("x", total_frames)], 10 ** 6, c).rows
 
 
 def test_carve_23_frames_in_chunks_of_3():
-    plans = carve_chunks(23, 3, "x")
-    assert len(plans) == 8
-    assert [p.valid_frames for p in plans] == [3] * 7 + [2]
-    assert plans[-1].is_final and not plans[0].is_final
+    rows = partition(23, 3)
+    assert [p.chunk_index for p in rows] == list(range(8))
+    assert [p.valid_frames for p in rows] == [3] * 7 + [2]
+    assert {p.audio_id for p in rows} == {"x"}
 
 
 def test_carve_exact_fit():
-    plans = carve_chunks(3, 3)
-    assert len(plans) == 1 and plans[0].valid_frames == 3 and plans[0].is_final
+    assert partition(3, 3) == [ChunkPlan("x", 0, 3)]
 
 
 def test_carve_20_frames():
-    plans = carve_chunks(20, 3)
-    assert len(plans) == 7 and plans[-1].valid_frames == 2
+    rows = partition(20, 3)
+    assert len(rows) == 7 and rows[-1].valid_frames == 2
 
 
 def test_carve_empty_rejected():
-    with pytest.raises(ChunkingError):
-        carve_chunks(0, 3)
+    # an audio without frames, or with all of them emitted, has no chunk
+    assert schedule_step([StreamState("x", 0)], 4, 3) is None
+    assert schedule_step([StreamState("x", 20, frames_consumed=20)], 4, 3) is None
 
 
 def test_oct_segment_resume_after_fifteen_decoded():
@@ -115,79 +121,85 @@ def make_states(lengths):
 
 def test_schedule_matches_two_audio_example():
     # X: 23 frames in chunks of 3, first 5 chunks done; Y: 3 chunks pending
-    ctx = ContextConfig(l_att=4, c=3, r=2)
     states = make_states({"x": 23, "y": 9})
     states[0].frames_consumed = 15
-    plans = {"x": carve_chunks(23, 3, "x"), "y": carve_chunks(9, 3, "y")}
-    sched = schedule_step(states, plans, 8, ctx, n_layers=1, l_conv=0)
+    sched = schedule_step(states, 8, 3)
     got = [(p.audio_id, p.chunk_index) for p in sched.rows]
     assert got == [("x", 5), ("x", 6), ("x", 7), ("y", 0), ("y", 1), ("y", 2)]
-    assert sched.lookahead == {}
+    assert [p.valid_frames for p in sched.rows] == [3, 3, 2, 3, 3, 3]
 
 
 def test_schedule_single_step_no_lookahead():
-    ctx = ContextConfig(l_att=4, c=3, r=2)
-    states = make_states({"a": 10})
-    plans = {"a": carve_chunks(10, 3, "a")}
-    sched = schedule_step(states, plans, 100, ctx, n_layers=4, l_conv=7)
-    assert len(sched.rows) == 4
-    assert sched.lookahead == {}
+    sched = schedule_step(make_states({"a": 10}), 100, 3)
+    assert [p.valid_frames for p in sched.rows] == [3, 3, 3, 1]
+
+
+def test_schedule_starts_at_the_emit_frontier_of_a_long_audio():
+    # chunks are made from the state alone; carving this audio up front
+    # would need 1.25e11 chunk plans
+    state = StreamState("a", 10 ** 12, frames_consumed=8 * 10 ** 11)
+    sched = schedule_step([state], 4, 8)
+    assert sched.rows == [ChunkPlan("a", 10 ** 11 + i, 8) for i in range(4)]
+
+
+def lookahead_step(total, budget):
+    """One encode_step of a 2-layer, kernel-1 model with c=4, r=2 on an
+    audio of ``total`` post frames; returns its state after the step."""
+    model = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                        kernel_size=1, vocab_size=4, l_max=32)
+    ctx = ContextConfig(l_att=8, c=4, r=2)
+    feats = {"a": np.random.default_rng(0).normal(size=(8 * total, 80)).astype(np.float32)}
+    states = {"a": StreamState("a", total)}
+    sched = schedule_step(list(states.values()), budget, ctx.c)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    encode_step(states, sched, feats, init_weights(model, seed=0), ctx, model, table)
+    return states["a"]
 
 
 def test_schedule_lookahead_frames_for_forty_frame_audio():
-    # c=4, r=2, N=2, kernel 1: the step emits chunks 0-4 and needs 6
-    # lookahead frames (frames 20..25); the next step resumes at frame 20.
-    ctx = ContextConfig(l_att=8, c=4, r=2)
-    states = make_states({"a": 40})
-    plans = {"a": carve_chunks(40, 4, "a")}
-    sched = schedule_step(states, plans, 5, ctx, n_layers=2, l_conv=0)
-    assert [p.chunk_index for p in sched.rows] == [0, 1, 2, 3, 4]
-    assert sched.lookahead == {"a": 6}
-    states[0].frames_consumed = 20
-    sched2 = schedule_step(states, plans, 5, ctx, n_layers=2, l_conv=0)
-    assert sched2.rows[0].chunk_index * ctx.c == 20
+    # N=2, kernel 1: the step emits chunks 0-4 and subsamples 6 lookahead
+    # frames (frames 20..25); the next step resumes at frame 20.
+    st = lookahead_step(40, 5)
+    assert (st.frames_consumed, st.frames_subsampled) == (20, 20 + 6)
+    sched2 = schedule_step([st], 5, 4)
+    assert sched2.rows[0].chunk_index * 4 == 20
 
 
 def test_schedule_lookahead_clipped_at_audio_end():
-    ctx = ContextConfig(l_att=8, c=4, r=2)
-    states = make_states({"a": 22})
-    plans = {"a": carve_chunks(22, 4, "a")}
-    sched = schedule_step(states, plans, 5, ctx, n_layers=2, l_conv=0)
-    assert sum(p.valid_frames for p in sched.rows) == 20
-    assert sched.lookahead == {"a": 2}
+    st = lookahead_step(22, 5)
+    assert (st.frames_consumed, st.frames_subsampled) == (20, 20 + 2)
 
 
 def test_schedule_exhaustive_coverage_property(rng):
-    # across all steps, every (audio, chunk) appears exactly once, in order
-    ctx = ContextConfig(l_att=4, c=3, r=2)
+    # across all steps, every (audio, chunk) appears exactly once, in order,
+    # and the chunks of an audio cover its frames
     for _ in range(20):
         lengths = {f"a{i}": int(rng.integers(1, 40))
                    for i in range(int(rng.integers(1, 5)))}
         budget = int(rng.integers(1, 7))
         states = make_states(lengths)
-        plans = {k: carve_chunks(v, 3, k) for k, v in lengths.items()}
+        by_id = {s.audio_id: s for s in states}
         seen = []
-        last_index = {k: -1 for k in lengths}
+        frames = dict.fromkeys(lengths, 0)
         while True:
-            sched = schedule_step(states, plans, budget, ctx, 2, 0)
+            sched = schedule_step(states, budget, 3)
             if sched is None:
                 break
-            for aid in sched.audio_order():
-                rows = sched.rows_for(aid)
-                for p in rows:
-                    assert p.chunk_index == last_index[aid] + 1
-                    last_index[aid] = p.chunk_index
-                    seen.append((aid, p.chunk_index))
-                emitted = sum(p.valid_frames for p in rows)
-                states[[s.audio_id for s in states].index(aid)] \
-                    .frames_consumed += emitted
-        expected = [(k, p.chunk_index) for k, v in lengths.items()
-                    for p in plans[k]]
+            assert len(sched.rows) <= budget
+            for p in sched.rows:
+                assert p.chunk_index * 3 == frames[p.audio_id]
+                frames[p.audio_id] += p.valid_frames
+                seen.append((p.audio_id, p.chunk_index))
+            for aid, st in by_id.items():
+                st.frames_consumed = frames[aid]
+        expected = [(k, i) for k, v in lengths.items() for i in range(-(-v // 3))]
         assert sorted(seen) == sorted(expected)
         assert len(seen) == len(set(seen))
+        assert frames == lengths
 
 
 def test_schedule_requires_positive_budget():
-    ctx = ContextConfig()
     with pytest.raises(ConfigError):
-        schedule_step([], {}, 0, ctx, 1, 0)
+        schedule_step([], 0, 3)
+    with pytest.raises(ConfigError):
+        schedule_step([StreamState("x", 5)], 4, 0)

@@ -164,6 +164,17 @@ def test_encode_rejects_non_finite_features(workdir, rng, capsys):
     assert not (workdir / "enc4" / "nan.cfkf").exists()
 
 
+def test_encode_rejects_an_empty_feature_matrix(workdir, capsys):
+    fpath = workdir / "empty.cfkf"
+    save_features(fpath, np.zeros((0, 80), np.float32))
+    rc = cli.main(["encode", "--seed", "1", "--format", "features",
+                   "--output-dir", str(workdir / "enc6"), str(fpath)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "empty" in err
+    assert not (workdir / "enc6" / "empty.cfkf").exists()
+
+
 def test_non_numeric_layer_id_is_checkpoint_error(workdir, capsys):
     bad = workdir / "layerx.cfkw"
     write_cfkw(bad, {"layerX.a": np.zeros(3)})

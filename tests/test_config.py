@@ -3,21 +3,28 @@ import json
 import pytest
 
 from chunkasr.config import (MODEL_CAPS, ConfigError, ContextConfig, ModelConfig,
-                             context_from_string, derive_l_conv, derive_r_rel,
-                             load_config, required_lookahead, validate)
+                             context_from_string, derive_l_conv, load_config,
+                             required_lookahead, validate)
+
+
+def r_rel(ctx, n_layers):
+    """The closed form r + max(c, r) * (N - 1) of the lookahead an N-layer,
+    kernel-1 stack needs; required_lookahead equals it when r >= 1 and
+    either c >= r or c divides r."""
+    return ctx.r + max(ctx.c, ctx.r) * (n_layers - 1)
 
 
 def test_r_rel_eleven_future_frames():
-    assert derive_r_rel(ContextConfig(l_att=6, c=3, r=2), 4) == 11
+    assert required_lookahead(ContextConfig(l_att=6, c=3, r=2), 4, 0) == 11
 
 
 def test_r_rel_single_layer_needs_only_r():
-    assert derive_r_rel(ContextConfig(l_att=6, c=3, r=2), 1) == 2
+    assert required_lookahead(ContextConfig(l_att=6, c=3, r=2), 1, 0) == 2
 
 
 def test_r_rel_large_config():
     # 128 + 128 * 16
-    assert derive_r_rel(ContextConfig(l_att=128, c=64, r=128), 17) == 2176
+    assert required_lookahead(ContextConfig(l_att=128, c=64, r=128), 17, 0) == 2176
 
 
 def test_r_rel_matches_recurrence():
@@ -25,27 +32,29 @@ def test_r_rel_matches_recurrence():
     rng = np.random.default_rng(0)
     for _ in range(100):
         c = int(rng.integers(1, 200))
-        r = int(rng.integers(0, 200))
+        r = int(rng.integers(1, 200))
         n = int(rng.integers(1, 40))
+        if c < r:
+            r = c * -(-r // c)   # the closed form needs c >= r or c dividing r
         acc = r
         for _ in range(n - 1):
             acc += max(c, r)
-        assert derive_r_rel(ContextConfig(l_att=0, c=c, r=r), n) == acc
+        assert required_lookahead(ContextConfig(l_att=0, c=c, r=r), n, 0) == acc
 
 
 def test_r_rel_monotone_and_differences():
     base = ContextConfig(l_att=4, c=5, r=3)
     for n in range(2, 10):
-        cur = derive_r_rel(base, n)
-        prev = derive_r_rel(base, n - 1)
+        cur = required_lookahead(base, n, 0)
+        prev = required_lookahead(base, n - 1, 0)
         assert cur - prev == max(base.c, base.r)
-        assert derive_r_rel(ContextConfig(l_att=4, c=6, r=3), n) >= cur
-        assert derive_r_rel(ContextConfig(l_att=4, c=5, r=4), n) >= cur
+        assert required_lookahead(ContextConfig(l_att=4, c=6, r=3), n, 0) >= cur
+        assert required_lookahead(ContextConfig(l_att=4, c=5, r=4), n, 0) >= cur
 
 
-def test_r_rel_rejects_zero_layers():
+def test_required_lookahead_rejects_negative_layers():
     with pytest.raises(ConfigError):
-        derive_r_rel(ContextConfig(), 0)
+        required_lookahead(ContextConfig(), -1, 0)
 
 
 @pytest.mark.parametrize("kernel,expect", [(15, 7), (1, 0), (31, 15)])
@@ -59,10 +68,12 @@ def test_l_conv_even_kernel_rejected():
 
 
 def test_required_lookahead_matches_r_rel_in_clean_regimes():
-    # l_conv = 0 and (c >= r or r multiple of c)
+    # l_conv = 0, r >= 1 and (c >= r or r multiple of c)
     for c, r, n in [(3, 2, 4), (4, 2, 2), (2, 4, 3), (64, 128, 17), (5, 5, 6)]:
         ctx = ContextConfig(l_att=0, c=c, r=r)
-        assert required_lookahead(ctx, n, 0) == derive_r_rel(ctx, n)
+        assert required_lookahead(ctx, n, 0) == r_rel(ctx, n)
+    # with r = 0 no layer reads past its chunk, so nothing is needed
+    assert required_lookahead(ContextConfig(l_att=0, c=4, r=0), 3, 0) == 0
 
 
 def test_required_lookahead_covers_conv_margin():

@@ -3,7 +3,7 @@ import pytest
 
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.attention import build_rel_pos_table
-from chunkasr.chunking import StreamState, carve_chunks, schedule_step
+from chunkasr.chunking import StreamState, schedule_step
 from chunkasr.conv import ConvParams, conv_module_forward, depthwise_conv
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
 from chunkasr.functional import cast_params, layer_norm
@@ -137,8 +137,7 @@ def test_cache_length_follows_kernel(kernel, cache, rng):
     ctx = ContextConfig(l_att=4, c=4, r=2)
     feats = {"a": rng.normal(size=(8 * 60, 80)).astype(np.float32)}
     states = {"a": StreamState("a", post_frames(8 * 60))}
-    plans = {"a": carve_chunks(60, ctx.c, "a")}
-    sched = schedule_step(list(states.values()), plans, 3, ctx, 2, cache)
+    sched = schedule_step(list(states.values()), 3, ctx.c)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
     encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table)
     assert states["a"].frames_consumed == 12

@@ -6,9 +6,9 @@ import pytest
 
 from chunkasr import chunking, encoder
 from chunkasr.attention import build_rel_pos_table
-from chunkasr.chunking import (ChunkPlan, SchedulerError, StepSchedule, StreamState,
-                               carve_chunks, schedule_step)
-from chunkasr.config import ContextConfig, ModelConfig, derive_l_conv
+from chunkasr.chunking import (ChunkingError, ChunkPlan, SchedulerError, StepSchedule,
+                               StreamState, schedule_step)
+from chunkasr.config import ContextConfig, ModelConfig, derive_l_conv, required_lookahead
 from chunkasr.costmodel import batch_cost
 from chunkasr.encoder import (CheckpointError, encode_full, encode_step,
                               init_model, init_weights, load_checkpoint, post_frames,
@@ -37,7 +37,7 @@ def test_chunk_wise_subsample_equals_full_sequence(small_weights, rng):
         feats = rng.normal(size=(t_raw, 80)).astype(np.float32)
         full = full_subsample(feats, small_weights, np.float64)
         t_post = post_frames(t_raw)
-        # piecewise with a 7-frame raw cache, several split points
+        # piecewise with a 7-frame raw left margin, several split points
         for cut in {1, t_post // 2, t_post - 1} - {0}:
             p1 = subsample_forward(feats.astype(np.float64), 0, 0, cut,
                                    small_weights.subsample, t_raw, np.float64)
@@ -168,11 +168,9 @@ def test_emitted_rows_match_schedule(small_model, small_ctx, small_weights, rng)
     feats = {"x": rng.normal(size=(8 * 23, 80)).astype(np.float32)}
     t_post = post_frames(8 * 23)
     states = {"x": StreamState("x", t_post)}
-    plans = {"x": carve_chunks(t_post, small_ctx.c, "x")}
     table = build_rel_pos_table(small_ctx.l_att, small_ctx.c, small_ctx.r,
                                 small_model.d_model, small_model.l_max)
-    sched = schedule_step(list(states.values()), plans, 3, small_ctx,
-                          small_model.n_layers, derive_l_conv(small_model.kernel_size))
+    sched = schedule_step(list(states.values()), 3, small_ctx.c)
     out = encode_step(states, sched, feats, small_weights, small_ctx,
                       small_model, table)
     assert out["x"].shape[0] == sum(p.valid_frames for p in sched.rows)
@@ -215,6 +213,14 @@ def test_zero_layer_model_is_subsample_only(rng):
     assert rel_err(got["a"], full_subsample(feats, w, np.float64)) <= 1e-12
 
 
+def test_encode_full_rejects_an_audio_without_frames(small_model, small_ctx,
+                                                    small_weights, rng):
+    feats = {"ok": rng.normal(size=(40, 80)).astype(np.float32),
+             "void": np.zeros((0, 80), np.float32)}
+    with pytest.raises(ChunkingError, match="void"):
+        encode_full(feats, small_weights, small_ctx, small_model)
+
+
 def run_step(states, sched, feats, w, ctx, model, dtype=np.float32):
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
     return encode_step(states, sched, feats, w, ctx, model, table, dtype)
@@ -225,10 +231,9 @@ def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
     c = small_ctx.c
     feats = {"x": rng.normal(size=(8 * 20, 80)).astype(np.float32)}
 
-    def run(consumed, chunks):
+    def run(consumed, chunks, valid=c):
         states = {"x": StreamState("x", 20, frames_consumed=consumed)}
-        sched = StepSchedule(rows=[ChunkPlan("x", i, c, False) for i in chunks],
-                             lookahead={})
+        sched = StepSchedule(rows=[ChunkPlan("x", i, valid) for i in chunks])
         return run_step(states, sched, feats, small_weights, small_ctx, small_model)
 
     # the first chunk must continue where the audio stopped
@@ -241,9 +246,9 @@ def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
         run(0, [0, 2])
     with pytest.raises(SchedulerError, match="non-contiguous"):
         run(0, [0, 1, 1])
-    # and without lookahead the emitted frames would not be exact
+    # and the chunks may not claim more frames than the audio has
     with pytest.raises(SchedulerError, match="lookahead shortfall"):
-        run(0, [0, 1])
+        run(0, [0, 1], valid=11)
 
 
 def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
@@ -267,11 +272,8 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
     feats = {k: rng.normal(size=(n, 80)).astype(np.float32)
              for k, n in lengths.items()}
     states = {k: StreamState(k, post_frames(n)) for k, n in lengths.items()}
-    plans = {k: carve_chunks(st.total_frames, small_ctx.c, k)
-             for k, st in states.items()}
-    sched = schedule_step(list(states.values()), plans, 100, small_ctx,
-                          small_model.n_layers, derive_l_conv(small_model.kernel_size))
-    assert sched.audio_order() == ["a", "b", "c"]
+    sched = schedule_step(list(states.values()), 100, small_ctx.c)
+    assert list(dict.fromkeys(p.audio_id for p in sched.rows)) == ["a", "b", "c"]
     run_step(states, sched, feats, small_weights, small_ctx, small_model)
     assert calls == {"ff": 2 * small_model.n_layers,
                      "gather": small_model.n_layers,
@@ -291,8 +293,7 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
     feats = {"b": rng.normal(size=(9, 80)).astype(np.float32),     # 2 frames
              "a": rng.normal(size=(8 * 40, 80)).astype(np.float32)}
     states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
-    plans = {k: carve_chunks(st.total_frames, ctx.c, k) for k, st in states.items()}
-    sched = schedule_step(list(states.values()), plans, 4, ctx, 1, 2)
+    sched = schedule_step(list(states.values()), 4, ctx.c)
     out = run_step(states, sched, feats, w, ctx, model, np.float64)
     assert {k: v.shape[0] for k, v in out.items()} == {"b": 2, "a": 9}
     # "a" subsamples its 9 frames and 5 of lookahead; chunk windows
@@ -409,19 +410,22 @@ def test_held_frames_equal_oracle_layer_outputs(case):
     model, ctx, budget, w, feats = geometry(case, seed=6)
     l_conv = derive_l_conv(model.kernel_size)
     states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
-    plans = {k: carve_chunks(st.total_frames, ctx.c, k) for k, st in states.items()}
+    la = required_lookahead(ctx, model.n_layers, l_conv)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
     ref = {k: oracle_layers(f, w, ctx, model) for k, f in feats.items()}
     ready = dict.fromkeys(feats, 0)
     while True:
-        sched = schedule_step(list(states.values()), plans, budget, ctx,
-                              model.n_layers, l_conv)
+        sched = schedule_step(list(states.values()), budget, ctx.c)
         if sched is None:
             break
         start = {k: st.frames_consumed for k, st in states.items()}
-        for aid in sched.audio_order():
-            emit = sum(p.valid_frames for p in sched.rows_for(aid))
-            ready[aid] = max(ready[aid], start[aid] + emit + sched.lookahead.get(aid, 0))
+        emit = dict.fromkeys(start, 0)
+        for p in sched.rows:
+            emit[p.audio_id] += p.valid_frames
+        for aid, n in emit.items():
+            if n:
+                ready[aid] = max(ready[aid], min(start[aid] + n + la,
+                                                 states[aid].total_frames))
         out = encode_step(states, sched, feats, w, ctx, model, table, np.float64)
         for aid, block in out.items():
             st, (top, layers) = states[aid], ref[aid]

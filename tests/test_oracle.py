@@ -4,9 +4,8 @@ import pytest
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, init_weights
 from chunkasr.oracle import (OracleReport, chunk_window_mask, compare,
-                             dense_attention_opcount, dense_attention_reference,
-                             full_context_encode, full_subsample,
-                             loop_oct_encode, run_selftest)
+                             dense_attention_reference, full_context_encode,
+                             full_subsample, loop_oct_encode, run_selftest)
 from test_attention import random_params
 from conftest import dropping_oldest_att_frame, rel_err
 
@@ -88,10 +87,6 @@ def test_compare_report_fields():
     ok = compare("demo", np.ones(3), np.ones(3), 1e-6)
     assert ok.passed and ok.first_divergent_index is None
     assert "ok" in ok.line()
-
-
-def test_opcount_matches_three_window_terms():
-    assert dense_attention_opcount(16, 32) == 3 * 2 * 16 * 16 * 32
 
 
 def test_selftest_all_green():
