@@ -10,9 +10,10 @@ row's bounds carry a false mask bit and a 0.0 value, so windows never reach
 into a neighbouring audio and randomizing masked positions can never change
 downstream results bit-wise.
 
-The scheduler takes the next chunks from each audio's emit frontier, in
-audio order then chunk order, up to a row budget, and makes a ChunkPlan only
-for the chunks it takes. The encoder step derives each audio's lookahead
+The scheduler fills a row budget from the front of the audio order it is
+given, taking each audio's next chunks from its emit frontier, and makes a
+ChunkPlan only for the chunks it takes; encode_full gives it the pending
+audios shortest first. The encoder step derives each audio's lookahead
 tail, which brings the emitted chunks to exactness at every layer; it
 computes each tail frame once and holds it until a later step emits it or
 reads it as context.
@@ -20,6 +21,7 @@ reads it as context.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,23 +124,25 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
     return ChunkBatch(rows=rows, mask=mask, l=l, c=c, r=r)
 
 
-def schedule_step(states: list[StreamState], m_budget: int,
+def schedule_step(states: Iterable[StreamState], m_budget: int,
                   c: int) -> StepSchedule | None:
-    """Pick the next chunks across audios, audio order then chunk order.
+    """Fill a row budget from the front of ``states``, in the order given.
 
-    At most ``m_budget`` chunk rows are scheduled. An audio's pending chunks
-    start at chunk ceil(frames_consumed / c), the first to begin at or past
-    its emit frontier; only an audio's last chunk is partial. Returns None
-    when nothing is pending.
+    Takes every pending chunk of the first audio, then of the next, until
+    ``m_budget`` chunk rows are scheduled; it reads no state past the one
+    that fills the budget. An audio's pending chunks start at chunk
+    ceil(frames_consumed / c), the first to begin at or past its emit
+    frontier; only an audio's last chunk is partial. Returns None when
+    nothing is pending.
     """
     if m_budget < 1 or c < 1:
         raise ConfigError(f"m_budget and c must be >= 1, got {m_budget} and {c}")
     rows: list[ChunkPlan] = []
     for state in states:
-        if len(rows) == m_budget:
-            break
         at = c * -(-state.frames_consumed // c)
         while at < state.total_frames and len(rows) < m_budget:
             rows.append(ChunkPlan(state.audio_id, at // c, min(c, state.total_frames - at)))
             at += c
+        if len(rows) == m_budget:
+            break
     return StepSchedule(rows) if rows else None

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from .frontend import N_MELS
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration. Carries every violation found."""
@@ -81,6 +83,18 @@ def required_lookahead(ctx: ContextConfig, n_layers: int, l_conv: int) -> int:
 # d_ff 1024, kernel 31, l_max 320) and 2x a 17-layer, 512-wide large Conformer.
 MODEL_CAPS = {"n_layers": 64, "d_model": 2048, "d_ff": 8192, "kernel_size": 255,
               "vocab_size": 65536, "l_max": 8192}
+# The fields' product is capped too: 1 GB of float32, 2.3x the 108M weights
+# of that large Conformer, where all six fields at their caps ask for 24 GiB.
+WEIGHT_CAP = 250_000_000
+
+
+def weight_count(model: ModelConfig) -> int:
+    """Weights init_model makes: subsample, layers, final norm and CTC head."""
+    d, f = model.d_model, model.d_ff
+    subsample = 3 * N_MELS + (N_MELS + 1) * d + 2 * (d * d + 4 * d) + d * d + d
+    ff = 2 * d * f + f + 3 * d
+    layer = 2 * ff + 8 * d * d + (model.kernel_size + 14) * d
+    return subsample + model.n_layers * layer + 2 * d + (d + 1) * model.vocab_size
 
 
 def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
@@ -88,15 +102,18 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
 
     Besides the lower bounds, every field in MODEL_CAPS has an upper bound:
     n_layers <= 64, d_model <= 2048, d_ff <= 8192, kernel_size <= 255,
-    vocab_size <= 65536 and l_max <= 8192. So a config of a few bytes cannot
-    start unbounded work in init_weights or build_rel_pos_table, and since
-    l_max must cover l_att + c + r, the context is bounded too.
+    vocab_size <= 65536 and l_max <= 8192, and within those the weight count
+    is at most WEIGHT_CAP. So a config of a few bytes cannot start unbounded
+    work in init_weights or build_rel_pos_table, and since l_max must cover
+    l_att + c + r, the context is bounded too.
     """
     problems = []
     for name, cap in MODEL_CAPS.items():
         value = getattr(model, name)
         if value > cap:
             problems.append(f"{name} must be <= {cap}, got {value}")
+    if not problems and weight_count(model) > WEIGHT_CAP:
+        problems.append(f"weight count must be <= {WEIGHT_CAP}, got {weight_count(model)}")
     if ctx.c < 1:
         problems.append(f"c must be >= 1, got {ctx.c}")
     if ctx.l_att < 0:

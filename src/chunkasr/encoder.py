@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -658,10 +659,13 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     """Decode every audio to hidden frames with masked-batch endless decoding.
 
     Loops schedule and step until all chunks are emitted; deterministic for
-    fixed weights and inputs. ``on_emit`` is called as
-    on_emit(audio_id, block, start_frame) after each step. Each audio's
-    (post_frames(T), d_model) output is allocated once, and every emitted
-    block is copied into it at its start frame.
+    fixed weights and inputs. Each step's row budget goes to the pending
+    audios shortest first (equal feature lengths in input order), so the
+    audios finish in that order, and an audio's caches are released once it
+    has finished. ``on_emit`` is called as on_emit(audio_id, block, start_frame)
+    after each step. Each audio's (post_frames(T), d_model) output is
+    allocated once, and every emitted block is copied into it at its start
+    frame. The returned dict is in input order.
     """
     require_valid(model, ctx)
     weights = cast_params(weights, dtype)
@@ -675,8 +679,19 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
             raise ChunkingError(f"audio {aid!r} is empty: it has no feature frames")
         states[aid] = StreamState(audio_id=aid, total_frames=t_post)
         out[aid] = np.empty((t_post, model.d_model), dtype)
+    # Shortest first by feature frames, which orders total_frames the same
+    # way and leaves fewer ties to input order (sorted() is stable).
+    # schedule_step fills the budget from the front, so in this closed batch
+    # only the audio(s) at the front make progress and their remaining frames
+    # only shrink: the order stays shortest-remaining-first, and the finished
+    # audios are always a prefix of it, dropped before each step.
+    pending = deque(sorted(states.values(),
+                           key=lambda st: features[st.audio_id].shape[0]))
     while True:
-        sched = chunking.schedule_step(list(states.values()), budget, ctx.c)
+        while pending and pending[0].frames_consumed == pending[0].total_frames:
+            done = pending.popleft()
+            done.att_caches, done.conv_caches, done.out_cache = [], [], None
+        sched = chunking.schedule_step(pending, budget, ctx.c)
         if sched is None:
             break
         emitted = encode_step(states, sched, features, weights, ctx, model,

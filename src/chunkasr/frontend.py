@@ -126,7 +126,9 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
 
 
 # Built once at import; the transposed view keeps the matmul's operand layout.
-_HAMMING = np.hamming(WINDOW_SAMPLES)
+# Folding the 1 / 32768 sample scale into the window only moves a power of
+# two, so x * (w / 32768) is bit-identical to (x / 32768) * w.
+_WINDOW = np.hamming(WINDOW_SAMPLES) / 32768.0
 _MEL_T = mel_filterbank().T
 
 FBANK_BLOCK = 4096   # frames per filterbank block; compute_fbank says why
@@ -140,28 +142,43 @@ def compute_fbank(audio: PcmAudio) -> FeatureMatrix:
     leaves the output unchanged.
 
     Frames are computed FBANK_BLOCK at a time, each block from only its own
-    samples, into one preallocated (T, 80) float32 output. The float64
-    temporaries then stay under 64 MiB whatever T is. Every frame goes
-    through the same float64 operations as in a whole-audio computation, so
-    the features are bit-identical to it. The block is not smaller because
-    freeing temporaries of several MiB raises glibc's dynamic mmap and trim
-    thresholds, which keeps the encoder's per-layer temporaries on the heap.
-    With blocks of 1024 frames or fewer those are trimmed and faulted back in
-    on every layer: 37-64k minor faults and 25-40% more time per paper-scale
-    encode_full, against none with 4096-frame blocks.
+    samples, into one preallocated (T, 80) float32 output through one reused
+    float64 workspace (under 40 MiB whatever T is): the windowed frames go
+    from the int16 samples into a zeroed (block, N_FFT) buffer, whose columns
+    past the window stay zero as the FFT's padding, and the power spectrum
+    goes back into its first columns. Every frame goes through the same
+    float64 operations as in a whole-audio computation, so the features are
+    bit-identical to it. The block is not smaller because freeing buffers of
+    several MiB raises glibc's dynamic mmap and trim thresholds, which keeps
+    the encoder's per-layer temporaries on the heap. With blocks of 1024
+    frames or fewer those are trimmed and faulted back in on every layer:
+    37-64k minor faults and 25-40% more time per paper-scale encode_full,
+    against none with 4096-frame blocks.
     """
     if audio.sample_rate != SAMPLE_RATE:
         raise AudioFormatError(f"expected {SAMPLE_RATE} Hz, got {audio.sample_rate}")
     t = num_frames(len(audio.samples))
     out = np.empty((t, N_MELS), dtype=np.float32)
+    n = min(t, FBANK_BLOCK)
+    bins = N_FFT // 2 + 1
+    frames = np.zeros((n, N_FFT))
+    spec = np.empty((n, bins), dtype=np.complex128)
+    mel = np.empty((n, N_MELS))
     for s in range(0, t, FBANK_BLOCK):
-        e = min(s + FBANK_BLOCK, t)
-        x = np.asarray(audio.samples[s * HOP_SAMPLES:(e - 1) * HOP_SAMPLES
-                                     + WINDOW_SAMPLES], dtype=np.float64) / 32768.0
-        frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES] * _HAMMING
-        spec = np.fft.rfft(frames, n=N_FFT, axis=1)
-        power = spec.real**2 + spec.imag**2
-        out[s:e] = np.log(np.maximum(power @ _MEL_T, LOG_FLOOR))
+        m = min(FBANK_BLOCK, t - s)
+        x = np.asarray(audio.samples[s * HOP_SAMPLES:
+                                     (s + m - 1) * HOP_SAMPLES + WINDOW_SAMPLES])
+        np.multiply(sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES], _WINDOW,
+                    out=frames[:m, :WINDOW_SAMPLES])
+        np.fft.rfft(frames[:m], axis=1, out=spec[:m])
+        parts = spec[:m].view(np.float64)           # re, im interleaved
+        np.square(parts, out=parts)
+        power = frames[:m, :bins]
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+        energies = mel[:m]
+        np.matmul(power, _MEL_T, out=energies)
+        np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=energies)
+        out[s:s + m] = energies
     return FeatureMatrix(frames=out)
 
 

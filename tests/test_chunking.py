@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from chunkasr import chunking, encoder
 from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import ChunkPlan, StreamState, oct_segment, schedule_step
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
-from chunkasr.encoder import encode_step, init_weights
+from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
 
 
 def partition(total_frames, c):
@@ -203,3 +204,52 @@ def test_schedule_requires_positive_budget():
         schedule_step([], 0, 3)
     with pytest.raises(ConfigError):
         schedule_step([StreamState("x", 5)], 4, 0)
+
+
+def test_audios_finish_shortest_first_with_ties_in_input_order(rng):
+    model = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, kernel_size=3,
+                        vocab_size=4, l_max=16)
+    ctx = ContextConfig(l_att=2, c=2, r=2)
+    raw = {"long": 160, "tie0": 64, "short": 24, "tie1": 64, "mid": 100}
+    feats = {aid: rng.normal(size=(t, 80)).astype(np.float32) for aid, t in raw.items()}
+    last_emits = []
+
+    def on_emit(aid, block, start):
+        if start + block.shape[0] == post_frames(raw[aid]):
+            last_emits.append(aid)
+
+    out = encode_full(feats, init_weights(model, seed=0), ctx, model, budget=3,
+                      on_emit=on_emit)
+    assert last_emits == ["short", "tie0", "tie1", "mid", "long"]
+    assert list(out) == list(raw)
+
+
+def test_scheduling_work_is_linear_in_the_audio_count(monkeypatch):
+    # 16,000 audios of 3 one-frame chunks at budget 16 take 3,000 steps; a
+    # scheduler that walks the finished audios every step reads about 24M
+    n_audios = 16000
+    visits = 0
+    schedule = chunking.schedule_step
+
+    def counting_schedule(states, m_budget, c):
+        def walk():
+            nonlocal visits
+            for state in states:
+                visits += 1
+                yield state
+        return schedule(walk(), m_budget, c)
+
+    def emit_only_step(states, sched, *args):
+        for p in sched.rows:
+            states[p.audio_id].frames_consumed += p.valid_frames
+        return {}
+
+    monkeypatch.setattr(chunking, "schedule_step", counting_schedule)
+    monkeypatch.setattr(encoder, "encode_step", emit_only_step)
+    model = ModelConfig(n_layers=0, d_model=2, n_heads=1, d_ff=1, kernel_size=1,
+                        vocab_size=2, l_max=1)
+    feats = np.zeros((24, 80), np.float32)      # 3 post frames
+    encode_full(dict.fromkeys(map(str, range(n_audios)), feats),
+                init_weights(model, seed=0), ContextConfig(l_att=0, c=1, r=0), model,
+                budget=16)
+    assert visits <= 2 * n_audios

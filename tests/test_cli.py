@@ -114,6 +114,18 @@ def test_oversized_config_exits_4_before_allocating(workdir, monkeypatch, capsys
     assert f"{field} must be <= " in err and err.count("\n") == 1
 
 
+def test_oversized_weight_count_exits_4_before_allocating(workdir, monkeypatch, capsys):
+    # every field within its cap, 6.5e9 weights together
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"n_layers": 64, "d_model": 2048, "d_ff": 8192}))
+    monkeypatch.setattr(cli, "init_model", lambda *a, **k: pytest.fail("allocated"))
+    rc = cli.main(["encode", "--seed", "0", "--config", str(cfg), "--output-dir",
+                   str(workdir / "enc"), str(workdir / "one.wav")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "weight count must be <= " in err and err.count("\n") == 1
+
+
 def test_timestamps_flag_appends_spans(workdir, capsys):
     rc = cli.main(["transcribe", "--checkpoint", str(workdir / "model.cfkw"),
                    "--timestamps", str(workdir / "two.wav")])

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from chunkasr.config import (MODEL_CAPS, ConfigError, ContextConfig, ModelConfig,
-                             context_from_string, derive_l_conv, load_config,
-                             required_lookahead, validate)
+from chunkasr.config import (MODEL_CAPS, WEIGHT_CAP, ConfigError, ContextConfig,
+                             ModelConfig, context_from_string, derive_l_conv,
+                             load_config, required_lookahead, validate, weight_count)
+from chunkasr.encoder import _tensor_map, init_model
 
 
 def r_rel(ctx, n_layers):
@@ -124,6 +125,23 @@ def test_validate_caps_each_size_field(field):
     for value in (cap + 2, 10 ** 8 + 1):
         problems = validate(ModelConfig(**{field: value}), ContextConfig())
         assert f"{field} must be <= {cap}, got {value}" in problems
+
+
+def test_weight_count_is_what_init_model_makes():
+    model = ModelConfig(n_layers=3, d_model=12, n_heads=2, d_ff=20, kernel_size=5,
+                        vocab_size=7)
+    tensors = _tensor_map(*init_model(model))
+    assert weight_count(model) == sum(t.size for name, t in tensors.items()
+                                      if name != "vocab.utf8")
+
+
+def test_validate_caps_the_weight_count():
+    large = ModelConfig(n_layers=17, d_model=512, n_heads=8, d_ff=2048, kernel_size=31,
+                        vocab_size=5000)
+    assert 2 * weight_count(large) <= WEIGHT_CAP and validate(large, ContextConfig()) == []
+    every_cap = ModelConfig(**MODEL_CAPS)
+    assert validate(every_cap, ContextConfig()) == [
+        f"weight count must be <= {WEIGHT_CAP}, got {weight_count(every_cap)}"]
 
 
 def test_load_config_roundtrip(tmp_path):

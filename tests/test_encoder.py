@@ -552,7 +552,7 @@ def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_
         assert start == sum(b.shape[0] for b in blocks[aid])
         blocks[aid].append(block)
 
-    out = encode_full(feats, small_weights, small_ctx, small_model, budget=2,
+    out = encode_full(feats, small_weights, small_ctx, small_model, budget=1,
                       on_emit=on_emit)
     for aid, hidden in out.items():
         assert hidden.flags.c_contiguous and hidden.flags.owndata

@@ -2,13 +2,15 @@
 
 Each case batches several audios of different lengths into one encode_full
 call and compares every audio with oracle.loop_oct_encode, for an engine run
-in float64 (1e-8) and one in float32 (1e-4). The fixed cases pin the edge
-geometries; the seeded ones vary everything at once.
+in float64 (1e-8) and one in float32 (1e-4), with the audios in input order
+and reversed. The fixed cases pin the edge geometries; the seeded ones vary
+everything at once.
 """
 
 import numpy as np
 import pytest
 
+from chunkasr import chunking
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, init_weights
 from chunkasr.oracle import loop_oct_encode
@@ -52,14 +54,33 @@ def setup(case, seed):
 
 
 @pytest.mark.parametrize("index,case", list(enumerate(geometries())))
-def test_masked_batch_matches_loop_oracle(index, case):
+def test_masked_batch_matches_loop_oracle(index, case, monkeypatch):
+    # Each case also runs with its audios in reverse order. Their feature
+    # lengths are distinct, so the schedule and the outputs must not change.
     model, ctx, budget, w, feats = setup(case, seed=100 + index)
     ref = loop_oct_encode(feats, w, ctx, model)
+    schedule = chunking.schedule_step
+    steps = []
+
+    def recording_schedule(*args):
+        steps.append(schedule(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(chunking, "schedule_step", recording_schedule)
     for dtype, tol in ((np.float64, 1e-8), (np.float32, 1e-4)):
-        got = encode_full(feats, w, ctx, model, budget=budget, dtype=dtype)
+        runs = []
+        for order in (feats, dict(reversed(feats.items()))):
+            steps.clear()
+            got = encode_full(order, w, ctx, model, budget=budget, dtype=dtype)
+            assert list(got) == list(order)
+            for aid in feats:
+                assert got[aid].shape == ref[aid].shape and got[aid].dtype == dtype
+                assert rel_err(got[aid], ref[aid]) <= tol, (aid, case, dtype)
+            runs.append((got, list(steps)))
+        (fwd, fwd_steps), (rev, rev_steps) = runs
+        assert rev_steps == fwd_steps, (case, dtype)
         for aid in feats:
-            assert got[aid].shape == ref[aid].shape and got[aid].dtype == dtype
-            assert rel_err(got[aid], ref[aid]) <= tol, (aid, case, dtype)
+            assert np.array_equal(rev[aid], fwd[aid]), (aid, case, dtype)
 
 
 def test_budget_one_equals_unbounded_budget():
