@@ -39,6 +39,8 @@ class RelPosTable:
 
 @dataclass
 class AttentionParams:
+    ln_g: np.ndarray  # (d,) the sublayer's input layer norm, run by the caller
+    ln_b: np.ndarray  # (d,)
     wq: np.ndarray  # (d, d)
     wk: np.ndarray  # (d, d)
     wv: np.ndarray  # (d, d)

@@ -12,8 +12,9 @@ seed, and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from .chunking import ChunkingError
 from .config import (ConfigError, ContextConfig, ModelConfig, context_from_string,
                      load_config, require_valid)
 from .ctc import DecodeState, format_transcript_line, project_logits
-from .encoder import (CheckpointError, check_shapes, encode_full, init_model,
-                      load_checkpoint)
-from .frontend import (AudioFormatError, FeatureFormatError, FeatureMatrix,
+from .encoder import (VOCAB_TENSOR, CheckpointError, check_shapes, encode_full,
+                      init_model, load_checkpoint)
+from .frontend import (SAMPLE_RATE, AudioFormatError, FeatureFormatError, FeatureMatrix,
                        compute_fbank, load_features, read_wav, save_features)
 
 EXIT_OK = 0
@@ -50,7 +51,6 @@ class Job:
     ctx: ContextConfig
     budget: int
     checkpoint: Path | None
-    seed: int | None
     output: Path | None
     timestamps: bool = False
 
@@ -142,11 +142,14 @@ def _load_features_for(job_inputs) -> dict[str, np.ndarray]:
 def _load_weights(job: Job):
     if job.checkpoint is not None:
         weights, head, vocab = load_checkpoint(job.checkpoint)
-        problems = check_shapes(weights, job.model)
+        problems = check_shapes(weights, job.model, head)
+        if len(vocab.tokens) != job.model.vocab_size:
+            problems.append(f"{VOCAB_TENSOR} holds {len(vocab.tokens)} tokens, config "
+                            f"says vocab_size {job.model.vocab_size}")
         if problems:
             raise CheckpointError("; ".join(problems))
         return weights, head, vocab
-    return init_model(job.model, seed=job.seed)
+    return init_model(job.model)
 
 
 def cmd_transcribe(job: Job) -> int:
@@ -188,6 +191,8 @@ def cmd_encode(job: Job) -> int:
 
 
 def cmd_selftest(seed: int) -> int:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     reports = oracle.run_selftest(seed=seed, verbose_print=print)
     failures = [r for r in reports if not r.passed]
     if failures:
@@ -205,8 +210,9 @@ def cmd_cost(args) -> int:
         durations = [float(x) for x in args.durations.split(",") if x]
     except ValueError:
         raise UsageError(f"bad --durations value {args.durations!r}") from None
-    if not durations or any(d <= 0 for d in durations):
-        raise UsageError("--durations needs positive values")
+    # nan fails every comparison; inf and sample counts past float range fail isfinite
+    if not durations or not all(d > 0 and math.isfinite(d * SAMPLE_RATE) for d in durations):
+        raise UsageError(f"--durations needs positive, finite values, got {args.durations!r}")
     report = costmodel.batch_cost(durations, ctx, model, mode=args.mode)
     print(costmodel.format_cost_table(report))
     if args.csv:
@@ -223,12 +229,13 @@ def _dispatch(args) -> int:
     inputs = _collect_inputs(args.inputs, args.format)
     if args.command == "transcribe":
         job = Job(inputs=inputs, model=model, ctx=ctx, budget=args.budget,
-                  checkpoint=args.checkpoint, seed=None, output=args.output,
+                  checkpoint=args.checkpoint, output=args.output,
                   timestamps=args.timestamps)
         return cmd_transcribe(job)
+    if args.seed is not None:
+        model = replace(model, seed=args.seed)
     job = Job(inputs=inputs, model=model, ctx=ctx, budget=args.budget,
-              checkpoint=args.checkpoint, seed=args.seed,
-              output=args.output_dir)
+              checkpoint=args.checkpoint, output=args.output_dir)
     return cmd_encode(job)
 
 

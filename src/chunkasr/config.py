@@ -88,13 +88,50 @@ MODEL_CAPS = {"n_layers": 64, "d_model": 2048, "d_ff": 8192, "kernel_size": 255,
 WEIGHT_CAP = 250_000_000
 
 
+def _weight_table(model: ModelConfig) -> tuple[list, list, list]:
+    """weight_parts in three lists: the parts before the layers, one layer's
+    parts (prefixes without the layer), and the parts after the layers, so
+    weight_count sizes a layer once rather than walking every layer."""
+    d, f, k, v = model.d_model, model.d_ff, model.kernel_size, model.vocab_size
+    norm = (("ln_g", (d,), 0), ("ln_b", (d,), 0))
+    ff = norm + (("w1", (d, f), d), ("b1", (f,), d), ("w2", (f, d), f), ("b2", (d,), f))
+    att = norm + (("wq", (d, d), d), ("wk", (d, d), d), ("wv", (d, d), d),
+                  ("wr", (d, d), d), ("u", (d,), d), ("v", (d,), d),
+                  ("wo", (d, d), d), ("bo", (d,), d))
+    conv = norm + (("pw_in_w", (d, 2 * d), d), ("pw_in_b", (2 * d,), d),
+                   ("dw_w", (k, d), k), ("dw_ln_g", (d,), 0), ("dw_ln_b", (d,), 0),
+                   ("pw_out_w", (d, d), d), ("pw_out_b", (d,), d))
+    subsample = [(f"subsample.b{j}.", (("dw_w", (3, c), 3), ("pw_w", (c, d), c),
+                                       ("pw_b", (d,), c)))
+                 for j, c in enumerate((N_MELS, d, d))]
+    subsample.append(("subsample.", (("out_w", (d, d), d), ("out_b", (d,), d))))
+    layer = [("ff1.", ff), ("att.", att), ("conv.", conv), ("ff2.", ff),
+             ("", (("out_ln_g", (d,), 0), ("out_ln_b", (d,), 0)))]
+    return subsample, layer, [("", (("after_ln_g", (d,), 0), ("after_ln_b", (d,), 0))),
+                              ("ctc.", (("w", (d, v), d), ("b", (v,), d)))]
+
+
+def weight_parts(model: ModelConfig) -> list[tuple[str, tuple]]:
+    """Every weight tensor of the model, one part per parameter container.
+
+    Each part is (prefix, ((tensor, shape, fan_in), ...)), and prefix + tensor
+    is the tensor's checkpoint name. Parts come in init order: the three
+    subsample blocks and the subsample output, then per layer ff1, att, conv,
+    ff2 and the layer's output norm, then the final norm and the CTC head.
+    init_model draws uniform(-a, a), a = 1 / sqrt(fan_in), in this order;
+    fan_in 0 marks a layer norm, whose gain (*_g) starts at 1 and shift at 0.
+    """
+    before, layer, after = _weight_table(model)
+    return before + [(f"layer{i}.{prefix}", tensors) for i in range(model.n_layers)
+                     for prefix, tensors in layer] + after
+
+
 def weight_count(model: ModelConfig) -> int:
-    """Weights init_model makes: subsample, layers, final norm and CTC head."""
-    d, f = model.d_model, model.d_ff
-    subsample = 3 * N_MELS + (N_MELS + 1) * d + 2 * (d * d + 4 * d) + d * d + d
-    ff = 2 * d * f + f + 3 * d
-    layer = 2 * ff + 8 * d * d + (model.kernel_size + 14) * d
-    return subsample + model.n_layers * layer + 2 * d + (d + 1) * model.vocab_size
+    """Weights init_model makes: the sizes of every tensor in weight_parts."""
+    before, layer, after = (sum(math.prod(shape) for _, tensors in parts
+                                for _, shape, _ in tensors)
+                            for parts in _weight_table(model))
+    return before + model.n_layers * layer + after
 
 
 def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
@@ -112,8 +149,10 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
         value = getattr(model, name)
         if value > cap:
             problems.append(f"{name} must be <= {cap}, got {value}")
-    if not problems and weight_count(model) > WEIGHT_CAP:
-        problems.append(f"weight count must be <= {WEIGHT_CAP}, got {weight_count(model)}")
+    if not problems and (count := weight_count(model)) > WEIGHT_CAP:
+        problems.append(f"weight count must be <= {WEIGHT_CAP}, got {count}")
+    if model.seed < 0:
+        problems.append(f"seed must be >= 0, got {model.seed}")
     if ctx.c < 1:
         problems.append(f"c must be >= 1, got {ctx.c}")
     if ctx.l_att < 0:

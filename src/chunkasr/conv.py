@@ -24,17 +24,15 @@ from .functional import glu, layer_norm, swish
 
 @dataclass
 class ConvParams:
+    ln_g: np.ndarray       # (d,) the sublayer's input layer norm, run by the caller
+    ln_b: np.ndarray       # (d,)
     pw_in_w: np.ndarray    # (d, 2d) pointwise expansion feeding the GLU
     pw_in_b: np.ndarray    # (2d,)
-    dw: np.ndarray         # (kernel_size, d) depthwise kernel per channel
-    ln_scale: np.ndarray   # (d,) post-conv layer norm
-    ln_shift: np.ndarray   # (d,)
+    dw_w: np.ndarray       # (kernel_size, d) depthwise kernel per channel
+    dw_ln_g: np.ndarray    # (d,) post-conv layer norm
+    dw_ln_b: np.ndarray    # (d,)
     pw_out_w: np.ndarray   # (d, d)
     pw_out_b: np.ndarray   # (d,)
-
-    @property
-    def kernel_size(self) -> int:
-        return self.dw.shape[0]
 
 
 def depthwise_conv(x: np.ndarray, kernel: np.ndarray, seg, at) -> np.ndarray:
@@ -71,6 +69,6 @@ def conv_module_forward(x: np.ndarray, params: ConvParams, seg, at) -> np.ndarra
     only on the output frames.
     """
     gated = glu(x @ params.pw_in_w + params.pw_in_b)
-    y = depthwise_conv(gated, params.dw, seg, at)
-    y = swish(layer_norm(y, params.ln_scale, params.ln_shift))
+    y = depthwise_conv(gated, params.dw_w, seg, at)
+    y = swish(layer_norm(y, params.dw_ln_g, params.dw_ln_b))
     return y @ params.pw_out_w + params.pw_out_b

@@ -20,19 +20,9 @@ is exact, which makes multi-step, batched, and single-step runs agree.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
-little-endian payload}. Tensor names are fixed strings:
-
-    subsample.b{j}.dw_w / pw_w / pw_b          j in 0..2
-    subsample.out_w / out_b
-    layer{i}.ff1.ln_g / ln_b / w1 / b1 / w2 / b2
-    layer{i}.att.ln_g / ln_b / wq / wk / wv / wr / u / v / wo / bo
-    layer{i}.conv.ln_g / ln_b / pw_in_w / pw_in_b / dw_w / dw_ln_g / dw_ln_b
-                / pw_out_w / pw_out_b
-    layer{i}.ff2.ln_g / ln_b / w1 / b1 / w2 / b2
-    layer{i}.out_ln_g / out_ln_b
-    after_ln_g / after_ln_b
-    ctc.w / ctc.b
-    vocab.utf8                                  newline-joined tokens as bytes
+little-endian payload}. The weight tensors are named and shaped by
+config.weight_parts; one more tensor, vocab.utf8, holds the newline-joined
+tokens as bytes.
 """
 
 from __future__ import annotations
@@ -49,14 +39,14 @@ from . import chunking
 from .attention import AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention
 from .chunking import ChunkingError, ChunkPlan, SchedulerError, StepSchedule, StreamState
 from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
-                     required_lookahead)
+                     required_lookahead, weight_parts)
 from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, default_vocab
-from .frontend import N_MELS
 from .functional import cast_params, ff_forward, layer_norm, swish
 
 CHECKPOINT_MAGIC = b"CFKW"
 CHECKPOINT_VERSION = 1
+VOCAB_TENSOR = "vocab.utf8"
 RAW_MARGIN_FRAMES = 7  # stride-2 kernel-3 stack reads 7 raw frames left of a block
 
 
@@ -77,11 +67,7 @@ class FeedForwardParams:
 @dataclass
 class LayerWeights:
     ff1: FeedForwardParams
-    att_ln_g: np.ndarray
-    att_ln_b: np.ndarray
     att: AttentionParams
-    conv_ln_g: np.ndarray
-    conv_ln_b: np.ndarray
     conv: ConvParams
     ff2: FeedForwardParams
     out_ln_g: np.ndarray
@@ -109,18 +95,6 @@ class EncoderWeights:
     after_ln_g: np.ndarray
     after_ln_b: np.ndarray
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def d_model(self) -> int:
-        return self.after_ln_g.shape[0]
-
-    @property
-    def kernel_size(self) -> int:
-        return self.layers[0].conv.kernel_size if self.layers else 1
-
 
 def post_frames(t_raw: int) -> int:
     """Post-subsample length for t_raw feature frames: ceil(t_raw / 8)."""
@@ -131,117 +105,70 @@ def post_frames(t_raw: int) -> int:
 # weight init / checkpoint container
 # ---------------------------------------------------------------------------
 
-def _uniform(rng, shape, fan_in, dtype=np.float32):
-    a = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-a, a, size=shape).astype(dtype)
+def _assemble(model: ModelConfig, tensor) -> tuple[EncoderWeights, CtcHead]:
+    """Encoder weights and CTC head from tensor(prefix, name, shape, fan_in),
+    called for each entry of config.weight_parts(model) in table order."""
+    parts = iter(weight_parts(model))
+
+    def build(cls, **children):
+        prefix, tensors = next(parts)
+        return cls(**children, **{name: tensor(prefix, name, shape, fan_in)
+                                  for name, shape, fan_in in tensors})
+
+    blocks = [build(SubsampleBlock) for _ in range(3)]
+    subsample = build(SubsampleWeights, blocks=blocks)
+    layers = [build(LayerWeights, ff1=build(FeedForwardParams), att=build(AttentionParams),
+                    conv=build(ConvParams), ff2=build(FeedForwardParams))
+              for _ in range(model.n_layers)]
+    return build(EncoderWeights, subsample=subsample, layers=layers), build(CtcHead)
 
 
-def _init_ff(rng, d, d_ff):
-    return FeedForwardParams(
-        ln_g=np.ones(d, np.float32), ln_b=np.zeros(d, np.float32),
-        w1=_uniform(rng, (d, d_ff), d), b1=_uniform(rng, (d_ff,), d),
-        w2=_uniform(rng, (d_ff, d), d_ff), b2=_uniform(rng, (d,), d_ff),
-    )
+def _containers(weights: EncoderWeights, head: CtcHead | None) -> list:
+    """The containers of config.weight_parts' parts, in table order; the CTC
+    head's only when ``head`` is given."""
+    out = [*weights.subsample.blocks, weights.subsample]
+    for lw in weights.layers:
+        out += (lw.ff1, lw.att, lw.conv, lw.ff2, lw)
+    out.append(weights)
+    if head is not None:
+        out.append(head)
+    return out
+
+
+def init_model(model: ModelConfig,
+               seed: int | None = None) -> tuple[EncoderWeights, CtcHead, Vocab]:
+    """Deterministic uniform(-a, a) init, a = 1/sqrt(fan_in), in the order of
+    config.weight_parts: the encoder from ``seed`` (default model.seed), the
+    CTC head from seed + 1. Layer norms start at gain 1 and shift 0."""
+    seed = model.seed if seed is None else seed
+    encoder_rng, head_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+
+    def init(prefix, name, shape, fan_in):
+        if not fan_in:
+            return (np.ones if name.endswith("_g") else np.zeros)(shape, np.float32)
+        a = 1.0 / math.sqrt(fan_in)
+        rng = head_rng if prefix == "ctc." else encoder_rng
+        return rng.uniform(-a, a, size=shape).astype(np.float32)
+
+    weights, head = _assemble(model, init)
+    return weights, head, default_vocab(model.vocab_size)
 
 
 def init_weights(model: ModelConfig, seed: int | None = None) -> EncoderWeights:
-    """Deterministic uniform(-a, a) init, a = 1/sqrt(fan_in), fixed draw order:
-    subsample blocks then layers 0..N-1 (ff1, attention, conv, ff2)."""
-    rng = np.random.default_rng(model.seed if seed is None else seed)
-    d, k = model.d_model, model.kernel_size
-    blocks = []
-    ch_in = N_MELS
-    for _ in range(3):
-        blocks.append(SubsampleBlock(
-            dw_w=_uniform(rng, (3, ch_in), 3),
-            pw_w=_uniform(rng, (ch_in, d), ch_in),
-            pw_b=_uniform(rng, (d,), ch_in),
-        ))
-        ch_in = d
-    sub = SubsampleWeights(blocks=blocks,
-                           out_w=_uniform(rng, (d, d), d),
-                           out_b=_uniform(rng, (d,), d))
-    layers = []
-    for _ in range(model.n_layers):
-        ff1 = _init_ff(rng, d, model.d_ff)
-        attp = AttentionParams(
-            wq=_uniform(rng, (d, d), d), wk=_uniform(rng, (d, d), d),
-            wv=_uniform(rng, (d, d), d), wr=_uniform(rng, (d, d), d),
-            u=_uniform(rng, (d,), d), v=_uniform(rng, (d,), d),
-            wo=_uniform(rng, (d, d), d), bo=_uniform(rng, (d,), d),
-        )
-        cp = ConvParams(
-            pw_in_w=_uniform(rng, (d, 2 * d), d), pw_in_b=_uniform(rng, (2 * d,), d),
-            dw=_uniform(rng, (k, d), k),
-            ln_scale=np.ones(d, np.float32), ln_shift=np.zeros(d, np.float32),
-            pw_out_w=_uniform(rng, (d, d), d), pw_out_b=_uniform(rng, (d,), d),
-        )
-        ff2 = _init_ff(rng, d, model.d_ff)
-        layers.append(LayerWeights(
-            ff1=ff1,
-            att_ln_g=np.ones(d, np.float32), att_ln_b=np.zeros(d, np.float32),
-            att=attp,
-            conv_ln_g=np.ones(d, np.float32), conv_ln_b=np.zeros(d, np.float32),
-            conv=cp,
-            ff2=ff2,
-            out_ln_g=np.ones(d, np.float32), out_ln_b=np.zeros(d, np.float32),
-        ))
-    return EncoderWeights(subsample=sub, layers=layers,
-                          after_ln_g=np.ones(d, np.float32),
-                          after_ln_b=np.zeros(d, np.float32))
-
-
-def init_model(model: ModelConfig, seed: int | None = None,
-               vocab: Vocab | None = None) -> tuple[EncoderWeights, CtcHead, Vocab]:
-    """Encoder weights plus CTC head and vocabulary from one seeded stream."""
-    seed = model.seed if seed is None else seed
-    weights = init_weights(model, seed)
-    rng = np.random.default_rng(seed + 1)
-    if vocab is None:
-        vocab = default_vocab(model.vocab_size)
-    d = model.d_model
-    head = CtcHead(w=_uniform(rng, (d, len(vocab.tokens)), d),
-                   b=_uniform(rng, (len(vocab.tokens),), d))
-    return weights, head, vocab
+    """The encoder weights init_model makes."""
+    return init_model(model, seed)[0]
 
 
 def _tensor_map(weights: EncoderWeights, head: CtcHead, vocab: Vocab) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for j, blk in enumerate(weights.subsample.blocks):
-        tensors[f"subsample.b{j}.dw_w"] = blk.dw_w
-        tensors[f"subsample.b{j}.pw_w"] = blk.pw_w
-        tensors[f"subsample.b{j}.pw_b"] = blk.pw_b
-    tensors["subsample.out_w"] = weights.subsample.out_w
-    tensors["subsample.out_b"] = weights.subsample.out_b
-    for i, lw in enumerate(weights.layers):
-        pre = f"layer{i}"
-        for tag, ff in (("ff1", lw.ff1), ("ff2", lw.ff2)):
-            for name in ("ln_g", "ln_b", "w1", "b1", "w2", "b2"):
-                tensors[f"{pre}.{tag}.{name}"] = getattr(ff, name)
-        tensors[f"{pre}.att.ln_g"] = lw.att_ln_g
-        tensors[f"{pre}.att.ln_b"] = lw.att_ln_b
-        for name in ("wq", "wk", "wv", "wr", "u", "v", "wo", "bo"):
-            tensors[f"{pre}.att.{name}"] = getattr(lw.att, name)
-        tensors[f"{pre}.conv.ln_g"] = lw.conv_ln_g
-        tensors[f"{pre}.conv.ln_b"] = lw.conv_ln_b
-        tensors[f"{pre}.conv.pw_in_w"] = lw.conv.pw_in_w
-        tensors[f"{pre}.conv.pw_in_b"] = lw.conv.pw_in_b
-        tensors[f"{pre}.conv.dw_w"] = lw.conv.dw
-        tensors[f"{pre}.conv.dw_ln_g"] = lw.conv.ln_scale
-        tensors[f"{pre}.conv.dw_ln_b"] = lw.conv.ln_shift
-        tensors[f"{pre}.conv.pw_out_w"] = lw.conv.pw_out_w
-        tensors[f"{pre}.conv.pw_out_b"] = lw.conv.pw_out_b
-        tensors[f"{pre}.out_ln_g"] = lw.out_ln_g
-        tensors[f"{pre}.out_ln_b"] = lw.out_ln_b
-    tensors["after_ln_g"] = weights.after_ln_g
-    tensors["after_ln_b"] = weights.after_ln_b
-    tensors["ctc.w"] = head.w
-    tensors["ctc.b"] = head.b
+    layout = weight_parts(ModelConfig(n_layers=len(weights.layers)))  # names only
+    tensors = {prefix + name: getattr(obj, name)
+               for (prefix, entries), obj in zip(layout, _containers(weights, head))
+               for name, _, _ in entries}
     for tok in vocab.tokens:
         if "\n" in tok:
             raise CheckpointError(f"token {tok!r} contains a newline")
     blob = "\n".join(vocab.tokens).encode("utf-8")
-    tensors["vocab.utf8"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float32)
+    tensors[VOCAB_TENSOR] = np.frombuffer(blob, dtype=np.uint8).astype(np.float32)
     return tensors
 
 
@@ -307,7 +234,8 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
     """Parse a checkpoint; save -> load is a bitwise identity.
 
     The expected tensor-name set is reconstructed from the layer count found
-    in the file; missing and unknown names are both reported.
+    in the file; missing and unknown names are both reported. Shapes are
+    not checked here: check_shapes compares them with a model config.
     """
     tensors = _read_tensors(path)
     n_layers = 0
@@ -322,47 +250,16 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
             n_layers = max(n_layers, int(tag) + 1)
     missing: list[str] = []
 
-    def take(name):
+    def take(prefix, name, *_):
+        name = prefix + name
         if name not in tensors:
             missing.append(name)
             return np.zeros(0, np.float32)
         return tensors.pop(name)
 
-    blocks = [SubsampleBlock(dw_w=take(f"subsample.b{j}.dw_w"),
-                             pw_w=take(f"subsample.b{j}.pw_w"),
-                             pw_b=take(f"subsample.b{j}.pw_b")) for j in range(3)]
-    sub = SubsampleWeights(blocks=blocks, out_w=take("subsample.out_w"),
-                           out_b=take("subsample.out_b"))
-    layers = []
-    for i in range(n_layers):
-        pre = f"layer{i}"
-        ff1 = FeedForwardParams(*(take(f"{pre}.ff1.{n}")
-                                  for n in ("ln_g", "ln_b", "w1", "b1", "w2", "b2")))
-        ff2 = FeedForwardParams(*(take(f"{pre}.ff2.{n}")
-                                  for n in ("ln_g", "ln_b", "w1", "b1", "w2", "b2")))
-        attp = AttentionParams(*(take(f"{pre}.att.{n}")
-                                 for n in ("wq", "wk", "wv", "wr", "u", "v", "wo", "bo")))
-        cp = ConvParams(pw_in_w=take(f"{pre}.conv.pw_in_w"),
-                        pw_in_b=take(f"{pre}.conv.pw_in_b"),
-                        dw=take(f"{pre}.conv.dw_w"),
-                        ln_scale=take(f"{pre}.conv.dw_ln_g"),
-                        ln_shift=take(f"{pre}.conv.dw_ln_b"),
-                        pw_out_w=take(f"{pre}.conv.pw_out_w"),
-                        pw_out_b=take(f"{pre}.conv.pw_out_b"))
-        layers.append(LayerWeights(
-            ff1=ff1,
-            att_ln_g=take(f"{pre}.att.ln_g"), att_ln_b=take(f"{pre}.att.ln_b"),
-            att=attp,
-            conv_ln_g=take(f"{pre}.conv.ln_g"), conv_ln_b=take(f"{pre}.conv.ln_b"),
-            conv=cp,
-            ff2=ff2,
-            out_ln_g=take(f"{pre}.out_ln_g"), out_ln_b=take(f"{pre}.out_ln_b"),
-        ))
-    weights = EncoderWeights(subsample=sub, layers=layers,
-                             after_ln_g=take("after_ln_g"),
-                             after_ln_b=take("after_ln_b"))
-    head = CtcHead(w=take("ctc.w"), b=take("ctc.b"))
-    vocab_arr = take("vocab.utf8")
+    # only the layer count matters for the names
+    weights, head = _assemble(ModelConfig(n_layers=n_layers), take)
+    vocab_arr = take("", VOCAB_TENSOR)
     if missing:
         raise CheckpointError(f"{path}: missing tensors: {', '.join(sorted(missing))}")
     if tensors:
@@ -370,30 +267,22 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
     try:
         text = vocab_arr.astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: vocab.utf8 is not valid UTF-8") from None
-    vocab = Vocab(tokens=text.split("\n"))
-    if head.w.shape[1] != len(vocab.tokens):
-        raise CheckpointError(
-            f"{path}: ctc head vocab dim {head.w.shape[1]} != {len(vocab.tokens)} tokens"
-        )
-    return weights, head, vocab
+        raise CheckpointError(f"{path}: {VOCAB_TENSOR} is not valid UTF-8") from None
+    return weights, head, Vocab(tokens=text.split("\n"))
 
 
-def check_shapes(weights: EncoderWeights, model: ModelConfig) -> list[str]:
-    """Mismatches between loaded tensors and a model configuration."""
+def check_shapes(weights: EncoderWeights, model: ModelConfig,
+                 head: CtcHead | None = None) -> list[str]:
+    """Every tensor whose shape differs from the one config.weight_parts gives
+    it under ``model``, by name; the CTC head's too when ``head`` is given."""
+    if len(weights.layers) != model.n_layers:
+        return [f"checkpoint has {len(weights.layers)} layers, config says {model.n_layers}"]
     problems = []
-    if weights.n_layers != model.n_layers:
-        problems.append(f"checkpoint has {weights.n_layers} layers, config says "
-                        f"{model.n_layers}")
-    if weights.d_model != model.d_model:
-        problems.append(f"checkpoint d_model {weights.d_model} != config "
-                        f"{model.d_model}")
-    if weights.layers and weights.kernel_size != model.kernel_size:
-        problems.append(f"checkpoint kernel {weights.kernel_size} != config "
-                        f"{model.kernel_size}")
-    if weights.layers and weights.layers[0].ff1.w1.shape[1] != model.d_ff:
-        problems.append(f"checkpoint d_ff {weights.layers[0].ff1.w1.shape[1]} != "
-                        f"config {model.d_ff}")
+    for (prefix, tensors), obj in zip(weight_parts(model), _containers(weights, head)):
+        for name, shape, _ in tensors:
+            got = getattr(obj, name).shape
+            if got != shape:
+                problems.append(f"{prefix}{name} has shape {got}, config says {shape}")
     return problems
 
 
@@ -551,10 +440,10 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
     x = x + _half_ff(x, lw.ff1)
     x, att_caches = _sublayer(
         [a.state.att_caches[layer_idx] for a in steps], x, before[:2], after[:2],
-        lw.att_ln_g, lw.att_ln_b, ctx.l_att, attend)
+        lw.att.ln_g, lw.att.ln_b, ctx.l_att, attend)
     x, conv_caches = _sublayer(
         [a.state.conv_caches[layer_idx] for a in steps], x, before[1:], after[1:],
-        lw.conv_ln_g, lw.conv_ln_b, derive_l_conv(model.kernel_size),
+        lw.conv.ln_g, lw.conv.ln_b, derive_l_conv(model.kernel_size),
         lambda h, seg, at, local: conv_module_forward(h, lw.conv, seg, at))
     for a, n, att_cache, conv_cache in zip(steps, (after[2] - before[2]).tolist(),
                                            att_caches, conv_caches):

@@ -147,12 +147,11 @@ def _depthwise_same_full(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _conv_module_full(x: np.ndarray, lw, dtype) -> np.ndarray:
-    lw = cast_params(lw, dtype)
-    cp = lw.conv
-    h = layer_norm(x, lw.conv_ln_g, lw.conv_ln_b)
+    cp = cast_params(lw.conv, dtype)
+    h = layer_norm(x, cp.ln_g, cp.ln_b)
     g = glu(h @ cp.pw_in_w + cp.pw_in_b)
-    y = _depthwise_same_full(g, cp.dw)
-    return swish(layer_norm(y, cp.ln_scale, cp.ln_shift)) @ cp.pw_out_w + cp.pw_out_b
+    y = _depthwise_same_full(g, cp.dw_w)
+    return swish(layer_norm(y, cp.dw_ln_g, cp.dw_ln_b)) @ cp.pw_out_w + cp.pw_out_b
 
 
 def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
@@ -173,7 +172,7 @@ def full_context_encode(features: np.ndarray, weights: EncoderWeights,
     all_true = np.ones((L, L), dtype=bool)
     for lw in weights.layers:
         x = x + _macaron_ff(x, lw.ff1, dtype)
-        h = layer_norm(x, lw.att_ln_g, lw.att_ln_b)
+        h = layer_norm(x, lw.att.ln_g, lw.att.ln_b)
         x = x + dense_attention_reference(h, lw.att, all_true, model.n_heads)
         x = x + _conv_module_full(x, lw, dtype)
         x = x + _macaron_ff(x, lw.ff2, dtype)
@@ -234,7 +233,7 @@ def loop_oct_encode(features: dict[str, np.ndarray], weights: EncoderWeights,
         x = full_subsample(feats, weights, dtype)
         for lw in weights.layers:
             x = x + _macaron_ff(x, lw.ff1, dtype)
-            h = layer_norm(x, lw.att_ln_g, lw.att_ln_b)
+            h = layer_norm(x, lw.att.ln_g, lw.att.ln_b)
             x = x + _chunk_attention_loop(h, lw, ctx, model, dtype)
             x = x + _conv_module_full(x, lw, dtype)
             x = x + _macaron_ff(x, lw.ff2, dtype)

@@ -21,7 +21,8 @@ def attention_scores(row, p, table, l, c, r, n_heads):
 def random_params(rng, d):
     def m():
         return rng.normal(size=(d, d)) / math.sqrt(d)
-    return AttentionParams(wq=m(), wk=m(), wv=m(), wr=m(),
+    return AttentionParams(ln_g=np.ones(d), ln_b=np.zeros(d),
+                           wq=m(), wk=m(), wv=m(), wr=m(),
                            u=rng.normal(size=d), v=rng.normal(size=d),
                            wo=m(), bo=rng.normal(size=d))
 

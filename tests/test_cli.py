@@ -3,13 +3,14 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chunkasr import cli, encoder
-from chunkasr.config import ModelConfig
+from chunkasr.config import ModelConfig, weight_parts
 from chunkasr.encoder import init_model, post_frames, save_checkpoint
 from chunkasr.frontend import load_features, save_features, write_wav
 from conftest import dropping_oldest_att_frame, write_cfkw
@@ -187,6 +188,70 @@ def test_encode_rejects_an_empty_feature_matrix(workdir, capsys):
     assert not (workdir / "enc6" / "empty.cfkf").exists()
 
 
+TINY = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=12, kernel_size=3,
+                   vocab_size=5, l_max=32)
+
+
+def _misshapen():
+    """(model, tensor, wrong shape): every tensor of TINY with its first dim one
+    larger, and with a (1,) shape (vectors) or its last dim one smaller; then
+    the default model's probes, where a (1,) vector would broadcast."""
+    for prefix, tensors in weight_parts(TINY):
+        for name, shape, _ in tensors:
+            yield TINY, prefix + name, (shape[0] + 1,) + shape[1:]
+            yield TINY, prefix + name, (1,) if len(shape) == 1 else \
+                shape[:-1] + (shape[-1] - 1,)
+    for name, shape in [("layer2.conv.pw_in_b", (1,)), ("after_ln_b", (1,)),
+                        ("layer1.att.wq", (64, 65)), ("layer0.ff1.ln_g", (3,)),
+                        ("ctc.w", (63, 29)), ("ctc.b", (1,))]:
+        yield ModelConfig(), name, shape
+
+
+@pytest.mark.parametrize("model, name, shape", [
+    pytest.param(model, name, shape, id=f"d{model.d_model}-{name}-{'x'.join(map(str, shape))}")
+    for model, name, shape in _misshapen()])
+def test_each_misshapen_tensor_exits_4_naming_it(tmp_path, capsys, model, name, shape):
+    tensors = encoder._tensor_map(*init_model(model, seed=0))
+    expected = tensors[name].shape
+    tensors[name] = np.zeros(shape, np.float32)
+    write_cfkw(tmp_path / "m.cfkw", tensors)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(asdict(model)))
+    rc = cli.main(["encode", "--checkpoint", str(tmp_path / "m.cfkw"), "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "enc"), str(tmp_path / "never_read.cfkf")])
+    assert rc == 4
+    assert capsys.readouterr().err == \
+        f"checkpoint/config error: {name} has shape {shape}, config says {expected}\n"
+
+
+def test_checkpoint_vocab_must_match_the_config(workdir, capsys):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"vocab_size": 30}))
+    rc = cli.main(["transcribe", "--checkpoint", str(workdir / "model.cfkw"),
+                   "--config", str(cfg), str(workdir / "one.wav")])
+    err = capsys.readouterr().err
+    assert rc == 4 and err.count("\n") == 1
+    assert "ctc.w has shape (64, 29), config says (64, 30)" in err
+    assert "vocab.utf8 holds 29 tokens, config says vocab_size 30" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["encode", "--seed", "-1"], 4),
+    (["encode", "--config", "{cfg}"], 4),
+    (["selftest", "--seed", "-1"], 2),
+])
+def test_negative_seed_is_one_line_error(workdir, capsys, argv, code):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -5}))
+    argv = [a.format(cfg=cfg) for a in argv]
+    if argv[0] == "encode":
+        argv += ["--output-dir", str(workdir / "enc"), str(workdir / "one.wav")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be >= 0, got -" in err
+    assert not (workdir / "enc").exists()
+
+
 def test_non_numeric_layer_id_is_checkpoint_error(workdir, capsys):
     bad = workdir / "layerx.cfkw"
     write_cfkw(bad, {"layerX.a": np.zeros(3)})
@@ -299,8 +364,9 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_cost_bad_durations(capsys):
-    assert cli.main(["cost", "--durations", "abc"]) == 2
-    assert cli.main(["cost", "--durations", "1,-5"]) == 2
+    for durations in ("abc", "1,-5", "nan", "inf", "1e305", "30,-inf"):
+        assert cli.main(["cost", "--durations", durations]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
     assert cli.main(["cost", "--durations", "1,30", "--context", "junk"]) == 2
 
 

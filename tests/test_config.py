@@ -144,6 +144,11 @@ def test_validate_caps_the_weight_count():
         f"weight count must be <= {WEIGHT_CAP}, got {weight_count(every_cap)}"]
 
 
+def test_validate_rejects_a_negative_seed():
+    assert validate(ModelConfig(seed=-1), ContextConfig()) == ["seed must be >= 0, got -1"]
+    assert validate(ModelConfig(seed=0), ContextConfig()) == []
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_layers": 2, "d_model": 16, "n_heads": 2,

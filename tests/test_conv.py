@@ -13,11 +13,12 @@ from conftest import rel_err
 
 def random_conv_params(rng, d, k):
     return ConvParams(
+        ln_g=np.ones(d), ln_b=np.zeros(d),
         pw_in_w=rng.normal(size=(d, 2 * d)) / np.sqrt(d),
         pw_in_b=rng.normal(size=2 * d) * 0.1,
-        dw=rng.normal(size=(k, d)) / np.sqrt(k),
-        ln_scale=1.0 + 0.1 * rng.normal(size=d),
-        ln_shift=0.1 * rng.normal(size=d),
+        dw_w=rng.normal(size=(k, d)) / np.sqrt(k),
+        dw_ln_g=1.0 + 0.1 * rng.normal(size=d),
+        dw_ln_b=0.1 * rng.normal(size=d),
         pw_out_w=rng.normal(size=(d, d)) / np.sqrt(d),
         pw_out_b=rng.normal(size=d) * 0.1,
     )
@@ -74,8 +75,8 @@ def test_no_leak_between_audios_in_one_batch(rng):
     dirty[starts[2]:] = np.nan    # any read of it would show
     with np.errstate(invalid="ignore"):
         assert np.array_equal(conv_module_forward(dirty, p, lengths, at), base)
-        assert np.array_equal(depthwise_conv(dirty, p.dw, lengths, at),
-                              depthwise_conv(x, p.dw, lengths, at))
+        assert np.array_equal(depthwise_conv(dirty, p.dw_w, lengths, at),
+                              depthwise_conv(x, p.dw_w, lengths, at))
 
 
 def test_module_poison_is_bitwise_invisible(rng):
@@ -104,7 +105,7 @@ def test_module_zero_input_zero_bias_gives_zero(rng):
     p = random_conv_params(rng, d, k)
     p.pw_in_b = np.zeros(2 * d)
     p.pw_out_b = np.zeros(d)
-    p.ln_shift = np.zeros(d)
+    p.dw_ln_b = np.zeros(d)
     out = conv_module_forward(np.zeros((7, d)), p, [3, 4], np.arange(7))
     assert np.allclose(out, 0.0)
 
@@ -116,7 +117,7 @@ def test_module_matches_straight_line_reference(rng, small_model):
     lw = cast_params(w.layers[0], np.float64)
     lengths = [24, 6, 17]
     x, starts = segment_layout(rng, lengths, d)
-    h = layer_norm(x, lw.conv_ln_g, lw.conv_ln_b)
+    h = layer_norm(x, lw.conv.ln_g, lw.conv.ln_b)
     out = conv_module_forward(h, lw.conv, lengths, np.arange(x.shape[0]))
     full = np.concatenate([_conv_module_full(x[s:s + n], lw, np.float64)
                            for s, n in zip(starts, lengths)])

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -24,12 +25,12 @@ from conftest import rel_err, write_cfkw
 # subsampling
 # ---------------------------------------------------------------------------
 
-def test_subsample_stride_arithmetic(small_weights, rng):
+def test_subsample_stride_arithmetic(small_model, small_weights, rng):
     # 8*c raw frames in, c frames out (c=4: 32 -> 4)
     feats = rng.normal(size=(32, 80))
     out = subsample_forward(feats, 0, 0, post_frames(32), small_weights.subsample,
                             32, np.float64)
-    assert out.shape == (4, small_weights.d_model)
+    assert out.shape == (4, small_model.d_model)
 
 
 def test_chunk_wise_subsample_equals_full_sequence(small_weights, rng):
@@ -305,7 +306,7 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
         assert st.frames_subsampled == ready
         x = full_subsample(feats[aid], w, np.float64)
         x1 = x + _macaron_ff(x, lw.ff1, np.float64)
-        h = layer_norm(x1, lw.att_ln_g, lw.att_ln_b)
+        h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
         x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
         att, conv = st.att_caches[0], st.conv_caches[0]
         att_from, conv_from = max(0, att_end - 4), max(0, conv_end - 2)
@@ -375,7 +376,7 @@ def oracle_layers(feats, w, ctx, model):
     layers = []
     for lw in w.layers:
         x1 = x + _macaron_ff(x, lw.ff1, np.float64)
-        h = layer_norm(x1, lw.att_ln_g, lw.att_ln_b)
+        h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
         x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
         x3 = x2 + _conv_module_full(x2, lw, np.float64)
         x = layer_norm(x3 + _macaron_ff(x3, lw.ff2, np.float64), lw.out_ln_g, lw.out_ln_b)
@@ -455,11 +456,25 @@ def test_init_weights_deterministic(small_model):
     assert not np.array_equal(a.layers[0].ff1.w1, c.layers[0].ff1.w1)
 
 
+def test_init_model_draws_are_pinned():
+    # sha256 over the name-sorted tensors (name, shape, float32 bytes), recorded
+    # from the hand-written init at commit 0714a31, before config.weight_parts
+    model = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12, kernel_size=3,
+                        vocab_size=5, l_max=16)
+    tensors = encoder._tensor_map(*init_model(model, seed=0))
+    digest = hashlib.sha256()
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        digest.update(name.encode() + repr(arr.shape).encode() + arr.tobytes())
+    assert digest.hexdigest() == \
+        "e67d0af26b586810d6b14325fb70aff31997049391483905e80a6ec35d89c1b9"
+
+
 def test_init_scale_follows_fan_in(small_model):
     w = init_weights(small_model, seed=3)
     d = small_model.d_model
     assert np.abs(w.layers[0].att.wq).max() <= 1.0 / np.sqrt(d)
-    assert np.abs(w.layers[0].conv.dw).max() <= 1.0 / np.sqrt(small_model.kernel_size)
+    assert np.abs(w.layers[0].conv.dw_w).max() <= 1.0 / np.sqrt(small_model.kernel_size)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path, small_model):
@@ -469,7 +484,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, small_model):
     w2, head2, vocab2 = load_checkpoint(path)
     assert vocab2.tokens == vocab.tokens
     assert np.array_equal(head2.w, head.w)
-    assert np.array_equal(w2.layers[2].conv.dw, w.layers[2].conv.dw)
+    assert np.array_equal(w2.layers[2].conv.dw_w, w.layers[2].conv.dw_w)
     assert np.array_equal(w2.subsample.blocks[1].dw_w, w.subsample.blocks[1].dw_w)
     # saving the loaded weights reproduces the file byte for byte
     path2 = tmp_path / "m2.cfkw"
