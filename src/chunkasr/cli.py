@@ -213,7 +213,10 @@ def cmd_cost(args) -> int:
     # nan fails every comparison; inf and sample counts past float range fail isfinite
     if not durations or not all(d > 0 and math.isfinite(d * SAMPLE_RATE) for d in durations):
         raise UsageError(f"--durations needs positive, finite values, got {args.durations!r}")
-    report = costmodel.batch_cost(durations, ctx, model, mode=args.mode)
+    try:
+        report = costmodel.batch_cost(durations, ctx, model, mode=args.mode)
+    except ConfigError as exc:   # batch_cost checks only the command-line values
+        raise UsageError(str(exc)) from None
     print(costmodel.format_cost_table(report))
     if args.csv:
         args.csv.write_text(costmodel.cost_csv(report), encoding="utf-8")

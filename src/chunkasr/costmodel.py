@@ -27,7 +27,8 @@ def raw_frames_for_duration(seconds: float) -> int:
         raise ConfigError(f"duration must be positive, got {seconds}")
     samples = int(round(seconds * SAMPLE_RATE))
     if samples < WINDOW_SAMPLES:
-        raise ConfigError(f"duration {seconds}s is shorter than one analysis window")
+        raise ConfigError(f"duration {seconds}s is shorter than one "
+                          f"{WINDOW_SAMPLES}-sample analysis window")
     return 1 + (samples - WINDOW_SAMPLES) // HOP_SAMPLES
 
 

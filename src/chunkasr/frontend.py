@@ -63,13 +63,19 @@ class FeatureMatrix:
 
 
 def read_wav(path) -> PcmAudio:
+    """Read a mono 16 kHz 16-bit WAV.
+
+    The frames read are capped at what the bytes after the data chunk's header
+    can hold, so a header that claims more data than the file has never sizes
+    an allocation.
+    """
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open(path, "rb") as fh, wave.open(fh) as wf:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
-            n = wf.getnframes()
-            data = wf.readframes(n)
+            held = (os.fstat(fh.fileno()).st_size - fh.tell()) // (n_channels * sampwidth)
+            data = wf.readframes(min(wf.getnframes(), held))
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: not a readable RIFF PCM WAV ({exc})") from None
     if n_channels != 1:

@@ -32,9 +32,19 @@ def cast_params(params, dtype):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0 and e / (1 + e) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1, e) / (1 + e)
+    """Logistic function through the identity sigmoid(x) = (1 + tanh(x / 2)) / 2.
+
+    tanh saturates at +-1 instead of overflowing, so every finite or infinite
+    input is safe and the output stays in [0, 1]; NaN stays NaN. The absolute
+    error is at most eps of the dtype (the relative error of very small
+    outputs is larger, as 1/2 + 1/2 tanh cancels). swish and glu go through
+    this function rather than their own tanh forms, so one kernel serves all
+    three and the benchmark's functional.sigmoid span times all of them.
+    """
+    t = np.tanh(x * 0.5)
+    t *= 0.5
+    t += 0.5
+    return t
 
 
 def swish(x: np.ndarray) -> np.ndarray:
@@ -49,10 +59,19 @@ def glu(x: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                eps: float = LN_EPS) -> np.ndarray:
-    """Normalize over the feature axis only; statistics never mix positions."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * scale + shift
+    """Normalize over the feature axis only; statistics never mix positions.
+
+    One centred buffer is allocated; the variance, scale and shift work on it
+    in place, and the input is left untouched.
+    """
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xc, xc)[..., None]
+    var /= x.shape[-1]
+    var += eps
+    xc /= np.sqrt(var, out=var)
+    xc *= scale
+    xc += shift
+    return xc
 
 
 def ff_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,

@@ -364,10 +364,11 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_cost_bad_durations(capsys):
-    for durations in ("abc", "1,-5", "nan", "inf", "1e305", "30,-inf"):
+    for durations in ("abc", "1,-5", "nan", "inf", "1e305", "30,-inf", "0.01", "0.0249"):
         assert cli.main(["cost", "--durations", durations]) == 2
         assert capsys.readouterr().err.count("\n") == 1
     assert cli.main(["cost", "--durations", "1,30", "--context", "junk"]) == 2
+    assert cli.main(["cost", "--durations", "0.025"]) == 0
 
 
 def test_unknown_command_usage():

@@ -206,6 +206,25 @@ def test_wav_rejects_wrong_format(tmp_path):
         read_wav(path3)
 
 
+def test_wav_header_claiming_more_data_than_the_file_holds(tmp_path, rng):
+    samples = rng.integers(-3000, 3000, size=300).astype("<i2")
+    path = tmp_path / "claims4g.wav"
+    write_wav(path, samples)
+    raw = bytearray(path.read_bytes())
+    assert len(raw) == 644 and raw[36:40] == b"data"
+    raw[4:8] = struct.pack("<I", 0xFFFFFFF8)      # RIFF size, bounds the data chunk's reads
+    raw[40:44] = struct.pack("<I", 0xFFFFFFF0)    # data size
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        audio = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(audio.samples, samples)
+    assert peak < 2 ** 20
+
+
 def test_feature_matrix_shape_guard(rng):
     with pytest.raises(FeatureFormatError):
         frontend.FeatureMatrix(frames=rng.normal(size=(5, 79)))
