@@ -76,8 +76,9 @@ class StreamState:
     them exact. Caches hold only frames that actually exist; before warm-up
     the missing history shows up as masked attention-row positions and as
     the conv's zero padding at the audio start, never as fabricated history.
-    No raw features are held: the subsample reads its left margin from the
-    audio's features, which stay resident for the whole encode.
+    No raw features are held: the subsample reads the raw frames each step
+    needs, its left margin included, straight from the audio's features,
+    which stay resident for the whole encode.
     """
 
     audio_id: str

@@ -42,14 +42,9 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 256
     kernel_size: int = 15
-    subsample_factor: int = 8
     vocab_size: int = 29
     l_max: int = 64
     seed: int = 0
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
 
 
 def derive_l_conv(kernel_size: int) -> int:
@@ -173,8 +168,6 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
         problems.append(f"d_ff must be >= 1, got {model.d_ff}")
     if model.kernel_size < 1 or model.kernel_size % 2 == 0:
         problems.append(f"kernel_size must be odd and >= 1, got {model.kernel_size}")
-    if model.subsample_factor != 8:
-        problems.append(f"subsample_factor must be 8, got {model.subsample_factor}")
     if model.vocab_size < 2:
         problems.append(f"vocab_size must be >= 2 (blank + tokens), got {model.vocab_size}")
     span = ctx.l_att + ctx.c + ctx.r

@@ -33,10 +33,6 @@ class Vocab:
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabError("vocabulary tokens must be unique")
 
-    @property
-    def blank(self) -> str:
-        return self.tokens[BLANK_ID]
-
     def text(self, ids) -> str:
         return "".join(self.tokens[i] for i in ids)
 

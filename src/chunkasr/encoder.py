@@ -47,7 +47,6 @@ from .functional import cast_params, ff_forward, layer_norm, swish
 CHECKPOINT_MAGIC = b"CFKW"
 CHECKPOINT_VERSION = 1
 VOCAB_TENSOR = "vocab.utf8"
-RAW_MARGIN_FRAMES = 7  # stride-2 kernel-3 stack reads 7 raw frames left of a block
 
 
 class CheckpointError(ValueError):
@@ -290,47 +289,35 @@ def check_shapes(weights: EncoderWeights, model: ModelConfig,
 # subsampling
 # ---------------------------------------------------------------------------
 
-def _dw_stride2(buf: np.ndarray, buf_start: int, out_start: int, out_len: int,
-                kernel: np.ndarray, in_limit: int) -> np.ndarray:
-    """Stride-2 depthwise conv on an absolute-indexed buffer.
-
-    out[j] = sum_k kernel[k] * in[2 * (out_start + j) - 1 + k], where ``in`` is
-    zero outside [0, in_limit). The buffer must physically cover every
-    in-range position it is asked for.
-    """
-    pos = 2 * (out_start + np.arange(out_len))[:, None] + np.arange(3)[None, :] - 1
-    valid = (pos >= 0) & (pos < in_limit)
-    rel = pos - buf_start
-    if np.any(valid & ((rel < 0) | (rel >= buf.shape[0]))):
-        raise SchedulerError("insufficient margin frames for the subsample stack")
-    rel = np.clip(rel, 0, max(buf.shape[0] - 1, 0))
-    vals = np.where(valid[..., None], buf[rel], np.zeros((), dtype=buf.dtype))
-    return np.einsum("tkc,kc->tc", vals, kernel.astype(buf.dtype, copy=False))
-
-
 def subsample_forward(raw_buf: np.ndarray, buf_start: int, post_start: int,
                       post_end: int, sub: SubsampleWeights, t_raw: int,
                       dtype=np.float32) -> np.ndarray:
     """Post-subsample frames [post_start, post_end) from a raw feature buffer.
 
-    raw_buf covers absolute raw frames [buf_start, ...); padding past t_raw is
-    neutralized by the per-level validity limits, so its content cannot affect
-    the output. Three stride-2 depthwise-separable blocks (kernel 3, swish)
-    then a linear projection; chunk-wise output equals full-sequence
-    subsampling exactly because post frame t only reads raw [8t - 7, 8t + 7].
-    ``sub`` should already be in ``dtype``.
+    Three stride-2 depthwise-separable blocks (kernel 3, swish), then a
+    linear projection. raw_buf holds raw frames [buf_start, ...). Post frame
+    t reads raw [8t - 7, 8t + 7], so the block [a, b) reads raw [8a - 7, 8b),
+    and chunk-wise output equals full-sequence subsampling exactly. Each
+    level copies only its inputs inside [0, limit), limit being t_raw halved
+    (rounded up) per level, into one zeroed buffer in ``dtype``: only those
+    raw frames are copied and cast, and padding past t_raw cannot affect the
+    output. A raw_buf that misses one of them raises SchedulerError. ``sub``
+    should already be in ``dtype``.
     """
-    lv = np.asarray(raw_buf, dtype=dtype)
-    lv_start = buf_start
-    spans = [(4 * post_start - 3, 4 * post_end),
-             (2 * post_start - 1, 2 * post_end),
-             (post_start, post_end)]
-    limits = [t_raw, -(-t_raw // 2), -(-t_raw // 4)]
-    for (a, b), blk, lim in zip(spans, sub.blocks, limits):
-        y = _dw_stride2(lv, lv_start, a, b - a, blk.dw_w, lim)
-        lv = swish(y @ blk.pw_w + blk.pw_b)
-        lv_start = a
-    return lv @ sub.out_w + sub.out_b
+    if post_end <= post_start:
+        return np.zeros((0, sub.out_w.shape[1]), dtype)
+    x, x_start, limit = raw_buf, buf_start, t_raw
+    for shift, blk in zip((4, 2, 1), sub.blocks):
+        s, e = shift * (post_start - 1) + 1, shift * post_end  # this level's outputs
+        lo, hi = max(2 * s - 1, 0), min(2 * e, limit)          # its in-range inputs
+        if lo < x_start or hi > x_start + x.shape[0]:
+            raise SchedulerError("insufficient margin frames for the subsample stack")
+        buf = np.zeros((2 * (e - s) + 1, x.shape[1]), dtype)  # inputs [2s - 1, 2e)
+        buf[lo - 2 * s + 1:hi - 2 * s + 1] = x[lo - x_start:hi - x_start]
+        windows = np.lib.stride_tricks.sliding_window_view(buf, 3, axis=0)[::2]
+        y = np.einsum("tcw,wc->tc", windows, blk.dw_w)
+        x, x_start, limit = swish(y @ blk.pw_w + blk.pw_b), s, -(-limit // 2)
+    return x @ sub.out_w + sub.out_b
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +453,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     Each audio's region is its scheduled chunks plus a lookahead tail of
     required_lookahead frames, clipped at the audio end, which brings the
     scheduled chunks to exactness at every layer. The region is subsampled
-    only past the subsample frontier, reading its raw left margin from
+    only past the subsample frontier, straight from the audio's resident
     ``features``, and each layer runs only on the frames that became exact
     at its input this step, packed for all audios into one buffer. Exact
     frames past the emit frontier stay in the state's caches for the next
@@ -498,9 +485,8 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         end = max(done, min(start + emit + la, st.total_frames))
         if end > done:
             feats = features[aid]
-            lo = max(0, 8 * done - RAW_MARGIN_FRAMES)
-            hidden.append(subsample_forward(feats[lo:8 * end], lo, done, end,
-                                            weights.subsample, feats.shape[0], dtype))
+            hidden.append(subsample_forward(feats, 0, done, end, weights.subsample,
+                                            feats.shape[0], dtype))
         if st.out_cache is None:
             empty = np.zeros((0, model.d_model), dtype)
             st.att_caches = [empty] * model.n_layers

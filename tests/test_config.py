@@ -112,8 +112,7 @@ def test_validate_l_max_range():
 
 def test_validate_reports_every_violation():
     problems = validate(
-        ModelConfig(d_model=65, n_heads=4, kernel_size=4, subsample_factor=2,
-                    l_max=1),
+        ModelConfig(d_model=65, n_heads=4, kernel_size=4, l_max=1),
         ContextConfig(l_att=-1, c=0, r=-2))
     assert len(problems) >= 6
 

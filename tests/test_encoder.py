@@ -31,6 +31,8 @@ def test_subsample_stride_arithmetic(small_model, small_weights, rng):
     out = subsample_forward(feats, 0, 0, post_frames(32), small_weights.subsample,
                             32, np.float64)
     assert out.shape == (4, small_model.d_model)
+    empty = subsample_forward(feats, 0, 5, 5, small_weights.subsample, 32, np.float64)
+    assert empty.shape == (0, small_model.d_model)
 
 
 def test_chunk_wise_subsample_equals_full_sequence(small_weights, rng):
@@ -57,10 +59,37 @@ def test_chunk_128_covers_10_seconds():
 
 
 def test_subsample_rejects_missing_margins(small_weights, rng):
-    feats = rng.normal(size=(24, 80))
+    # post frames [1, 3) of a 21-frame audio read raw [8 - 7, min(24, 21))
+    sub = small_weights.subsample
+    feats = rng.normal(size=(21, 80))
+    exact = subsample_forward(feats[1:], 1, 1, 3, sub, 21)
+    np.testing.assert_array_equal(subsample_forward(feats, 0, 1, 3, sub, 21), exact)
+    # frames past t_raw are never read, whatever they hold
+    garbage = np.concatenate([feats, rng.normal(1e3, 1.0, size=(11, 80))])
+    np.testing.assert_array_equal(subsample_forward(garbage[1:], 1, 1, 3, sub, 21), exact)
     with pytest.raises(SchedulerError, match="margin"):
-        # asking for post frames [1, 3) without the 7-frame left margin
-        subsample_forward(feats[8:], 8, 1, 3, small_weights.subsample, 24)
+        # without the 7-frame left margin
+        subsample_forward(feats[8:], 8, 1, 3, sub, 21)
+    with pytest.raises(SchedulerError, match="margin"):
+        # one frame short on the left
+        subsample_forward(feats[2:], 2, 1, 3, sub, 21)
+    with pytest.raises(SchedulerError, match="margin"):
+        # one frame short on the right
+        subsample_forward(feats[1:20], 1, 1, 3, sub, 21)
+
+
+def test_subsample_casts_only_its_window(small_model, small_weights):
+    # a float64 step must not convert the whole float32 feature matrix
+    big = np.ones((200_000, 80), np.float32)
+    tracemalloc.start()
+    try:
+        out = subsample_forward(big, 0, 24_990, 25_000, small_weights.subsample,
+                                200_000, np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10, small_model.d_model) and out.dtype == np.float64
+    assert peak < 2 ** 20   # the whole matrix in float64 would be 122 MiB
 
 
 # ---------------------------------------------------------------------------
