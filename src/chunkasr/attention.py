@@ -25,16 +25,18 @@ from .chunking import ChunkBatch
 
 
 class DistanceRangeError(ValueError):
-    """Requested relative distance falls outside the encoding table."""
+    """Rows need relative distances that the positional table does not hold."""
 
 
 @dataclass(frozen=True)
 class RelPosTable:
-    """Sinusoidal encodings for every relative distance one row can produce."""
+    """Sinusoidal encodings that the chunk queries of [l | c | r] rows read,
+    largest distance first: encodings[i] is distance l + c - 1 - i."""
 
-    min_dist: int
-    max_dist: int
-    encodings: np.ndarray  # (max_dist - min_dist + 1, d_model) float64
+    l: int
+    c: int
+    r: int
+    encodings: np.ndarray  # (l + 2c + r - 1, d_model), float64 until cast
 
 
 @dataclass
@@ -62,20 +64,18 @@ def rel_pos_encoding(distance: int, d_model: int) -> np.ndarray:
 
 def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
                         l_max: int | None = None) -> RelPosTable:
-    """Encodings for distances in [-(c + r), l_att + c + r].
+    """The positional table of [l_att | c | r] rows.
 
-    Covers every (query - key) offset reachable inside one row window; raises
-    if that span exceeds the configured maximum stored distance.
+    Chunk query i sits at row position l_att + i and key t at t, so the
+    distances l_att + i - t that the queries read run from l_att + c - 1 down
+    to -(c + r - 1): l_att + 2c + r - 1 encodings, stored in that order.
+    Raises DistanceRangeError if one of them is farther than l_max.
     """
-    min_dist = -(c + r)
-    max_dist = l_att + c + r
-    if l_max is not None and max(abs(min_dist), max_dist) > l_max:
-        raise DistanceRangeError(
-            f"window needs distances in [{min_dist}, {max_dist}] but l_max={l_max}"
-        )
-    enc = np.stack([rel_pos_encoding(d, d_model)
-                    for d in range(min_dist, max_dist + 1)])
-    return RelPosTable(min_dist=min_dist, max_dist=max_dist, encodings=enc)
+    hi, lo = l_att + c - 1, -(c + r - 1)
+    if l_max is not None and max(hi, -lo) > l_max:
+        raise DistanceRangeError(f"rows need distances in [{lo}, {hi}] but l_max={l_max}")
+    enc = np.stack([rel_pos_encoding(d, d_model) for d in range(hi, lo - 1, -1)])
+    return RelPosTable(l=l_att, c=c, r=r, encodings=enc)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -90,31 +90,25 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
-                 l: int, c: int, r: int, n_heads: int) -> np.ndarray:
+                 n_heads: int) -> np.ndarray:
     """Per-head logits (B, H, c, l+c+r) of each row's chunk queries.
 
-    ``rows`` are pre-normalized and mask-zeroed; ``p`` must already be in
-    their dtype. Chunk query i and key t are l + i - t apart, so one row
-    needs only the W + c - 1 distances from l + c - 1 down to l - (W - 1),
-    W = l + c + r. The positional term is one matmul against those
-    distances in descending order; query i's scores are then entries
-    c - 1 - i + t of its row of that product, which makes the (c, W) score
-    block a skewed view (offset c - 1, row stride n - 1) of the contiguous
-    (c, n) product: the relative shift of Transformer-XL, with no gather.
+    ``rows`` are pre-normalized and mask-zeroed rows of the table's geometry;
+    ``p`` and ``table`` must already be in their dtype. Chunk query i and key
+    t are l + i - t apart, the distance of the table's entry c - 1 - i + t.
+    The positional term is one matmul against all n = l + 2c + r - 1
+    encodings, so query i's scores are entries c - 1 - i + t of its row of
+    that product, which makes the (c, W) score block a skewed view (offset
+    c - 1, row stride n - 1) of the contiguous (c, n) product: the relative
+    shift of Transformer-XL, with no gather.
     """
-    dtype = rows.dtype
-    width = l + c + r
+    l, c = table.l, table.c
+    n = table.encodings.shape[0]
     d_k = rows.shape[-1] // n_heads
     qh = _split_heads(rows[:, l:l + c] @ p.wq, n_heads)     # (B, H, c, d_k)
     kh = _split_heads(rows @ p.wk, n_heads)                 # (B, H, W, d_k)
     scores = (qh + p.u.reshape(n_heads, 1, d_k)) @ kh.swapaxes(-1, -2)  # (B, H, c, W)
-    lo = l - (width - 1) - table.min_dist    # table index of the smallest distance
-    hi = l + c - 1 - table.min_dist          # and of the largest
-    if lo < 0 or hi >= table.encodings.shape[0]:
-        raise DistanceRangeError("row geometry exceeds the positional table")
-    n = hi - lo + 1
-    desc = np.ascontiguousarray(table.encodings[lo:hi + 1][::-1], dtype=dtype)
-    rho_h = (desc @ p.wr).reshape(n, n_heads, d_k).transpose(1, 2, 0)  # (H, d_k, n)
+    rho_h = (table.encodings @ p.wr).reshape(n, n_heads, d_k).transpose(1, 2, 0)
     pos = np.ascontiguousarray((qh + p.v.reshape(n_heads, 1, d_k)) @ rho_h)  # (B, H, c, n)
     step = pos.itemsize
     scores += np.lib.stride_tricks.as_strided(
@@ -152,12 +146,16 @@ def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTab
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row
-    computes their outputs. ``params`` must already be in the rows' dtype.
+    computes their outputs. ``params`` and ``table`` must already be in the
+    rows' dtype, and the table must be built for the batch's (l, c, r).
     """
+    if (batch.l, batch.c, batch.r) != (table.l, table.c, table.r):
+        raise DistanceRangeError(f"rows of (l, c, r) = {(batch.l, batch.c, batch.r)} need "
+                                 f"their own table, got one for {(table.l, table.c, table.r)}")
     rows = np.where(batch.mask[..., None], batch.rows,
                     np.zeros((), dtype=batch.rows.dtype))
     dtype = rows.dtype
-    logits = _score_batch(rows, params, table, batch.l, batch.c, batch.r, n_heads)
+    logits = _score_batch(rows, params, table, n_heads)
     weights = masked_softmax(logits, batch.mask[:, None, None, :])
     vh = _split_heads(rows @ params.wv, n_heads)          # (B, H, W, d_k)
     zh = weights @ vh                                     # (B, H, c, d_k)

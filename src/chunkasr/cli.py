@@ -228,6 +228,8 @@ def _dispatch(args) -> int:
         return cmd_selftest(args.seed)
     if args.command == "cost":
         return cmd_cost(args)
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     model, ctx = _load_model_ctx(args)
     inputs = _collect_inputs(args.inputs, args.format)
     if args.command == "transcribe":

@@ -41,7 +41,7 @@ from .chunking import ChunkingError, ChunkPlan, SchedulerError, StepSchedule, St
 from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
                      required_lookahead, weight_parts)
 from .conv import ConvParams, conv_module_forward
-from .ctc import CtcHead, Vocab, default_vocab
+from .ctc import CtcHead, Vocab, VocabError, default_vocab
 from .functional import cast_params, ff_forward, layer_norm, swish
 
 CHECKPOINT_MAGIC = b"CFKW"
@@ -233,8 +233,9 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
     """Parse a checkpoint; save -> load is a bitwise identity.
 
     The expected tensor-name set is reconstructed from the layer count found
-    in the file; missing and unknown names are both reported. Shapes are
-    not checked here: check_shapes compares them with a model config.
+    in the file; missing and unknown names are both reported, and vocab.utf8
+    must hold bytes that decode to a valid Vocab. Shapes are not checked
+    here: check_shapes compares them with a model config.
     """
     tensors = _read_tensors(path)
     n_layers = 0
@@ -263,11 +264,15 @@ def load_checkpoint(path) -> tuple[EncoderWeights, CtcHead, Vocab]:
         raise CheckpointError(f"{path}: missing tensors: {', '.join(sorted(missing))}")
     if tensors:
         raise CheckpointError(f"{path}: unknown tensors: {', '.join(sorted(tensors))}")
+    if not np.all((vocab_arr >= 0) & (vocab_arr <= 255) & (np.floor(vocab_arr) == vocab_arr)):
+        raise CheckpointError(f"{path}: {VOCAB_TENSOR} holds values that are not bytes")
     try:
-        text = vocab_arr.astype(np.uint8).tobytes().decode("utf-8")
+        vocab = Vocab(tokens=vocab_arr.astype(np.uint8).tobytes().decode("utf-8").split("\n"))
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: {VOCAB_TENSOR} is not valid UTF-8") from None
-    return weights, head, Vocab(tokens=text.split("\n"))
+    except VocabError as exc:
+        raise CheckpointError(f"{path}: {VOCAB_TENSOR}: {exc}") from None
+    return weights, head, vocab
 
 
 def check_shapes(weights: EncoderWeights, model: ModelConfig,
@@ -289,29 +294,26 @@ def check_shapes(weights: EncoderWeights, model: ModelConfig,
 # subsampling
 # ---------------------------------------------------------------------------
 
-def subsample_forward(raw_buf: np.ndarray, buf_start: int, post_start: int,
-                      post_end: int, sub: SubsampleWeights, t_raw: int,
-                      dtype=np.float32) -> np.ndarray:
-    """Post-subsample frames [post_start, post_end) from a raw feature buffer.
+def subsample_forward(feats: np.ndarray, sub: SubsampleWeights, post_start: int,
+                      post_end: int) -> np.ndarray:
+    """Post-subsample frames [post_start, post_end) of one audio's features.
 
     Three stride-2 depthwise-separable blocks (kernel 3, swish), then a
-    linear projection. raw_buf holds raw frames [buf_start, ...). Post frame
-    t reads raw [8t - 7, 8t + 7], so the block [a, b) reads raw [8a - 7, 8b),
-    and chunk-wise output equals full-sequence subsampling exactly. Each
-    level copies only its inputs inside [0, limit), limit being t_raw halved
-    (rounded up) per level, into one zeroed buffer in ``dtype``: only those
-    raw frames are copied and cast, and padding past t_raw cannot affect the
-    output. A raw_buf that misses one of them raises SchedulerError. ``sub``
-    should already be in ``dtype``.
+    linear projection, in the dtype of ``sub``. ``feats`` is the audio's
+    whole (T, 80) feature matrix. Post frame t reads raw [8t - 7, 8t + 7],
+    so the block [a, b) reads raw [8a - 7, 8b), and chunk-wise output equals
+    full-sequence subsampling exactly. Each level copies only its inputs
+    inside [0, limit), limit being T halved (rounded up) per level, into one
+    zeroed buffer: only those raw frames are copied and cast, and the zeros
+    stand for the frames before the start and past the end.
     """
+    dtype = sub.out_w.dtype
     if post_end <= post_start:
         return np.zeros((0, sub.out_w.shape[1]), dtype)
-    x, x_start, limit = raw_buf, buf_start, t_raw
+    x, x_start, limit = feats, 0, feats.shape[0]
     for shift, blk in zip((4, 2, 1), sub.blocks):
         s, e = shift * (post_start - 1) + 1, shift * post_end  # this level's outputs
         lo, hi = max(2 * s - 1, 0), min(2 * e, limit)          # its in-range inputs
-        if lo < x_start or hi > x_start + x.shape[0]:
-            raise SchedulerError("insufficient margin frames for the subsample stack")
         buf = np.zeros((2 * (e - s) + 1, x.shape[1]), dtype)  # inputs [2s - 1, 2e)
         buf[lo - 2 * s + 1:hi - 2 * s + 1] = x[lo - x_start:hi - x_start]
         windows = np.lib.stride_tricks.sliding_window_view(buf, 3, axis=0)[::2]
@@ -431,7 +433,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
     x, conv_caches = _sublayer(
         [a.state.conv_caches[layer_idx] for a in steps], x, before[1:], after[1:],
         lw.conv.ln_g, lw.conv.ln_b, derive_l_conv(model.kernel_size),
-        lambda h, seg, at, local: conv_module_forward(h, lw.conv, seg, at))
+        lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
     for a, n, att_cache, conv_cache in zip(steps, (after[2] - before[2]).tolist(),
                                            att_caches, conv_caches):
         a.cov = n
@@ -446,8 +448,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
 
 def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 features: dict[str, np.ndarray], weights: EncoderWeights,
-                ctx: ContextConfig, model: ModelConfig, table: RelPosTable,
-                dtype=np.float32) -> dict[str, np.ndarray]:
+                ctx: ContextConfig, model: ModelConfig,
+                table: RelPosTable) -> dict[str, np.ndarray]:
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
     Each audio's region is its scheduled chunks plus a lookahead tail of
@@ -458,9 +460,11 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     at its input this step, packed for all audios into one buffer. Exact
     frames past the emit frontier stay in the state's caches for the next
     step, so no frame is computed twice at any layer. The scheduled chunks
-    are emitted from the last layer's held frames. ``weights`` and ``table``
-    should already be in ``dtype``, as encode_full passes them.
+    are emitted from the last layer's held frames. Outputs and caches are in
+    the dtype of ``weights``; ``table`` must be built for ``ctx`` and be in
+    that dtype too, as encode_full passes them.
     """
+    dtype = weights.after_ln_g.dtype
     l_conv = derive_l_conv(model.kernel_size)
     la = required_lookahead(ctx, model.n_layers, l_conv)
     by_audio: dict[str, list[ChunkPlan]] = {}
@@ -484,9 +488,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         done = st.frames_subsampled
         end = max(done, min(start + emit + la, st.total_frames))
         if end > done:
-            feats = features[aid]
-            hidden.append(subsample_forward(feats, 0, done, end, weights.subsample,
-                                            feats.shape[0], dtype))
+            hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
         if st.out_cache is None:
             empty = np.zeros((0, model.d_model), dtype)
             st.att_caches = [empty] * model.n_layers
@@ -569,8 +571,7 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
         sched = chunking.schedule_step(pending, budget, ctx.c)
         if sched is None:
             break
-        emitted = encode_step(states, sched, features, weights, ctx, model,
-                              table, dtype)
+        emitted = encode_step(states, sched, features, weights, ctx, model, table)
         for aid, block in emitted.items():
             start = states[aid].frames_consumed - block.shape[0]
             if on_emit is not None:

@@ -57,8 +57,7 @@ def glu(x: np.ndarray) -> np.ndarray:
     return x[..., :half] * sigmoid(x[..., half:])
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-               eps: float = LN_EPS) -> np.ndarray:
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize over the feature axis only; statistics never mix positions.
 
     One centred buffer is allocated; the variance, scale and shift work on it
@@ -67,7 +66,7 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     xc = x - x.mean(axis=-1, keepdims=True)
     var = np.einsum("...i,...i->...", xc, xc)[..., None]
     var /= x.shape[-1]
-    var += eps
+    var += LN_EPS
     xc /= np.sqrt(var, out=var)
     xc *= scale
     xc += shift

@@ -299,7 +299,8 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
             n = -(-L // ctx.c)
             batch = oct_segment(x.astype(dtype), ctx.c * np.arange(n),
                                 ctx.l_att, ctx.c, ctx.r)
-            out = chunk_attention(batch, lw.att, table, model.n_heads)
+            out = chunk_attention(batch, cast_params(lw.att, dtype),
+                                  cast_params(table, dtype), model.n_heads)
             got = np.concatenate([out[j, :min(ctx.c, L - j * ctx.c)]
                                   for j in range(n)])
             err = compare("dense", got, ref, 0).max_rel_err

@@ -13,9 +13,9 @@ from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
 
 
-def attention_scores(row, p, table, l, c, r, n_heads):
+def attention_scores(row, p, table, n_heads):
     """Logits (H, c, l+c+r) of one row's chunk queries, as a one-row batch."""
-    return _score_batch(row[None], p, table, l, c, r, n_heads)[0]
+    return _score_batch(row[None], p, table, n_heads)[0]
 
 
 def random_params(rng, d):
@@ -44,18 +44,34 @@ def test_rel_pos_encoding_closed_form():
 
 
 def test_table_covers_row_window():
-    table = build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=16)
-    assert table.encodings.shape[0] == table.max_dist - table.min_dist + 1
-    for dist in range(-8, 13):
-        vec = table.encodings[dist - table.min_dist]
-        assert np.array_equal(vec, rel_pos_encoding(dist, 8))
+    # chunk queries of [8 | 4 | 4] rows read distances 11 down to -7
+    table = build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=11)
+    assert (table.l, table.c, table.r) == (8, 4, 4)
+    assert table.encodings.shape == (8 + 2 * 4 + 4 - 1, 8)
+    for i, dist in enumerate(range(11, -8, -1)):
+        assert np.array_equal(table.encodings[i], rel_pos_encoding(dist, 8))
     # a row geometry wider than the table is refused, not wrapped around
-    rows = np.zeros((1, 8 + 4 + 6, 8))
+    batch = oct_segment(np.zeros((12, 8)), [0], 8, 4, 6)
     with pytest.raises(DistanceRangeError):
-        _score_batch(rows, random_params(np.random.default_rng(0), 8), table,
-                     8, 4, 6, 1)
+        chunk_attention(batch, random_params(np.random.default_rng(0), 8), table, 1)
     with pytest.raises(DistanceRangeError):
-        build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=8)
+        build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=10)
+    with pytest.raises(DistanceRangeError):   # -(c + r - 1) is the farthest here
+        build_rel_pos_table(l_att=0, c=2, r=10, d_model=8, l_max=10)
+
+
+def test_table_of_another_geometry_with_as_many_rows_is_refused(rng):
+    # (2, 2, 3) and (3, 2, 2) rows both read l + 2c + r - 1 = 8 distances,
+    # but not the same ones
+    d, heads = 8, 2
+    p = random_params(rng, d)
+    table = build_rel_pos_table(2, 2, 3, d)
+    own = build_rel_pos_table(3, 2, 2, d)
+    assert table.encodings.shape == own.encodings.shape == (8, d)
+    batch = oct_segment(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], 3, 2, 2)
+    with pytest.raises(DistanceRangeError, match=r"\(3, 2, 2\).*\(2, 2, 3\)"):
+        chunk_attention(batch, p, table, heads)
+    assert chunk_attention(batch, p, own, heads).shape == (5, 2, d)
 
 
 def test_scores_zero_inputs_zero_bias(rng):
@@ -65,7 +81,7 @@ def test_scores_zero_inputs_zero_bias(rng):
     p.v = np.zeros(d)
     table = build_rel_pos_table(l, c, r, d)
     row = np.zeros((l + c + r, d))
-    logits = attention_scores(row, p, table, l, c, r, n_heads=1)
+    logits = attention_scores(row, p, table, n_heads=1)
     assert logits.shape == (1, c, l + c + r)
     assert np.allclose(logits, 0.0)
 
@@ -83,7 +99,7 @@ def test_scores_match_term_by_term_reference(rng):
         p = random_params(rng, d)
         table = build_rel_pos_table(l, c, r, d)
         row = rng.normal(size=(l + c + r, d))
-        logits = attention_scores(row, p, table, l, c, r, n_heads)
+        logits = attention_scores(row, p, table, n_heads)
         assert logits.shape == (n_heads, c, l + c + r)
         for h in range(n_heads):
             heads = slice(h * d_k, (h + 1) * d_k)
@@ -107,7 +123,7 @@ def test_scores_equal_content_equal_distance_symmetry(rng):
     row = rng.normal(size=(l + c + r, d))
     row[1] = row[3]
     row[5] = row[7]  # queries at positions 5 and 7 share content too
-    logits = attention_scores(row, p, table, l, c, r, n_heads=2)
+    logits = attention_scores(row, p, table, n_heads=2)
     # query 5 vs key 1 has distance 4, query 7 vs key 3 has distance 4
     assert np.allclose(logits[:, 1, 1], logits[:, 3, 3])
 

@@ -296,6 +296,44 @@ def test_vocab_not_utf8_is_checkpoint_error(workdir, capsys):
     assert err.count("\n") == 1 and "vocab.utf8" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("codes, says", [
+    (list(b"<blk>\na\na"), "unique"),
+    (list(b"<blk>"), "at least one token"),
+    ([97, 10, 256], "not bytes"),
+    ([97, 10, -1], "not bytes"),
+    ([97, 10, -159], "not bytes"),     # would wrap to 97, a duplicate "a"
+    ([97, 10, 0.5], "not bytes"),
+    ([97, 10, 1e10], "not bytes"),
+    ([97, 10, np.nan], "not bytes"),
+    ([97, 10, np.inf], "not bytes"),
+])
+def test_malformed_vocab_is_checkpoint_error(workdir, capsys, codes, says):
+    w, head, vocab = init_model(ModelConfig(), seed=0)
+    tensors = encoder._tensor_map(w, head, vocab)
+    tensors["vocab.utf8"] = np.array(codes, dtype=np.float32)
+    bad = workdir / "vocab.cfkw"
+    write_cfkw(bad, tensors)
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    err = capsys.readouterr().err
+    assert rc == 4 and err.count("\n") == 1
+    assert "vocab.utf8" in err and says in err
+
+
+@pytest.mark.parametrize("command", ["transcribe", "encode"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_is_usage_error_before_any_input_is_read(tmp_path, capsys,
+                                                                command, budget):
+    # none of these files exists: reading any of them would exit 3
+    argv = [command, "--budget", budget, "--config", str(tmp_path / "no.json"),
+            "--checkpoint", str(tmp_path / "no.cfkw"), str(tmp_path / "no.wav")]
+    if command == "encode":
+        argv += ["--output-dir", str(tmp_path / "enc")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: --budget must be >= 1, got {budget}\n"
+    assert not (tmp_path / "enc").exists()
+
+
 def test_encode_rejects_features_of_the_wrong_width(workdir, rng, capsys):
     fpath = workdir / "narrow.cfkf"
     save_features(fpath, rng.normal(size=(40, 3)).astype(np.float32))

@@ -15,7 +15,7 @@ from chunkasr.encoder import (CheckpointError, encode_full, encode_step,
                               init_model, init_weights, load_checkpoint, post_frames,
                               save_checkpoint, subsample_forward)
 from chunkasr.frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES
-from chunkasr.functional import layer_norm
+from chunkasr.functional import cast_params, layer_norm
 from chunkasr.oracle import (_chunk_attention_loop, _conv_module_full, _macaron_ff,
                              full_context_encode, full_subsample, loop_oct_encode)
 from conftest import rel_err, write_cfkw
@@ -27,29 +27,24 @@ from conftest import rel_err, write_cfkw
 
 def test_subsample_stride_arithmetic(small_model, small_weights, rng):
     # 8*c raw frames in, c frames out (c=4: 32 -> 4)
+    sub = cast_params(small_weights.subsample, np.float64)
     feats = rng.normal(size=(32, 80))
-    out = subsample_forward(feats, 0, 0, post_frames(32), small_weights.subsample,
-                            32, np.float64)
+    out = subsample_forward(feats, sub, 0, post_frames(32))
     assert out.shape == (4, small_model.d_model)
-    empty = subsample_forward(feats, 0, 5, 5, small_weights.subsample, 32, np.float64)
+    empty = subsample_forward(feats, sub, 5, 5)
     assert empty.shape == (0, small_model.d_model)
 
 
 def test_chunk_wise_subsample_equals_full_sequence(small_weights, rng):
+    sub = cast_params(small_weights.subsample, np.float64)
     for t_raw in (32, 95, 200, 207):
         feats = rng.normal(size=(t_raw, 80)).astype(np.float32)
         full = full_subsample(feats, small_weights, np.float64)
         t_post = post_frames(t_raw)
-        # piecewise with a 7-frame raw left margin, several split points
+        # two ranges of the whole matrix, several split points
         for cut in {1, t_post // 2, t_post - 1} - {0}:
-            p1 = subsample_forward(feats.astype(np.float64), 0, 0, cut,
-                                   small_weights.subsample, t_raw, np.float64)
-            buf = feats[max(0, 8 * cut - 7):].astype(np.float64)
-            pad = 8 * t_post - t_raw
-            if pad > 0:
-                buf = np.concatenate([buf, np.zeros((pad, 80))])
-            p2 = subsample_forward(buf, max(0, 8 * cut - 7), cut, t_post,
-                                   small_weights.subsample, t_raw, np.float64)
+            p1 = subsample_forward(feats, sub, 0, cut)
+            p2 = subsample_forward(feats, sub, cut, t_post)
             assert rel_err(np.concatenate([p1, p2]), full) <= 1e-12
 
 
@@ -58,33 +53,13 @@ def test_chunk_128_covers_10_seconds():
     assert 128 * 8 * 0.010 == pytest.approx(10.24)
 
 
-def test_subsample_rejects_missing_margins(small_weights, rng):
-    # post frames [1, 3) of a 21-frame audio read raw [8 - 7, min(24, 21))
-    sub = small_weights.subsample
-    feats = rng.normal(size=(21, 80))
-    exact = subsample_forward(feats[1:], 1, 1, 3, sub, 21)
-    np.testing.assert_array_equal(subsample_forward(feats, 0, 1, 3, sub, 21), exact)
-    # frames past t_raw are never read, whatever they hold
-    garbage = np.concatenate([feats, rng.normal(1e3, 1.0, size=(11, 80))])
-    np.testing.assert_array_equal(subsample_forward(garbage[1:], 1, 1, 3, sub, 21), exact)
-    with pytest.raises(SchedulerError, match="margin"):
-        # without the 7-frame left margin
-        subsample_forward(feats[8:], 8, 1, 3, sub, 21)
-    with pytest.raises(SchedulerError, match="margin"):
-        # one frame short on the left
-        subsample_forward(feats[2:], 2, 1, 3, sub, 21)
-    with pytest.raises(SchedulerError, match="margin"):
-        # one frame short on the right
-        subsample_forward(feats[1:20], 1, 1, 3, sub, 21)
-
-
 def test_subsample_casts_only_its_window(small_model, small_weights):
     # a float64 step must not convert the whole float32 feature matrix
+    sub = cast_params(small_weights.subsample, np.float64)
     big = np.ones((200_000, 80), np.float32)
     tracemalloc.start()
     try:
-        out = subsample_forward(big, 0, 24_990, 25_000, small_weights.subsample,
-                                200_000, np.float64)
+        out = subsample_forward(big, sub, 24_990, 25_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,8 +227,10 @@ def test_encode_full_rejects_an_audio_without_frames(small_model, small_ctx,
 
 
 def run_step(states, sched, feats, w, ctx, model, dtype=np.float32):
+    """encode_step in ``dtype``, with the weights and table cast to it."""
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
-    return encode_step(states, sched, feats, w, ctx, model, table, dtype)
+    return encode_step(states, sched, feats, cast_params(w, dtype), ctx, model,
+                       cast_params(table, dtype))
 
 
 def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
@@ -308,6 +285,23 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
     assert calls == {"ff": 2 * small_model.n_layers,
                      "gather": small_model.n_layers,
                      "conv": small_model.n_layers}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_outputs_and_caches_take_the_weights_dtype(small_model, small_ctx,
+                                                        small_weights, rng, dtype):
+    # the features' dtype plays no part: "b" is float64, "a" float32
+    feats = {"b": rng.normal(size=(8 * 5, 80)),
+             "a": rng.normal(size=(8 * 30, 80)).astype(np.float32)}
+    states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
+    sched = schedule_step(list(states.values()), 4, small_ctx.c)
+    out = run_step(states, sched, feats, small_weights, small_ctx, small_model, dtype)
+    assert set(out) == {"a", "b"}
+    for aid, st in states.items():
+        assert out[aid].dtype == dtype
+        caches = st.att_caches + st.conv_caches + [st.out_cache]
+        assert len(caches) == 2 * small_model.n_layers + 1
+        assert all(cache.dtype == dtype for cache in caches)
 
 
 def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
@@ -442,6 +436,7 @@ def test_held_frames_equal_oracle_layer_outputs(case):
     states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
     la = required_lookahead(ctx, model.n_layers, l_conv)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    w64 = cast_params(w, np.float64)
     ref = {k: oracle_layers(f, w, ctx, model) for k, f in feats.items()}
     ready = dict.fromkeys(feats, 0)
     while True:
@@ -456,7 +451,7 @@ def test_held_frames_equal_oracle_layer_outputs(case):
             if n:
                 ready[aid] = max(ready[aid], min(start[aid] + n + la,
                                                  states[aid].total_frames))
-        out = encode_step(states, sched, feats, w, ctx, model, table, np.float64)
+        out = encode_step(states, sched, feats, w64, ctx, model, table)
         for aid, block in out.items():
             st, (top, layers) = states[aid], ref[aid]
             assert_same(block, layer_norm(top, w.after_ln_g, w.after_ln_b)

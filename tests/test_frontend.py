@@ -178,7 +178,6 @@ def test_wav_roundtrip(tmp_path, rng):
     path = tmp_path / "a.wav"
     write_wav(path, samples)
     audio = read_wav(path)
-    assert audio.sample_rate == 16000
     assert np.array_equal(audio.samples, samples)
 
 

@@ -1,4 +1,5 @@
-"""Every engine module uses each name it imports."""
+"""Every engine module uses each name it imports, and every function each
+parameter it takes."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,24 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in set(bound) if name not in read)
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for every parameter of a function or lambda in
+    ``source`` that its body never reads; names starting with ``_`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}.{p}" for p in params if not p.startswith("_") and p not in read]
+    return sorted(found)
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\nimport os, os.path\n"
               "import numpy as np\nfrom a import b, c as d\n"
@@ -32,3 +51,15 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_checker_finds_unused_parameters():
+    source = ("def f(a, b=1, *args, c, _d, **kw):\n    b = a\n    return args\n"
+              "def g(x, *_):\n    def h(y):\n        return x\n    return h\n"
+              "k = lambda u, v, _w: u\n")
+    assert unused_parameters(source) == ["<lambda>.v", "f.b", "f.c", "f.kw", "h.y"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_parameter(module):
+    assert unused_parameters((PACKAGE / module).read_text()) == []
