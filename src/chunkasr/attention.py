@@ -9,9 +9,13 @@ outputs. The per-pair score is
     e[j, t] = ((x_j Wq + u) . (x_t Wk) + (x_j Wq + v) . (R_{j-t} Wr)) / sqrt(d_k)
 
 which is the four-term content/position/bias sum with the two bias terms
-folded in. Masked keys receive -inf before the softmax so their weight is
-exactly zero; row values are re-zeroed at masked positions on entry, making
-outputs bit-wise independent of whatever a masked slot holds.
+folded in. The projections run once per frame, not once per row position:
+project_frames turns a buffer of frames into each chunk's queries and one
+K|V buffer, and the rows gathered from that buffer hold a position's key
+and value side by side. Masked keys receive -inf before the softmax so their
+weight is exactly zero; row keys and values are re-zeroed at masked
+positions on entry, making outputs bit-wise independent of whatever a
+masked slot holds, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -53,12 +57,16 @@ class AttentionParams:
     bo: np.ndarray  # (d,)
 
 
-def rel_pos_encoding(distance: int, d_model: int) -> np.ndarray:
-    """Transformer-XL style sinusoid: sin/cos of distance / 10000^(2i/d)."""
+def rel_pos_encoding(distance, d_model: int) -> np.ndarray:
+    """Transformer-XL style sinusoid: sin/cos of distance / 10000^(2i/d).
+
+    ``distance`` is an int, or an array of them for one row per distance.
+    """
     inv = 10000.0 ** (-np.arange(0, d_model, 2, dtype=np.float64) / d_model)
-    vec = np.empty(d_model, dtype=np.float64)
-    vec[0::2] = np.sin(distance * inv)
-    vec[1::2] = np.cos(distance * inv)
+    angle = np.multiply.outer(distance, inv)
+    vec = np.empty(angle.shape[:-1] + (d_model,), dtype=np.float64)
+    vec[..., 0::2] = np.sin(angle)
+    vec[..., 1::2] = np.cos(angle)
     return vec
 
 
@@ -74,8 +82,27 @@ def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
     hi, lo = l_att + c - 1, -(c + r - 1)
     if l_max is not None and max(hi, -lo) > l_max:
         raise DistanceRangeError(f"rows need distances in [{lo}, {hi}] but l_max={l_max}")
-    enc = np.stack([rel_pos_encoding(d, d_model) for d in range(hi, lo - 1, -1)])
-    return RelPosTable(l=l_att, c=c, r=r, encodings=enc)
+    return RelPosTable(l=l_att, c=c, r=r,
+                       encodings=rel_pos_encoding(np.arange(hi, lo - 1, -1), d_model))
+
+
+def project_frames(h: np.ndarray, starts, c: int,
+                   p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk queries and the K|V buffer of a buffer of frames h (n, d).
+
+    Returns the (B, c, d) queries h[starts[b] + i] Wq of the chunks that
+    start at buffer indices ``starts``, and the (n, 2d) buffer whose frame t
+    holds its key h[t] Wk and its value h[t] Wv side by side, from which
+    oct_segment gathers the rows. A partial chunk's queries past its own
+    frames read whatever frames follow (the last one past the buffer end);
+    their outputs are discarded.
+    """
+    n, d = h.shape
+    at = np.minimum(np.asarray(starts, dtype=np.int64)[:, None] + np.arange(c), n - 1)
+    kv = np.empty((n, 2 * d), np.result_type(h, p.wk))
+    np.matmul(h, p.wk, out=kv[:, :d])
+    np.matmul(h, p.wv, out=kv[:, d:])
+    return h[at] @ p.wq, kv
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -89,27 +116,29 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], n_heads * d_k)
 
 
-def _score_batch(rows: np.ndarray, p: AttentionParams, table: RelPosTable,
-                 n_heads: int) -> np.ndarray:
+def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
+                 table: RelPosTable, n_heads: int) -> np.ndarray:
     """Per-head logits (B, H, c, l+c+r) of each row's chunk queries.
 
-    ``rows`` are pre-normalized and mask-zeroed rows of the table's geometry;
-    ``p`` and ``table`` must already be in their dtype. Chunk query i and key
-    t are l + i - t apart, the distance of the table's entry c - 1 - i + t.
-    The positional term is one matmul against all n = l + 2c + r - 1
-    encodings, so query i's scores are entries c - 1 - i + t of its row of
-    that product, which makes the (c, W) score block a skewed view (offset
-    c - 1, row stride n - 1) of the contiguous (c, n) product: the relative
-    shift of Transformer-XL, with no gather.
+    ``queries`` (B, c, d) are each row's chunk queries and ``keys``
+    (B, l+c+r, d) its mask-zeroed keys, in the table's geometry; ``p`` and
+    ``table`` must already be in their dtype. Chunk query i and key t are
+    l + i - t apart, the distance of the table's entry c - 1 - i + t. The
+    positional term is one matmul against all n = l + 2c + r - 1 encodings,
+    so query i's scores are entries c - 1 - i + t of its row of that product,
+    which makes the (c, W) score block a skewed view (offset c - 1, row
+    stride n - 1) of the contiguous (c, n) product: the relative shift of
+    Transformer-XL, with no gather.
     """
-    l, c = table.l, table.c
+    c = table.c
     n = table.encodings.shape[0]
-    d_k = rows.shape[-1] // n_heads
-    qh = _split_heads(rows[:, l:l + c] @ p.wq, n_heads)     # (B, H, c, d_k)
-    kh = _split_heads(rows @ p.wk, n_heads)                 # (B, H, W, d_k)
+    d_k = queries.shape[-1] // n_heads
+    qh = _split_heads(queries, n_heads)                      # (B, H, c, d_k)
+    kh = _split_heads(keys, n_heads)                         # (B, H, W, d_k)
     scores = (qh + p.u.reshape(n_heads, 1, d_k)) @ kh.swapaxes(-1, -2)  # (B, H, c, W)
-    rho_h = (table.encodings @ p.wr).reshape(n, n_heads, d_k).transpose(1, 2, 0)
-    pos = np.ascontiguousarray((qh + p.v.reshape(n_heads, 1, d_k)) @ rho_h)  # (B, H, c, n)
+    rho_h = np.ascontiguousarray(
+        (table.encodings @ p.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
+    pos = (qh + p.v.reshape(n_heads, 1, d_k)) @ rho_h.swapaxes(-1, -2)  # (B, H, c, n)
     step = pos.itemsize
     scores += np.lib.stride_tricks.as_strided(
         pos[..., c - 1:], shape=scores.shape,
@@ -139,26 +168,38 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return weights
 
 
-def chunk_attention(batch: ChunkBatch, params: AttentionParams, table: RelPosTable,
-                    n_heads: int) -> np.ndarray:
+def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionParams,
+                    table: RelPosTable, n_heads: int) -> np.ndarray:
     """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
+    ``batch`` holds rows of a project_frames K|V buffer: position t of a row
+    holds its frame's key and value side by side, (B, l + c + r, 2d).
+    ``queries`` (B, c, d) are the rows' chunk queries from the same call.
+    Masked keys and values are re-zeroed in place in ``batch.rows``.
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row
     computes their outputs. ``params`` and ``table`` must already be in the
-    rows' dtype, and the table must be built for the batch's (l, c, r).
+    rows' dtype, and the table must be built for the batch's (l, c, r);
+    rows, mask or queries of another shape raise DistanceRangeError.
     """
-    if (batch.l, batch.c, batch.r) != (table.l, table.c, table.r):
-        raise DistanceRangeError(f"rows of (l, c, r) = {(batch.l, batch.c, batch.r)} need "
+    l, c, r = batch.l, batch.c, batch.r
+    if (l, c, r) != (table.l, table.c, table.r):
+        raise DistanceRangeError(f"rows of (l, c, r) = {(l, c, r)} need "
                                  f"their own table, got one for {(table.l, table.c, table.r)}")
-    rows = np.where(batch.mask[..., None], batch.rows,
-                    np.zeros((), dtype=batch.rows.dtype))
-    dtype = rows.dtype
-    logits = _score_batch(rows, params, table, n_heads)
-    weights = masked_softmax(logits, batch.mask[:, None, None, :])
-    vh = _split_heads(rows @ params.wv, n_heads)          # (B, H, W, d_k)
-    zh = weights @ vh                                     # (B, H, c, d_k)
+    kv, mask = batch.rows, batch.mask
+    d = params.wo.shape[0]
+    b = kv.shape[0]
+    if kv.shape != (b, l + c + r, 2 * d) or mask.shape != kv.shape[:2] \
+            or queries.shape != (b, c, d):
+        raise DistanceRangeError(
+            f"(l, c, r) = {(l, c, r)} and d = {d} need K|V rows {(b, l + c + r, 2 * d)}, "
+            f"a mask {(b, l + c + r)} and queries {(b, c, d)}; got {kv.shape}, "
+            f"{mask.shape} and {queries.shape}")
+    kv[~mask] = 0
+    logits = _score_batch(queries, kv[..., :d], params, table, n_heads)
+    weights = masked_softmax(logits, mask[:, None, None, :])
+    zh = weights @ _split_heads(kv[..., d:], n_heads)     # (B, H, c, d_k)
     out = _merge_heads(zh) @ params.wo + params.bo
-    any_key = batch.mask.any(axis=-1)
-    return np.where(any_key[:, None, None], out, np.zeros((), dtype=dtype))
+    out[~mask.any(axis=-1)] = 0
+    return out

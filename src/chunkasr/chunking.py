@@ -2,13 +2,13 @@
 
 An audio is treated as a batch of equal-sized chunks of c post-subsample
 frames. Attention sees overlapping rows [start - l, start + c + r) gathered
-from one flat buffer (the depthwise conv needs no rows: it runs on each
-audio's contiguous frames). A decode step packs the regions of all its
-audios into that buffer back to back, so every row carries its own [lo, hi)
-bounds: the extent of its audio's frames in the buffer. Positions outside a
-row's bounds carry a false mask bit and a 0.0 value, so windows never reach
-into a neighbouring audio and randomizing masked positions can never change
-downstream results bit-wise.
+from one flat buffer of per-frame keys and values (the depthwise conv needs
+no rows: it runs on each audio's contiguous frames). A decode step packs
+the regions of all its audios into that buffer back to back, so every row
+carries its own [lo, hi) bounds: the extent of its audio's frames in the
+buffer. Positions outside a row's bounds carry a false mask bit and a 0.0
+value, so windows never reach into a neighbouring audio and randomizing
+masked positions can never change downstream results bit-wise.
 
 The scheduler fills a row budget from the front of the audio order it is
 given, taking each audio's next chunks from its emit frontier, and makes a
@@ -48,11 +48,13 @@ class ChunkPlan:
 class ChunkBatch:
     """B gathered attention rows of l + c + r positions with a validity mask.
 
-    rows[b][p] is 0.0 wherever mask[b][p] is False; attention re-applies the
-    mask defensively so poisoned masked values never reach any output.
+    A row position holds one frame of the buffer it was gathered from; for
+    attention, that frame's key and value side by side. rows[b][p] is 0.0
+    wherever mask[b][p] is False; attention re-applies the mask defensively
+    so poisoned masked values never reach any output.
     """
 
-    rows: np.ndarray   # (B, l + c + r, d)
+    rows: np.ndarray   # (B, l + c + r, width of a buffer frame)
     mask: np.ndarray   # (B, l + c + r) bool
     l: int
     c: int

@@ -51,9 +51,8 @@ def attention_flops(t_post: int, ctx: ContextConfig, model: ModelConfig) -> int:
 
 def _per_row_fixed_flops(ctx: ContextConfig, model: ModelConfig) -> dict[str, int]:
     q = ctx.c
-    w = ctx.l_att + ctx.c + ctx.r
     d, ff, k = model.d_model, model.d_ff, model.kernel_size
-    proj = 2 * d * d * (2 * q + 2 * w)          # q + out on queries, k + v on keys
+    proj = 2 * d * d * 4 * q                    # q, k, v and out once per frame
     conv = q * (2 * d * 2 * d + 2 * k * d + 2 * d * d)
     ffl = 2 * q * 2 * (d * ff + ff * d)
     return {"att_proj": proj, "conv": conv, "ff": ffl}

@@ -11,7 +11,8 @@ through every layer once, whatever the budget. The new frames of all audios
 at a layer are packed back to back into one ragged (sum of new frames, d)
 buffer, so each position-wise op (feed-forward, layer norm) runs once. The
 two sequential sublayers read one buffer of every audio's [cache | new]
-segment. Attention gathers overlapping [l_att | c | r] chunk rows for all
+segment. Attention projects each frame of that buffer to its key and value
+once and gathers overlapping [l_att | c | r] chunk rows of them for all
 audios at once, each row masked to its own audio's segment; the conv runs
 straight on the segments, each convolved as its own zero-padded sequence.
 Both put their outputs back with one indexing, and neither reads into a
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chunking
-from .attention import AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention
+from .attention import (AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention,
+                        project_frames)
 from .chunking import ChunkingError, ChunkPlan, SchedulerError, StepSchedule, StreamState
 from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
                      required_lookahead, weight_parts)
@@ -419,11 +421,12 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
         # a chunk's [l_att | c | r] row starts at its first output frame
         col = local % ctx.c
         head = col == 0
-        end = np.cumsum(seg)
-        owner = np.searchsorted(end, at[head], side="right")
-        batch = chunking.oct_segment(h, at[head], ctx.l_att, ctx.c, ctx.r,
+        starts, end = at[head], np.cumsum(seg)
+        owner = np.searchsorted(end, starts, side="right")
+        queries, kv = project_frames(h, starts, ctx.c, lw.att)
+        batch = chunking.oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r,
                                      (end - seg)[owner], end[owner])
-        out = chunk_attention(batch, lw.att, table, model.n_heads)
+        out = chunk_attention(batch, queries, lw.att, table, model.n_heads)
         return out[np.cumsum(head) - 1, col]
 
     x = x + _half_ff(x, lw.ff1)

@@ -269,7 +269,7 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     verification breach. ``verbose_print`` receives each report line.
     """
     from . import chunking, ctc
-    from .attention import build_rel_pos_table, chunk_attention
+    from .attention import build_rel_pos_table, chunk_attention, project_frames
     from .chunking import oct_segment
     from .encoder import encode_full, init_weights
 
@@ -297,10 +297,11 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
         ref = dense_attention_reference(x, lw.att, mask, model.n_heads)
         for dtype, sink in ((np.float32, "32"), (np.float64, "64")):
             n = -(-L // ctx.c)
-            batch = oct_segment(x.astype(dtype), ctx.c * np.arange(n),
-                                ctx.l_att, ctx.c, ctx.r)
-            out = chunk_attention(batch, cast_params(lw.att, dtype),
-                                  cast_params(table, dtype), model.n_heads)
+            starts, att = ctx.c * np.arange(n), cast_params(lw.att, dtype)
+            queries, kv = project_frames(x.astype(dtype), starts, ctx.c, att)
+            batch = oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r)
+            out = chunk_attention(batch, queries, att, cast_params(table, dtype),
+                                  model.n_heads)
             got = np.concatenate([out[j, :min(ctx.c, L - j * ctx.c)]
                                   for j in range(n)])
             err = compare("dense", got, ref, 0).max_rel_err

@@ -5,7 +5,7 @@ import pytest
 
 from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batch,
                                 build_rel_pos_table, chunk_attention,
-                                masked_softmax, rel_pos_encoding)
+                                masked_softmax, project_frames, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
 from chunkasr.functional import cast_params
@@ -15,7 +15,19 @@ from conftest import rel_err
 
 def attention_scores(row, p, table, n_heads):
     """Logits (H, c, l+c+r) of one row's chunk queries, as a one-row batch."""
-    return _score_batch(row[None], p, table, n_heads)[0]
+    queries = row[table.l:table.l + table.c] @ p.wq
+    return _score_batch(queries[None], (row @ p.wk)[None], p, table, n_heads)[0]
+
+
+def gather(x, starts, p, table, lo=0, hi=None):
+    """The chunk queries and K|V rows of chunks at ``starts`` of frames x."""
+    queries, kv = project_frames(x, starts, table.c, p)
+    return oct_segment(kv, starts, table.l, table.c, table.r, lo, hi), queries
+
+
+def attend(x, starts, p, table, n_heads):
+    """chunk_attention of the chunks at ``starts`` of frames x."""
+    return chunk_attention(*gather(x, starts, p, table), p, table, n_heads)
 
 
 def random_params(rng, d):
@@ -51,13 +63,24 @@ def test_table_covers_row_window():
     for i, dist in enumerate(range(11, -8, -1)):
         assert np.array_equal(table.encodings[i], rel_pos_encoding(dist, 8))
     # a row geometry wider than the table is refused, not wrapped around
-    batch = oct_segment(np.zeros((12, 8)), [0], 8, 4, 6)
+    p = random_params(np.random.default_rng(0), 8)
     with pytest.raises(DistanceRangeError):
-        chunk_attention(batch, random_params(np.random.default_rng(0), 8), table, 1)
+        chunk_attention(*gather(np.zeros((12, 8)), [0], p, build_rel_pos_table(8, 4, 6, 8)),
+                        p, table, 1)
     with pytest.raises(DistanceRangeError):
         build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=10)
     with pytest.raises(DistanceRangeError):   # -(c + r - 1) is the farthest here
         build_rel_pos_table(l_att=0, c=2, r=10, d_model=8, l_max=10)
+
+
+@pytest.mark.parametrize("l,c,r,d", [(0, 3, 2, 8),        # no left context
+                                     (4, 3, 0, 8),        # no lookahead
+                                     (128, 64, 128, 256)])  # the paper's geometry
+def test_table_is_the_stacked_encodings_bit_for_bit(l, c, r, d):
+    table = build_rel_pos_table(l, c, r, d)
+    rows = np.stack([rel_pos_encoding(k, d) for k in range(l + c - 1, -(c + r), -1)])
+    assert table.encodings.dtype == rows.dtype == np.float64
+    assert np.array_equal(table.encodings.view(np.uint8), rows.view(np.uint8))
 
 
 def test_table_of_another_geometry_with_as_many_rows_is_refused(rng):
@@ -68,10 +91,34 @@ def test_table_of_another_geometry_with_as_many_rows_is_refused(rng):
     table = build_rel_pos_table(2, 2, 3, d)
     own = build_rel_pos_table(3, 2, 2, d)
     assert table.encodings.shape == own.encodings.shape == (8, d)
-    batch = oct_segment(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], 3, 2, 2)
+    batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, own)
     with pytest.raises(DistanceRangeError, match=r"\(3, 2, 2\).*\(2, 2, 3\)"):
-        chunk_attention(batch, p, table, heads)
-    assert chunk_attention(batch, p, own, heads).shape == (5, 2, d)
+        chunk_attention(batch, queries, p, table, heads)
+    assert chunk_attention(batch, queries, p, own, heads).shape == (5, 2, d)
+
+
+def test_batch_of_another_shape_than_its_geometry_is_refused(rng):
+    # the positional scores are a strided view sized by the rows: a batch
+    # whose rows are wider than l + 2c + r - 1 must not reach it
+    d, heads, (l, c, r) = 8, 2, (3, 2, 2)
+    p = random_params(rng, d)
+    table = build_rel_pos_table(l, c, r, d)
+    batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, table)
+    width = l + 2 * c + r   # one past the l + 2c + r - 1 distances of the table
+    bad = {
+        "wide rows": (ChunkBatch(np.ones((5, width, 2 * d)), np.ones((5, width), bool),
+                                 l, c, r), queries),
+        "short mask": (ChunkBatch(batch.rows, batch.mask[:, 1:], l, c, r), queries),
+        "K rows only": (ChunkBatch(batch.rows[..., :d], batch.mask, l, c, r), queries),
+        "queries of another width": (batch, queries[..., :d // 2]),
+        "queries of another count": (batch, queries[:, :1]),
+        "queries of other rows": (batch, queries[1:]),
+    }
+    for name, (b, q) in bad.items():
+        with pytest.raises(DistanceRangeError, match=r"need K\|V rows") as err:
+            chunk_attention(b, q, p, table, heads)
+        assert "\n" not in str(err.value), name
+    assert chunk_attention(batch, queries, p, table, heads).shape == (5, c, d)
 
 
 def test_scores_zero_inputs_zero_bias(rng):
@@ -161,8 +208,7 @@ def test_chunk_attention_full_context_limit(rng):
     ctx = ContextConfig(l_att=t_len, c=t_len, r=t_len)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
     x = rng.normal(size=(t_len, d))
-    batch = oct_segment(x, [0], ctx.l_att, ctx.c, ctx.r)
-    out = chunk_attention(batch, p, table, heads)
+    out = attend(x, [0], p, table, heads)
     ref = dense_attention_reference(x, p, np.ones((t_len, t_len), bool), heads)
     assert rel_err(out[0, :t_len], ref) <= 1e-12
 
@@ -175,8 +221,7 @@ def test_chunk_attention_matches_dense_reference_per_chunk(rng):
     for t_len in (7, 12, 16):
         x = rng.normal(size=(t_len, d))
         n = -(-t_len // ctx.c)
-        batch = oct_segment(x, ctx.c * np.arange(n), ctx.l_att, ctx.c, ctx.r)
-        out = chunk_attention(batch, p, table, heads)
+        out = attend(x, ctx.c * np.arange(n), p, table, heads)
         got = np.concatenate([out[j, :min(ctx.c, t_len - j * ctx.c)]
                               for j in range(n)])
         ref = dense_attention_reference(x, p, chunk_window_mask(t_len, ctx), heads)
@@ -192,16 +237,15 @@ def test_chunk_attention_two_audio_batch_equals_solo(rng):
     xb = rng.normal(size=(5, d))
 
     def rows_for(x):
-        n = -(-x.shape[0] // ctx.c)
-        return oct_segment(x, ctx.c * np.arange(n), ctx.l_att, ctx.c, ctx.r)
+        return gather(x, ctx.c * np.arange(-(-x.shape[0] // ctx.c)), p, table)
 
-    ba, bb = rows_for(xa), rows_for(xb)
+    (ba, qa), (bb, qb) = rows_for(xa), rows_for(xb)
     combined = ChunkBatch(rows=np.concatenate([ba.rows, bb.rows]),
                           mask=np.concatenate([ba.mask, bb.mask]),
                           l=ctx.l_att, c=ctx.c, r=ctx.r)
-    out = chunk_attention(combined, p, table, heads)
-    solo_a = chunk_attention(ba, p, table, heads)
-    solo_b = chunk_attention(bb, p, table, heads)
+    out = chunk_attention(combined, np.concatenate([qa, qb]), p, table, heads)
+    solo_a = chunk_attention(ba, qa, p, table, heads)
+    solo_b = chunk_attention(bb, qb, p, table, heads)
     assert np.array_equal(out[: ba.rows.shape[0]], solo_a)
     assert np.array_equal(out[ba.rows.shape[0]:], solo_b)
 
@@ -213,28 +257,34 @@ def test_window_bounds_keys_outside_have_no_effect(rng):
     p = random_params(rng, d)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
     x = rng.normal(size=(12, d))
-    n = 4
-    base = chunk_attention(oct_segment(x, ctx.c * np.arange(n), ctx.l_att,
-                                       ctx.c, ctx.r), p, table, heads)
+    starts = ctx.c * np.arange(4)
+    base = attend(x, starts, p, table, heads)
     # chunk 1 covers frames 3..5, window is [0, 8); frames 8.. are invisible
     x2 = x.copy()
     x2[8:] += rng.normal(size=(4, d))
-    out2 = chunk_attention(oct_segment(x2, ctx.c * np.arange(n), ctx.l_att,
-                                       ctx.c, ctx.r), p, table, heads)
+    out2 = attend(x2, starts, p, table, heads)
     assert np.array_equal(out2[1], base[1])
 
 
 def test_poisoned_masked_keys_change_nothing_bitwise(rng):
+    # masked K|V positions, keys and values alike, may hold anything: a
+    # value slot left at inf or NaN would make its zero weight 0 * inf = NaN
     d, heads = 8, 2
     ctx = ContextConfig(l_att=4, c=3, r=2)
     p = random_params(rng, d)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
     x = rng.normal(size=(7, d))
-    batch = oct_segment(x, [0, 3, 6], ctx.l_att, ctx.c, ctx.r)
-    base = chunk_attention(batch, p, table, heads)
-    poison = rng.normal(size=batch.rows.shape) * 1e6
-    batch.rows = np.where(batch.mask[..., None], batch.rows, poison)
-    assert np.array_equal(chunk_attention(batch, p, table, heads), base)
+    for dtype in (np.float32, np.float64):
+        pd, td = cast_params(p, dtype), cast_params(table, dtype)
+        batch, queries = gather(x.astype(dtype), [0, 3, 6], pd, td)
+        assert not batch.mask.all()
+        base = chunk_attention(batch, queries, pd, td, heads)
+        clean = batch.rows.copy()
+        for poison in (rng.normal(size=clean.shape) * 1e6, np.inf, -np.inf, np.nan):
+            batch.rows = np.where(batch.mask[..., None], clean, poison).astype(dtype)
+            got = chunk_attention(batch, queries, pd, td, heads)
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(np.uint8), base.view(np.uint8)), (dtype, poison)
 
 
 def test_dtype_paths(rng):
@@ -246,9 +296,8 @@ def test_dtype_paths(rng):
     n = 5
     ref = dense_attention_reference(x, p, chunk_window_mask(20, ctx), heads)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
-        batch = oct_segment(x.astype(dtype), ctx.c * np.arange(n),
-                            ctx.l_att, ctx.c, ctx.r)
-        out = chunk_attention(batch, cast_params(p, dtype), table, heads)
+        out = attend(x.astype(dtype), ctx.c * np.arange(n), cast_params(p, dtype),
+                     table, heads)
         assert out.dtype == dtype and out.shape == (n, ctx.c, d)
         got = np.concatenate([out[j, :ctx.c] for j in range(n)])
         assert rel_err(got, ref) <= tol

@@ -369,9 +369,17 @@ def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
             return out
         return wrapped
 
+    def attention_rows(args, out):
+        # rows of the per-frame K|V buffer and the chunks' own queries, so a
+        # return to projecting every row position fails here
+        batch, queries = args[:2]
+        rows = batch.rows.shape[0]
+        assert batch.rows.shape == (rows, ctx.l_att + ctx.c + ctx.r, 2 * model.d_model)
+        assert queries.shape == (rows, ctx.c, model.d_model)
+        return rows
+
     monkeypatch.setattr(encoder, "chunk_attention",
-                        counting(encoder.chunk_attention, "rows",
-                                 lambda args, out: args[0].rows.shape[0]))
+                        counting(encoder.chunk_attention, "rows", attention_rows))
     monkeypatch.setattr(encoder, "conv_module_forward",
                         counting(encoder.conv_module_forward, "conv",
                                  lambda args, out: out.shape[0]))
