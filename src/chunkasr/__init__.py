@@ -10,8 +10,8 @@ the fast path.
 
 from .config import (ConfigError, ContextConfig, ModelConfig, derive_l_conv,
                      load_config, required_lookahead, validate)
-from .frontend import (FeatureMatrix, PcmAudio, compute_fbank, load_features,
-                       read_wav, save_features)
+from .frontend import (FeatureMatrix, compute_fbank, load_features, read_wav,
+                       save_features)
 from .chunking import ChunkBatch, ChunkPlan, StreamState, oct_segment, schedule_step
 from .attention import (AttentionParams, RelPosTable, build_rel_pos_table,
                         chunk_attention, masked_softmax, project_frames,

@@ -12,10 +12,11 @@ which is the four-term content/position/bias sum with the two bias terms
 folded in. The projections run once per frame, not once per row position:
 project_frames turns a buffer of frames into each chunk's queries and one
 K|V buffer, and the rows gathered from that buffer hold a position's key
-and value side by side. Masked keys receive -inf before the softmax so their
-weight is exactly zero; row keys and values are re-zeroed at masked
-positions on entry, making outputs bit-wise independent of whatever a
-masked slot holds, inf and NaN included.
+and value side by side. A row's masked slots hold other frames, often of a
+neighbouring audio, and chunk_attention alone clears them: it zeroes their
+keys and values on entry and gives masked keys -inf before the softmax, so
+their weight is exactly zero and outputs are bit-wise independent of
+whatever a masked slot holds, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
     ``batch`` holds rows of a project_frames K|V buffer: position t of a row
     holds its frame's key and value side by side, (B, l + c + r, 2d).
     ``queries`` (B, c, d) are the rows' chunk queries from the same call.
-    Masked keys and values are re-zeroed in place in ``batch.rows``.
+    Masked keys and values, which may hold anything, are zeroed in place in
+    ``batch.rows``.
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row

@@ -6,9 +6,10 @@ from one flat buffer of per-frame keys and values (the depthwise conv needs
 no rows: it runs on each audio's contiguous frames). A decode step packs
 the regions of all its audios into that buffer back to back, so every row
 carries its own [lo, hi) bounds: the extent of its audio's frames in the
-buffer. Positions outside a row's bounds carry a false mask bit and a 0.0
-value, so windows never reach into a neighbouring audio and randomizing
-masked positions can never change downstream results bit-wise.
+buffer. Positions outside a row's bounds carry a false mask bit and hold
+whatever buffer frame the clipped index reads, often a neighbouring audio's;
+attention, the only consumer of the rows, clears them, so no masked slot can
+change an output bit-wise.
 
 The scheduler fills a row budget from the front of the audio order it is
 given, taking each audio's next chunks from its emit frontier, and makes a
@@ -49,9 +50,9 @@ class ChunkBatch:
     """B gathered attention rows of l + c + r positions with a validity mask.
 
     A row position holds one frame of the buffer it was gathered from; for
-    attention, that frame's key and value side by side. rows[b][p] is 0.0
-    wherever mask[b][p] is False; attention re-applies the mask defensively
-    so poisoned masked values never reach any output.
+    attention, that frame's key and value side by side. Where mask[b][p] is
+    False, rows[b][p] is not part of the row and may hold anything:
+    attention clears those slots before it reads them.
     """
 
     rows: np.ndarray   # (B, l + c + r, width of a buffer frame)
@@ -105,8 +106,9 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
 
     ``starts`` are buffer indices of each chunk's first frame. Row b may read
     only buffer positions in [lo[b], hi[b]) (scalars apply to every row; the
-    default is the whole buffer); positions outside are masked and
-    zero-filled, in-range positions are exact copies.
+    default is the whole buffer); in-range positions are exact copies, and
+    positions outside are masked and hold the buffer frame at the index
+    clipped to [0, n).
     """
     if l < 0 or r < 0:
         raise ConfigError(f"context lengths must be >= 0, got l={l}, r={r}")
@@ -123,7 +125,6 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
         rows = np.zeros(idx.shape + flat.shape[1:], flat.dtype)
     else:
         rows = flat[np.clip(idx, 0, n - 1)]
-        rows[~mask] = 0
     return ChunkBatch(rows=rows, mask=mask, l=l, c=c, r=r)
 
 

@@ -24,8 +24,8 @@ from .chunking import ChunkingError
 from .config import (ConfigError, ContextConfig, ModelConfig, context_from_string,
                      load_config, require_valid)
 from .ctc import DecodeState, format_transcript_line, project_logits
-from .encoder import (VOCAB_TENSOR, CheckpointError, check_shapes, encode_full,
-                      init_model, load_checkpoint)
+from .encoder import (DEFAULT_BUDGET, VOCAB_TENSOR, CheckpointError, check_shapes,
+                      encode_full, init_model, load_checkpoint)
 from .frontend import (SAMPLE_RATE, AudioFormatError, FeatureFormatError, FeatureMatrix,
                        compute_fbank, load_features, read_wav, save_features)
 
@@ -34,8 +34,6 @@ EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CHECKPOINT = 4
-
-DEFAULT_BUDGET = 16
 
 
 class UsageError(ValueError):

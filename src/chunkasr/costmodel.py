@@ -3,12 +3,14 @@ masked vs naive padded batching.
 
 Conventions (also printed in report headers): one multiply-accumulate counts
 as 2 FLOPs; only matmul-like terms are counted (norms, activations, and the
-softmax are ignored); per-layer row costs use the row's query coverage
-(its c chunk positions) and key coverage (l_att + c + r positions). The
-attention window term counts content scores, positional scores, and value
-mixing, so a full-context configuration (l_att = r = 0, c = L) degenerates to
-exactly the dense count. Wall-clock seconds and memory are out of scope; only
-frame counts and FLOPs are modeled.
+softmax are ignored). Each term is billed where the engine runs it: the
+feed-forwards, the conv module and the K and V projections once per frame;
+the Q and output projections on each row's c chunk positions, so a partial
+last chunk pays for a whole one; the attention window term per row, over its
+c queries and l_att + c + r keys. That term counts content scores, positional
+scores, and value mixing, so a full-context configuration (l_att = r = 0,
+c = L) degenerates to exactly the dense count. Wall-clock seconds and memory
+are out of scope; only frame counts and FLOPs are modeled.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ def attention_flops(t_post: int, ctx: ContextConfig, model: ModelConfig) -> int:
     return model.n_layers * n * per_row
 
 
-def _per_row_fixed_flops(ctx: ContextConfig, model: ModelConfig) -> dict[str, int]:
-    q = ctx.c
+def _layer_fixed_flops(frames: int, queries: int, model: ModelConfig) -> dict[str, int]:
+    """One layer's FLOPs outside the attention window: K, V, conv and FF per
+    frame, Q and output projections per query position."""
     d, ff, k = model.d_model, model.d_ff, model.kernel_size
-    proj = 2 * d * d * 4 * q                    # q, k, v and out once per frame
-    conv = q * (2 * d * 2 * d + 2 * k * d + 2 * d * d)
-    ffl = 2 * q * 2 * (d * ff + ff * d)
+    proj = 2 * d * d * 2 * (frames + queries)
+    conv = frames * (2 * d * 2 * d + 2 * k * d + 2 * d * d)
+    ffl = frames * 2 * 2 * (d * ff + ff * d)
     return {"att_proj": proj, "conv": conv, "ff": ffl}
 
 
@@ -112,12 +115,12 @@ def _audio_cost(audio_id: str, seconds: float, billed: float, ctx: ContextConfig
     t_raw = raw_frames_for_duration(billed)
     t_post = -(-t_raw // 8)
     rows = -(-t_post // ctx.c)
-    fixed = _per_row_fixed_flops(ctx, model)
+    fixed = _layer_fixed_flops(t_post, rows * ctx.c, model)
     att = attention_flops(t_post, ctx, model)
-    conv = model.n_layers * rows * fixed["conv"]
-    ffl = model.n_layers * rows * fixed["ff"]
+    conv = model.n_layers * fixed["conv"]
+    ffl = model.n_layers * fixed["ff"]
     other = (subsample_flops(t_raw, model)
-             + model.n_layers * rows * fixed["att_proj"]
+             + model.n_layers * fixed["att_proj"]
              + 2 * t_post * model.d_model * model.vocab_size)
     return AudioCost(audio_id=audio_id, seconds=seconds, billed_seconds=billed,
                      frames_raw=t_raw, frames_post=t_post, rows=rows,

@@ -46,6 +46,7 @@ from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, VocabError, default_vocab
 from .functional import cast_params, ff_forward, layer_norm, swish
 
+DEFAULT_BUDGET = 16   # chunk rows per decode step
 CHECKPOINT_MAGIC = b"CFKW"
 CHECKPOINT_VERSION = 1
 VOCAB_TENSOR = "vocab.utf8"
@@ -534,8 +535,8 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
 
 
 def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
-                ctx: ContextConfig, model: ModelConfig, budget: int = 16,
-                dtype=np.float32, on_emit=None) -> dict[str, np.ndarray]:
+                ctx: ContextConfig, model: ModelConfig, budget: int = DEFAULT_BUDGET,
+                on_emit=None) -> dict[str, np.ndarray]:
     """Decode every audio to hidden frames with masked-batch endless decoding.
 
     Loops schedule and step until all chunks are emitted; deterministic for
@@ -545,10 +546,11 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     has finished. ``on_emit`` is called as on_emit(audio_id, block, start_frame)
     after each step. Each audio's (post_frames(T), d_model) output is
     allocated once, and every emitted block is copied into it at its start
-    frame. The returned dict is in input order.
+    frame. The returned dict is in input order. The encode runs in the
+    dtype of ``weights``, as encode_step reads it.
     """
     require_valid(model, ctx)
-    weights = cast_params(weights, dtype)
+    dtype = weights.after_ln_g.dtype
     table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
                                             model.l_max), dtype)
     states: dict[str, StreamState] = {}

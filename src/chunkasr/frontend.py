@@ -40,11 +40,6 @@ class FeatureFormatError(ValueError):
 
 
 @dataclass
-class PcmAudio:
-    samples: np.ndarray  # int16, mono, SAMPLE_RATE Hz
-
-
-@dataclass
 class FeatureMatrix:
     """T x 80 log-mel frames; 10 ms shift, 25 ms analysis window."""
 
@@ -56,13 +51,9 @@ class FeatureMatrix:
                 f"feature matrix must be T x {N_MELS}, got {self.frames.shape}"
             )
 
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
 
-
-def read_wav(path) -> PcmAudio:
-    """Read a mono 16 kHz 16-bit WAV.
+def read_wav(path) -> np.ndarray:
+    """The int16 samples of a mono 16 kHz 16-bit WAV.
 
     The frames read are capped at what the bytes after the data chunk's header
     can hold, so a header that claims more data than the file has never sizes
@@ -83,8 +74,7 @@ def read_wav(path) -> PcmAudio:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-    samples = np.frombuffer(data, dtype="<i2")
-    return PcmAudio(samples=samples)
+    return np.frombuffer(data, dtype="<i2")
 
 
 def write_wav(path, samples: np.ndarray) -> None:
@@ -137,8 +127,8 @@ _MEL_T = mel_filterbank().T
 FBANK_BLOCK = 4096   # frames per filterbank block; compute_fbank says why
 
 
-def compute_fbank(audio: PcmAudio) -> FeatureMatrix:
-    """Log-mel filterbank features for one audio.
+def compute_fbank(samples: np.ndarray) -> FeatureMatrix:
+    """Log-mel filterbank features of one audio's int16 samples.
 
     T = 1 + floor((num_samples - 400) / 160); trailing samples of less than
     one hop never start a new frame, so zero-padding by under 160 samples
@@ -158,7 +148,7 @@ def compute_fbank(audio: PcmAudio) -> FeatureMatrix:
     37-64k minor faults and 25-40% more time per paper-scale encode_full,
     against none with 4096-frame blocks.
     """
-    t = num_frames(len(audio.samples))
+    t = num_frames(len(samples))
     out = np.empty((t, N_MELS), dtype=np.float32)
     n = min(t, FBANK_BLOCK)
     bins = N_FFT // 2 + 1
@@ -167,8 +157,8 @@ def compute_fbank(audio: PcmAudio) -> FeatureMatrix:
     mel = np.empty((n, N_MELS))
     for s in range(0, t, FBANK_BLOCK):
         m = min(FBANK_BLOCK, t - s)
-        x = np.asarray(audio.samples[s * HOP_SAMPLES:
-                                     (s + m - 1) * HOP_SAMPLES + WINDOW_SAMPLES])
+        x = np.asarray(samples[s * HOP_SAMPLES:
+                               (s + m - 1) * HOP_SAMPLES + WINDOW_SAMPLES])
         np.multiply(sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES], _WINDOW,
                     out=frames[:m, :WINDOW_SAMPLES])
         np.fft.rfft(frames[:m], axis=1, out=spec[:m])

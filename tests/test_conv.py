@@ -153,8 +153,9 @@ def test_streaming_two_step_equals_one_step_conv_path(rng):
     ctx = ContextConfig(l_att=4, c=4, r=2)
     w = init_weights(model, seed=5)
     feats = rng.normal(size=(170, 80)).astype(np.float32)
-    one = encode_full({"a": feats}, w, ctx, model, budget=10 ** 6, dtype=np.float64)
-    two = encode_full({"a": feats}, w, ctx, model, budget=3, dtype=np.float64)
+    w = cast_params(w, np.float64)
+    one = encode_full({"a": feats}, w, ctx, model, budget=10 ** 6)
+    two = encode_full({"a": feats}, w, ctx, model, budget=3)
     assert rel_err(two["a"], one["a"]) <= 1e-12
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.costmodel import (attention_flops, batch_cost, cost_csv,
-                                format_cost_table, raw_frames_for_duration)
+                                format_cost_table, raw_frames_for_duration,
+                                subsample_flops)
 
 TABLE_DURATIONS = [1.0, 30.0, 60.0, 900.0, 1800.0, 3600.0]
 PAPER_CTX = ContextConfig(l_att=128, c=64, r=128)
@@ -60,6 +61,22 @@ def test_table_durations_ratio_near_published_value():
     assert abs(report.ratio / 3.38 - 1.0) <= 0.05
     # the duration-level padding ratio that drives it
     assert abs(21600 / 6391 - 3.38) / 3.38 <= 0.03
+
+
+def test_partial_chunk_bills_frames_once_and_queries_per_row():
+    # 1 s is 13 post frames, one partial chunk of c = 64: the feed-forwards,
+    # the conv and the K and V projections run on its 13 frames; the Q and
+    # output projections on all 64 query positions of its one row
+    model = paper_model()
+    d, f, k, n = model.d_model, model.d_ff, model.kernel_size, model.n_layers
+    a = batch_cost([1.0], PAPER_CTX, model).audios[0]
+    assert (a.frames_post, a.rows) == (13, 1)
+    assert a.ff_flops == n * 13 * 2 * 2 * 2 * d * f
+    assert a.conv_flops == n * 13 * 2 * (2 * d * d + k * d + d * d)
+    assert a.other_flops == (subsample_flops(a.frames_raw, model)
+                             + n * 2 * d * d * 2 * (13 + 64)
+                             + 2 * 13 * d * model.vocab_size)
+    assert a.attention_flops == n * 3 * 2 * 64 * 320 * d
 
 
 def test_single_audio_ratio_exactly_one():

@@ -95,8 +95,8 @@ def test_zero_branch_layer_reduces_to_output_norm(small_ctx, rng):
     w = zero_branch_weights(model)
     lw = w.layers[0]
     feats = rng.normal(size=(12 * 8 - 5, 80)).astype(np.float32)
-    out = encode_full({"a": feats}, w, small_ctx, model, budget=2,
-                      dtype=np.float64)["a"]
+    out = encode_full({"a": feats}, cast_params(w, np.float64), small_ctx, model,
+                      budget=2)["a"]
     x = full_subsample(feats, w, np.float64)
     expected = layer_norm(layer_norm(x, lw.out_ln_g, lw.out_ln_b),
                           w.after_ln_g, w.after_ln_b)
@@ -112,7 +112,7 @@ def test_layer_matches_full_context_composition(small_model, rng):
     ctx = ContextConfig(l_att=40, c=40, r=0)
     w = init_weights(model, seed=2)
     feats = rng.normal(size=(180, 80)).astype(np.float32)
-    got = encode_full({"a": feats}, w, ctx, model, budget=100, dtype=np.float64)
+    got = encode_full({"a": feats}, cast_params(w, np.float64), ctx, model, budget=100)
     ref = full_context_encode(feats, w, model)
     assert rel_err(got["a"], ref) <= 1e-12
 
@@ -163,8 +163,9 @@ def test_streaming_forty_frame_audio_two_steps(rng):
     ctx = ContextConfig(l_att=8, c=4, r=2)
     w = init_weights(model, seed=6)
     feats = rng.normal(size=(320, 80)).astype(np.float32)  # 40 post frames
-    single = encode_full({"a": feats}, w, ctx, model, budget=100, dtype=np.float64)
-    stepped = encode_full({"a": feats}, w, ctx, model, budget=5, dtype=np.float64)
+    w = cast_params(w, np.float64)
+    single = encode_full({"a": feats}, w, ctx, model, budget=100)
+    stepped = encode_full({"a": feats}, w, ctx, model, budget=5)
     assert rel_err(stepped["a"], single["a"]) <= 1e-4
 
 
@@ -187,8 +188,8 @@ def test_full_encode_equals_loop_oracle_three_audios(small_model, small_ctx,
     feats = {"a": rng.normal(size=(7 * 8, 80)).astype(np.float32),
              "b": rng.normal(size=(23 * 8, 80)).astype(np.float32),
              "c": rng.normal(size=(40 * 8 - 3, 80)).astype(np.float32)}
-    got = encode_full(feats, small_weights, small_ctx, small_model, budget=4,
-                      dtype=np.float64)
+    got = encode_full(feats, cast_params(small_weights, np.float64), small_ctx,
+                      small_model, budget=4)
     ref = loop_oct_encode(feats, small_weights, small_ctx, small_model)
     for k in feats:
         assert rel_err(got[k], ref[k]) <= 1e-4
@@ -214,7 +215,7 @@ def test_zero_layer_model_is_subsample_only(rng):
     ctx = ContextConfig(l_att=4, c=4, r=0)
     w = init_weights(model, seed=1)
     feats = rng.normal(size=(100, 80)).astype(np.float32)
-    got = encode_full({"a": feats}, w, ctx, model, budget=2, dtype=np.float64)
+    got = encode_full({"a": feats}, cast_params(w, np.float64), ctx, model, budget=2)
     assert rel_err(got["a"], full_subsample(feats, w, np.float64)) <= 1e-12
 
 
@@ -587,6 +588,57 @@ def test_rerun_determinism_end_to_end(small_model, small_ctx, small_weights, rng
     one = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     two = encode_full(feats, small_weights, small_ctx, small_model, budget=2)
     assert np.array_equal(one["a"], two["a"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_runs_on_the_weights_given_in_their_dtype(small_model, small_ctx,
+                                                         small_weights, rng, dtype,
+                                                         monkeypatch):
+    # no cast and no copied container: every step gets the caller's weights
+    w = cast_params(small_weights, dtype)
+    seen = []
+    step = encoder.encode_step
+
+    def recording(states, schedule, features, weights, *args):
+        seen.append(weights)
+        return step(states, schedule, features, weights, *args)
+
+    monkeypatch.setattr(encoder, "encode_step", recording)
+    out = encode_full({"a": rng.normal(size=(90, 80)).astype(np.float32)}, w,
+                      small_ctx, small_model, budget=2)
+    assert len(seen) > 1 and all(weights is w for weights in seen)
+    assert out["a"].dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_poisoned_masked_row_slots_change_no_output_bit(small_model, small_ctx,
+                                                        small_weights, rng, dtype,
+                                                        monkeypatch):
+    # Every gathered row's masked slots are overwritten before attention reads
+    # them. The short audio shares the first step with the long one, so its
+    # rows' masked slots would otherwise hold the long audio's keys and values.
+    feats = {"short": rng.normal(size=(41, 80)).astype(np.float32),
+             "long": rng.normal(size=(370, 80)).astype(np.float32)}
+    w = cast_params(small_weights, dtype)
+    clean = encode_full(feats, w, small_ctx, small_model, budget=3)
+    gather = chunking.oct_segment
+    masked = []
+    for poison in ("noise", np.inf, -np.inf, np.nan):
+        def poisoned(*args, **kwargs):
+            batch = gather(*args, **kwargs)
+            fill = rng.normal(size=batch.rows.shape) * 1e6 if poison == "noise" else poison
+            batch.rows = np.where(batch.mask[..., None], batch.rows,
+                                  fill).astype(batch.rows.dtype)
+            masked.append(int(np.count_nonzero(~batch.mask)))
+            return batch
+
+        monkeypatch.setattr(chunking, "oct_segment", poisoned)
+        dirty = encode_full(feats, w, small_ctx, small_model, budget=3)
+        for aid in feats:
+            assert dirty[aid].dtype == dtype
+            assert np.array_equal(dirty[aid].view(np.uint8), clean[aid].view(np.uint8)), \
+                (aid, poison)
+    assert sum(masked) > 0
 
 
 def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_ctx,

@@ -1,5 +1,5 @@
-"""Every engine module uses each name it imports, and every function each
-parameter it takes."""
+"""Every engine module uses each name it imports, every function each
+parameter it takes, and no module writes an attribute of a module."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,39 @@ def unused_parameters(source: str) -> list[str]:
     return sorted(found)
 
 
+def module_attribute_writes(source: str) -> list[tuple[int, str]]:
+    """(line, target) of every write (assignment, deletion, setattr/delattr)
+    to an attribute of a name that ``source`` imports as a module: by a plain
+    import, or by a from-import of one of this package's modules."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {a.asname or a.name for a in node.names if f"{a.name}.py" in MODULES}
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for t in target.elts:
+                yield from written(t)
+        elif isinstance(target, ast.Starred):
+            yield from written(target.value)
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+                and target.value.id in modules:
+            yield target.lineno, f"{target.value.id}.{target.attr}"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("setattr", "delattr") and node.args:
+            found += written(ast.Attribute(node.args[0], "<dynamic>", lineno=node.lineno))
+        # assignments, deletions, augmented assignments, for-loop targets
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            found += written(target)
+    return sorted(found)
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\nimport os, os.path\n"
               "import numpy as np\nfrom a import b, c as d\n"
@@ -63,3 +96,21 @@ def test_checker_finds_unused_parameters():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
+
+
+def test_checker_finds_module_attribute_writes():
+    source = ("import numpy as np\nfrom . import chunking, ctc as c\n"
+              "from .chunking import oct_segment\n"
+              "def f(batch):\n    chunking.oct_segment = f\n    batch.rows = 0\n"
+              "    np.x, batch.mask = 1, 2\n    c.y += 1\n    setattr(chunking, 'z', 0)\n"
+              "    setattr(batch, 'rows', 0)\n    oct_segment.w = 1\n"
+              "    del chunking.oct_segment\n    chunking.oct_segment(batch)\n"
+              "    for *c.v, batch.mask in batch:\n        pass\n")
+    assert module_attribute_writes(source) == [
+        (5, "chunking.oct_segment"), (7, "np.x"), (8, "c.y"), (9, "chunking.<dynamic>"),
+        (12, "chunking.oct_segment"), (14, "c.v")]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_module_writes_no_module_attribute(module):
+    assert module_attribute_writes((PACKAGE / module).read_text()) == []

@@ -3,6 +3,7 @@ import pytest
 
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, init_weights
+from chunkasr.functional import cast_params
 from chunkasr.oracle import (OracleReport, chunk_window_mask, compare,
                              dense_attention_reference, full_context_encode,
                              full_subsample, loop_oct_encode, run_selftest)
@@ -64,8 +65,8 @@ def test_full_context_deterministic(small_model, small_weights, rng):
 def test_loop_oracle_single_audio_matches_fast_path(small_model, small_ctx,
                                                     small_weights, rng):
     feats = {"a": rng.normal(size=(130, 80)).astype(np.float32)}
-    fast = encode_full(feats, small_weights, small_ctx, small_model,
-                       budget=10 ** 6, dtype=np.float64)
+    fast = encode_full(feats, cast_params(small_weights, np.float64), small_ctx,
+                       small_model, budget=10 ** 6)
     ref = loop_oct_encode(feats, small_weights, small_ctx, small_model)
     assert rel_err(fast["a"], ref["a"]) <= 1e-12
 
@@ -106,3 +107,32 @@ def test_selftest_catches_injected_cache_bug(monkeypatch):
     reports = run_selftest(seed=0)
     failed = {r.suite for r in reports if not r.passed}
     assert {"streaming", "masked_batch"} <= failed
+
+
+POISONS = {"noise": lambda rows: np.isfinite(rows).all() and np.abs(rows).max() > 1e5,
+           "+inf": lambda rows: np.isposinf(rows).any(),
+           "-inf": lambda rows: np.isneginf(rows).any(),
+           "nan": lambda rows: np.isnan(rows).any()}
+
+
+@pytest.mark.parametrize("kind", list(POISONS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selftest_poison_suite_catches_a_leaking_mask(monkeypatch, dtype, kind):
+    # attention that reads the masked slots of rows of one dtype holding one
+    # poison kind: the poison suite, and only it, must fail, so it covers both
+    # dtypes and all four kinds
+    from chunkasr import attention
+    from chunkasr.chunking import ChunkBatch
+
+    real = attention.chunk_attention
+
+    def leaking(batch, *args):
+        if batch.rows.dtype == dtype and POISONS[kind](batch.rows):
+            batch = ChunkBatch(batch.rows, np.ones_like(batch.mask),
+                               batch.l, batch.c, batch.r)
+        return real(batch, *args)
+
+    monkeypatch.setattr(attention, "chunk_attention", leaking)
+    with np.errstate(all="ignore"):
+        reports = run_selftest(seed=0)
+    assert {r.suite for r in reports if not r.passed} == {"poison"}

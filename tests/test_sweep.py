@@ -13,6 +13,7 @@ import pytest
 from chunkasr import chunking
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, init_weights
+from chunkasr.functional import cast_params
 from chunkasr.oracle import loop_oct_encode
 from conftest import rel_err
 
@@ -71,7 +72,7 @@ def test_masked_batch_matches_loop_oracle(index, case, monkeypatch):
         runs = []
         for order in (feats, dict(reversed(feats.items()))):
             steps.clear()
-            got = encode_full(order, w, ctx, model, budget=budget, dtype=dtype)
+            got = encode_full(order, cast_params(w, dtype), ctx, model, budget=budget)
             assert list(got) == list(order)
             for aid in feats:
                 assert got[aid].shape == ref[aid].shape and got[aid].dtype == dtype
@@ -85,7 +86,8 @@ def test_masked_batch_matches_loop_oracle(index, case, monkeypatch):
 
 def test_budget_one_equals_unbounded_budget():
     model, ctx, _, w, feats = setup((3, 5, 5, 3, 4, 1), seed=7)
-    one = encode_full(feats, w, ctx, model, budget=1, dtype=np.float64)
-    big = encode_full(feats, w, ctx, model, budget=10 ** 6, dtype=np.float64)
+    w = cast_params(w, np.float64)
+    one = encode_full(feats, w, ctx, model, budget=1)
+    big = encode_full(feats, w, ctx, model, budget=10 ** 6)
     for aid in feats:
         assert rel_err(one[aid], big[aid]) <= 1e-10
