@@ -14,10 +14,7 @@ change an output bit-wise.
 The scheduler fills a row budget from the front of the audio order it is
 given, taking each audio's next chunks from its emit frontier, and makes a
 ChunkPlan only for the chunks it takes; encode_full gives it the pending
-audios shortest first. The encoder step derives each audio's lookahead
-tail, which brings the emitted chunks to exactness at every layer; it
-computes each tail frame once and holds it until a later step emits it or
-reads it as context.
+audios shortest first.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from .config import ConfigError
 
 
 class ChunkingError(ValueError):
-    """Empty input or malformed chunk geometry."""
+    """An audio with no feature frames."""
 
 
 class SchedulerError(RuntimeError):
@@ -68,29 +65,21 @@ class ChunkBatch:
 
 @dataclass
 class StreamState:
-    """Per-audio decoding state: held frames and progress counters.
+    """Per-audio decoding state: progress counters and the held frames.
 
-    Every sublayer has an exactness frontier that only moves forward (see
-    encoder._frontiers). Each layer's attention cache holds its exact
-    attention inputs from l_att frames before its attention frontier to its
-    input frontier; its conv cache holds the conv inputs from l_conv frames
-    before its output frontier to its attention frontier. Frames between two
-    frontiers wait in a cache until a later step makes the windows that read
-    them exact. Caches hold only frames that actually exist; before warm-up
-    the missing history shows up as masked attention-row positions and as
-    the conv's zero padding at the audio start, never as fabricated history.
-    No raw features are held: the subsample reads the raw frames each step
-    needs, its left margin included, straight from the audio's features,
-    which stay resident for the whole encode.
+    ``held`` is all a step carries to the next: the exact frames that later
+    steps still read or emit. encoder._frontiers says what each entry
+    holds. It is empty before the first step and after the audio has
+    finished. No raw features are held: the subsample reads the raw frames
+    each step needs straight from the audio's features, which stay
+    resident for the whole encode.
     """
 
     audio_id: str
     total_frames: int                      # post-subsample frames in the audio
     frames_consumed: int = 0               # emit frontier
     frames_subsampled: int = 0             # subsample frontier
-    att_caches: list[np.ndarray] = field(default_factory=list)  # per layer, attention inputs
-    conv_caches: list[np.ndarray] = field(default_factory=list) # per layer, conv inputs
-    out_cache: np.ndarray | None = None    # last layer's outputs past the emit frontier
+    held: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass

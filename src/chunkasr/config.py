@@ -83,29 +83,6 @@ MODEL_CAPS = {"n_layers": 64, "d_model": 2048, "d_ff": 8192, "kernel_size": 255,
 WEIGHT_CAP = 250_000_000
 
 
-def _weight_table(model: ModelConfig) -> tuple[list, list, list]:
-    """weight_parts in three lists: the parts before the layers, one layer's
-    parts (prefixes without the layer), and the parts after the layers, so
-    weight_count sizes a layer once rather than walking every layer."""
-    d, f, k, v = model.d_model, model.d_ff, model.kernel_size, model.vocab_size
-    norm = (("ln_g", (d,), 0), ("ln_b", (d,), 0))
-    ff = norm + (("w1", (d, f), d), ("b1", (f,), d), ("w2", (f, d), f), ("b2", (d,), f))
-    att = norm + (("wq", (d, d), d), ("wk", (d, d), d), ("wv", (d, d), d),
-                  ("wr", (d, d), d), ("u", (d,), d), ("v", (d,), d),
-                  ("wo", (d, d), d), ("bo", (d,), d))
-    conv = norm + (("pw_in_w", (d, 2 * d), d), ("pw_in_b", (2 * d,), d),
-                   ("dw_w", (k, d), k), ("dw_ln_g", (d,), 0), ("dw_ln_b", (d,), 0),
-                   ("pw_out_w", (d, d), d), ("pw_out_b", (d,), d))
-    subsample = [(f"subsample.b{j}.", (("dw_w", (3, c), 3), ("pw_w", (c, d), c),
-                                       ("pw_b", (d,), c)))
-                 for j, c in enumerate((N_MELS, d, d))]
-    subsample.append(("subsample.", (("out_w", (d, d), d), ("out_b", (d,), d))))
-    layer = [("ff1.", ff), ("att.", att), ("conv.", conv), ("ff2.", ff),
-             ("", (("out_ln_g", (d,), 0), ("out_ln_b", (d,), 0)))]
-    return subsample, layer, [("", (("after_ln_g", (d,), 0), ("after_ln_b", (d,), 0))),
-                              ("ctc.", (("w", (d, v), d), ("b", (v,), d)))]
-
-
 def weight_parts(model: ModelConfig) -> list[tuple[str, tuple]]:
     """Every weight tensor of the model, one part per parameter container.
 
@@ -116,17 +93,31 @@ def weight_parts(model: ModelConfig) -> list[tuple[str, tuple]]:
     init_model draws uniform(-a, a), a = 1 / sqrt(fan_in), in this order;
     fan_in 0 marks a layer norm, whose gain (*_g) starts at 1 and shift at 0.
     """
-    before, layer, after = _weight_table(model)
-    return before + [(f"layer{i}.{prefix}", tensors) for i in range(model.n_layers)
-                     for prefix, tensors in layer] + after
+    d, f, k, v = model.d_model, model.d_ff, model.kernel_size, model.vocab_size
+    norm = (("ln_g", (d,), 0), ("ln_b", (d,), 0))
+    ff = norm + (("w1", (d, f), d), ("b1", (f,), d), ("w2", (f, d), f), ("b2", (d,), f))
+    att = norm + (("wq", (d, d), d), ("wk", (d, d), d), ("wv", (d, d), d),
+                  ("wr", (d, d), d), ("u", (d,), d), ("v", (d,), d),
+                  ("wo", (d, d), d), ("bo", (d,), d))
+    conv = norm + (("pw_in_w", (d, 2 * d), d), ("pw_in_b", (2 * d,), d),
+                   ("dw_w", (k, d), k), ("dw_ln_g", (d,), 0), ("dw_ln_b", (d,), 0),
+                   ("pw_out_w", (d, d), d), ("pw_out_b", (d,), d))
+    parts = [(f"subsample.b{j}.", (("dw_w", (3, c), 3), ("pw_w", (c, d), c),
+                                   ("pw_b", (d,), c)))
+             for j, c in enumerate((N_MELS, d, d))]
+    parts.append(("subsample.", (("out_w", (d, d), d), ("out_b", (d,), d))))
+    layer = [("ff1.", ff), ("att.", att), ("conv.", conv), ("ff2.", ff),
+             ("", (("out_ln_g", (d,), 0), ("out_ln_b", (d,), 0)))]
+    parts += [(f"layer{i}.{prefix}", tensors) for i in range(model.n_layers)
+              for prefix, tensors in layer]
+    return parts + [("", (("after_ln_g", (d,), 0), ("after_ln_b", (d,), 0))),
+                    ("ctc.", (("w", (d, v), d), ("b", (v,), d)))]
 
 
 def weight_count(model: ModelConfig) -> int:
     """Weights init_model makes: the sizes of every tensor in weight_parts."""
-    before, layer, after = (sum(math.prod(shape) for _, tensors in parts
-                                for _, shape, _ in tensors)
-                            for parts in _weight_table(model))
-    return before + model.n_layers * layer + after
+    return sum(math.prod(shape) for _, tensors in weight_parts(model)
+               for _, shape, _ in tensors)
 
 
 def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:

@@ -10,7 +10,7 @@ past the emit frontier stay in the audio's state, so every frame goes
 through every layer once, whatever the budget. The new frames of all audios
 at a layer are packed back to back into one ragged (sum of new frames, d)
 buffer, so each position-wise op (feed-forward, layer norm) runs once. The
-two sequential sublayers read one buffer of every audio's [cache | new]
+two sequential sublayers read one buffer of every audio's [held | new]
 segment. Attention projects each frame of that buffer to its key and value
 once and gathers overlapping [l_att | c | r] chunk rows of them for all
 audios at once, each row masked to its own audio's segment; the conv runs
@@ -347,6 +347,16 @@ def _frontiers(ready: np.ndarray, total: np.ndarray, ctx: ContextConfig,
     ([l_att | c | r] must lie below the input frontier) and the conv then
     needs l_conv frames past each output; once an input reaches the audio
     end, every later frontier is the end too.
+
+    An audio's StreamState.held is indexed like these rows: held[j] ends at
+    row j. held[2k] holds layer k's attention inputs from l_att frames
+    before its attention frontier on, held[2k + 1] its conv inputs from
+    l_conv frames before its output frontier on, and held[2L] the final
+    frames, past the last layer's norm, from the emit frontier on. Frames
+    between two frontiers wait there until a later step makes the windows
+    that read them exact. Only frames that exist are held: before warm-up
+    the missing history shows up as masked attention-row positions and as
+    the conv's zero padding at the audio start.
     """
     rows = [ready]
     for _ in range(n_layers):
@@ -362,42 +372,37 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _append_new(caches: list[np.ndarray], x: np.ndarray, counts: np.ndarray):
-    """The buffer [cache_0 | new_0 | cache_1 | new_1 | ...], where audio i's
-    counts[i] new frames follow each other's in x; also each audio's first
-    buffer index, cache length and segment length."""
-    lens = np.array([cache.shape[0] for cache in caches])
-    at = (np.cumsum(counts) - counts).tolist()
-    ext = np.concatenate([part for cache, a, n in zip(caches, at, counts.tolist())
-                          for part in (cache, x[a:a + n])])
-    seg = lens + counts
-    return ext, np.cumsum(seg) - seg, lens, seg
-
-
-def _sublayer(caches: list[np.ndarray], x: np.ndarray, before: np.ndarray,
-              after: np.ndarray, ln_g, ln_b, l: int, run):
+def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, before: np.ndarray,
+              after: np.ndarray, ln_g, ln_b, l: int, run) -> np.ndarray:
     """A residual sublayer over the held and new inputs of every audio.
 
     ``before`` and ``after`` are every audio's (input, output) frontiers of
-    the sublayer at the start and the end of the step. Audio i's cache holds
-    its inputs up to the first input frontier, x its inputs up to the second,
-    back to back with the other audios'. ``run(h, seg, at, local)`` gets the
-    normalized [cache_i | new_i] buffer h, each audio's segment length in
-    it, and the buffer index of every frame between the output frontiers
-    with its place among its audio's outputs; it returns one output per such
-    frame, read from that frame's own segment only, whose inputs are all
-    exact. Returns the residual sums at those frames, audio after audio, and
-    each audio's inputs from l frames before its new output frontier on, as
-    its next cache.
+    the sublayer at the start and the end of the step. Audio i holds its
+    inputs up to the first input frontier in held[j], and x its inputs up to
+    the second, back to back with the other audios'. ``run(h, seg, at,
+    local)`` gets the normalized [held_i | new_i] buffer h, each audio's
+    segment length in it, and the buffer index of every frame between the
+    output frontiers with its place among its audio's outputs; it returns
+    one output per such frame, read from that frame's own segment only,
+    whose inputs are all exact. Each audio's held[j] becomes its inputs from
+    l frames before its new output frontier on. Returns the residual sums at
+    the new output frames, audio after audio.
     """
     (f_in, first), (f_end, last) = before, after
-    ext, base, lens, seg = _append_new(caches, x, f_end - f_in)
+    held = [a.state.held[j] for a in steps]
+    lens = np.array([h.shape[0] for h in held])
+    counts = f_end - f_in
+    at = (np.cumsum(counts) - counts).tolist()
+    ext = np.concatenate([part for h, a, n in zip(held, at, counts.tolist())
+                          for part in (h, x[a:a + n])])
+    seg = lens + counts
+    base = np.cumsum(seg) - seg
     shift = base + lens - f_in                 # buffer index minus absolute frame
-    new = [ext[max(b, k):b + n].copy()
-           for b, k, n in zip(base.tolist(), (last - l + shift).tolist(), seg.tolist())]
+    for a, b, k, n in zip(steps, base.tolist(), (last - l + shift).tolist(), seg.tolist()):
+        a.state.held[j] = ext[max(b, k):b + n].copy()
     audio, local = _ragged(last - first)
     at = (first + shift)[audio] + local
-    return ext[at] + run(layer_norm(ext, ln_g, ln_b), seg, at, local), new
+    return ext[at] + run(layer_norm(ext, ln_g, ln_b), seg, at, local)
 
 
 def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
@@ -416,7 +421,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
     the inputs between them. The FF runs on those new inputs, attention on
     the chunk rows whose window became exact, the conv, FF and output norm
     on the frames that became exact; each sublayer reads its left context
-    and the frames still pending from its cache. Returns the new outputs.
+    and the frames still pending from the audio's held frames. Returns the
+    new outputs.
     """
     def attend(h, seg, at, local):
         # a chunk's [l_att | c | r] row starts at its first output frame
@@ -431,18 +437,13 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
         return out[np.cumsum(head) - 1, col]
 
     x = x + _half_ff(x, lw.ff1)
-    x, att_caches = _sublayer(
-        [a.state.att_caches[layer_idx] for a in steps], x, before[:2], after[:2],
-        lw.att.ln_g, lw.att.ln_b, ctx.l_att, attend)
-    x, conv_caches = _sublayer(
-        [a.state.conv_caches[layer_idx] for a in steps], x, before[1:], after[1:],
-        lw.conv.ln_g, lw.conv.ln_b, derive_l_conv(model.kernel_size),
-        lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
-    for a, n, att_cache, conv_cache in zip(steps, (after[2] - before[2]).tolist(),
-                                           att_caches, conv_caches):
+    x = _sublayer(steps, 2 * layer_idx, x, before[:2], after[:2],
+                  lw.att.ln_g, lw.att.ln_b, ctx.l_att, attend)
+    x = _sublayer(steps, 2 * layer_idx + 1, x, before[1:], after[1:],
+                  lw.conv.ln_g, lw.conv.ln_b, derive_l_conv(model.kernel_size),
+                  lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
+    for a, n in zip(steps, (after[2] - before[2]).tolist()):
         a.cov = n
-        a.state.att_caches[layer_idx] = att_cache
-        a.state.conv_caches[layer_idx] = conv_cache
     return layer_norm(x + _half_ff(x, lw.ff2), lw.out_ln_g, lw.out_ln_b)
 
 
@@ -462,11 +463,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     only past the subsample frontier, straight from the audio's resident
     ``features``, and each layer runs only on the frames that became exact
     at its input this step, packed for all audios into one buffer. Exact
-    frames past the emit frontier stay in the state's caches for the next
-    step, so no frame is computed twice at any layer. The scheduled chunks
-    are emitted from the last layer's held frames. Outputs and caches are in
-    the dtype of ``weights``; ``table`` must be built for ``ctx`` and be in
-    that dtype too, as encode_full passes them.
+    frames past each frontier stay in the state's held frames for the next
+    step, so no frame is computed twice at any layer. The last layer's new
+    frames take the final norm as they become exact, and the emitted frames
+    are the first ones of each audio's held final frames, sliced off them.
+    Outputs and held frames are in the dtype of ``weights``; ``table`` must
+    be built for ``ctx`` and be in that dtype too, as encode_full passes
+    them.
     """
     dtype = weights.after_ln_g.dtype
     l_conv = derive_l_conv(model.kernel_size)
@@ -491,17 +494,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         emit = sum(p.valid_frames for p in rows)
         done = st.frames_subsampled
         end = max(done, min(start + emit + la, st.total_frames))
-        if end > done:
-            hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
-        if st.out_cache is None:
-            empty = np.zeros((0, model.d_model), dtype)
-            st.att_caches = [empty] * model.n_layers
-            st.conv_caches = [empty] * model.n_layers
-            st.out_cache = empty
+        hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
+        if not st.held:
+            st.held = [np.zeros((0, model.d_model), dtype)] * (2 * model.n_layers + 1)
         ready.append(done)
         st.frames_subsampled = end
         steps.append(_AudioStep(state=st, emit=emit, cov=end - done))
-    x = np.concatenate(hidden) if hidden else np.zeros((0, model.d_model), dtype)
+    x = np.concatenate(hidden)
     del hidden
     total = np.array([a.state.total_frames for a in steps])
     before = _frontiers(np.array(ready), total, ctx, l_conv, model.n_layers)
@@ -512,25 +511,21 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
             break
         x = _layer_pass(steps, x, before[2 * k:2 * k + 3], after[2 * k:2 * k + 3],
                         weights.layers[k], table, ctx, model, k)
-    buf, base, _, seg = _append_new([a.state.out_cache for a in steps], x,
-                                    np.array([a.cov for a in steps]))
-    emit = np.array([a.emit for a in steps])
-    if np.any(seg < emit):
-        raise SchedulerError(
-            "lookahead shortfall: fewer exact frames than scheduled "
-            f"({seg.tolist()} < {emit.tolist()})"
-        )
-    audio, local = _ragged(emit)
-    x = buf[base[audio] + local]
     if model.n_layers:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
     at = 0
-    for a, b, n in zip(steps, base.tolist(), seg.tolist()):
-        a.state.out_cache = buf[b + a.emit:b + n].copy()
-        out[a.state.audio_id] = x[at:at + a.emit]
-        at += a.emit
-        a.state.frames_consumed += a.emit
+    for a in steps:
+        st = a.state
+        held = np.concatenate([st.held[-1], x[at:at + a.cov]])
+        at += a.cov
+        if held.shape[0] < a.emit:
+            raise SchedulerError(
+                f"audio {st.audio_id!r}: lookahead shortfall: {held.shape[0]} exact "
+                f"frames, {a.emit} scheduled"
+            )
+        out[st.audio_id], st.held[-1] = held[:a.emit], held[a.emit:]
+        st.frames_consumed += a.emit
     return out
 
 
@@ -542,12 +537,13 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     Loops schedule and step until all chunks are emitted; deterministic for
     fixed weights and inputs. Each step's row budget goes to the pending
     audios shortest first (equal feature lengths in input order), so the
-    audios finish in that order, and an audio's caches are released once it
-    has finished. ``on_emit`` is called as on_emit(audio_id, block, start_frame)
-    after each step. Each audio's (post_frames(T), d_model) output is
-    allocated once, and every emitted block is copied into it at its start
-    frame. The returned dict is in input order. The encode runs in the
-    dtype of ``weights``, as encode_step reads it.
+    audios finish in that order, and an audio's held frames are released
+    once it has finished. ``on_emit`` is called as
+    on_emit(audio_id, block, start_frame) after each step. Each audio's
+    (post_frames(T), d_model) output is allocated once, and every emitted
+    block is copied into it at its start frame. The returned dict is in
+    input order. The encode runs in the dtype of ``weights``, as
+    encode_step reads it.
     """
     require_valid(model, ctx)
     dtype = weights.after_ln_g.dtype
@@ -572,7 +568,7 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     while True:
         while pending and pending[0].frames_consumed == pending[0].total_frames:
             done = pending.popleft()
-            done.att_caches, done.conv_caches, done.out_cache = [], [], None
+            done.held = []
         sched = chunking.schedule_step(pending, budget, ctx.c)
         if sched is None:
             break

@@ -37,15 +37,16 @@ def rel_err(actual, expected):
 
 
 def dropping_oldest_att_frame():
-    """encode_step with an off-by-one bug: each attention cache loses its oldest
-    frame. A cache starts with its left context, and after a step that
-    context is never empty when l_att > 0, so the frame lost is context."""
+    """encode_step with an off-by-one bug: each layer's held attention inputs
+    lose their oldest frame. They start with their left context, and after a
+    step that context is never empty when l_att > 0, so the frame lost is
+    context."""
     real = encoder.encode_step
 
     def broken(states, *args, **kwargs):
         out = real(states, *args, **kwargs)
         for st in states.values():
-            st.att_caches = [cache[1:] for cache in st.att_caches]
+            st.held[:-1:2] = [held[1:] for held in st.held[:-1:2]]
         return out
 
     return broken

@@ -142,7 +142,7 @@ def test_cache_length_follows_kernel(kernel, cache, rng):
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
     encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table)
     assert states["a"].frames_consumed == 12
-    assert [c.shape[0] for c in states["a"].conv_caches] == \
+    assert [c.shape[0] for c in states["a"].held[1::2]] == \
         [cache + a - o for a, o in zip(att_end, conv_end)]
 
 

@@ -300,9 +300,8 @@ def test_step_outputs_and_caches_take_the_weights_dtype(small_model, small_ctx,
     assert set(out) == {"a", "b"}
     for aid, st in states.items():
         assert out[aid].dtype == dtype
-        caches = st.att_caches + st.conv_caches + [st.out_cache]
-        assert len(caches) == 2 * small_model.n_layers + 1
-        assert all(cache.dtype == dtype for cache in caches)
+        assert len(st.held) == 2 * small_model.n_layers + 1
+        assert all(held.dtype == dtype for held in st.held)
 
 
 def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
@@ -332,7 +331,7 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
         x1 = x + _macaron_ff(x, lw.ff1, np.float64)
         h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
         x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
-        att, conv = st.att_caches[0], st.conv_caches[0]
+        att, conv = st.held[0], st.held[1]
         att_from, conv_from = max(0, att_end - 4), max(0, conv_end - 2)
         assert att.shape[0] == ready - att_from and conv.shape[0] == att_end - conv_from
         assert rel_err(att, x1[att_from:ready]) <= 1e-12
@@ -470,10 +469,41 @@ def test_held_frames_equal_oracle_layer_outputs(case):
             for k, (att_end, f_out) in enumerate(
                     exact_frontiers(ready[aid], st.total_frames, ctx, l_conv, model.n_layers)):
                 x1, x2, _ = layers[k]
-                assert_same(st.att_caches[k], x1[max(0, att_end - ctx.l_att):f_in])
-                assert_same(st.conv_caches[k], x2[max(0, f_out - l_conv):att_end])
+                assert_same(st.held[2 * k], x1[max(0, att_end - ctx.l_att):f_in])
+                assert_same(st.held[2 * k + 1], x2[max(0, f_out - l_conv):att_end])
                 f_in = f_out
-            assert_same(st.out_cache, layers[-1][2][st.frames_consumed:f_in])
+            assert_same(st.held[-1], layer_norm(top, w.after_ln_g, w.after_ln_b)
+                        [st.frames_consumed:f_in])
+
+
+def test_steps_after_every_frame_is_exact_emit_held_final_frames(
+        small_model, small_ctx, small_weights, rng, monkeypatch):
+    # the 36-frame lookahead covers the 30-frame audio, so the first step
+    # makes every frame final; each later step only slices its chunk off
+    # the held final frames and normalises nothing
+    normed = []
+
+    def counting(x, *args):
+        normed.append(x.shape[0])
+        return layer_norm(x, *args)
+
+    monkeypatch.setattr(encoder, "layer_norm", counting)
+    feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32)}
+    st = StreamState("a", post_frames(8 * 30))
+    assert required_lookahead(small_ctx, small_model.n_layers,
+                              derive_l_conv(small_model.kernel_size)) > st.total_frames
+    sched = schedule_step([st], 1, small_ctx.c)
+    first = run_step({"a": st}, sched, feats, small_weights, small_ctx, small_model)["a"]
+    final = np.concatenate([first, st.held[-1]])
+    assert final.shape[0] == st.total_frames
+    while (sched := schedule_step([st], 1, small_ctx.c)) is not None:
+        normed.clear()
+        start = st.frames_consumed
+        block = run_step({"a": st}, sched, feats, small_weights, small_ctx,
+                         small_model)["a"]
+        assert sum(normed) == 0
+        assert np.array_equal(block, final[start:st.frames_consumed])
+    assert st.frames_consumed == st.total_frames
 
 
 # ---------------------------------------------------------------------------
