@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import costmodel, oracle
 from .chunking import ChunkingError
@@ -38,19 +36,6 @@ EXIT_CHECKPOINT = 4
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class Job:
-    """A batch of inputs plus the knobs shared by transcribe/encode."""
-
-    inputs: list[tuple[str, Path, str]]  # (audio_id, path, kind: wav|features)
-    model: ModelConfig
-    ctx: ContextConfig
-    budget: int
-    checkpoint: Path | None
-    output: Path | None
-    timestamps: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,9 +108,23 @@ def _collect_inputs(paths: list[Path], kind_flag: str) -> list[tuple[str, Path, 
     return inputs
 
 
-def _load_features_for(job_inputs) -> dict[str, np.ndarray]:
+def _load(args, model: ModelConfig, ctx: ContextConfig, inputs):
+    """Validate the config, then load (weights, head, vocab, features): the
+    weights from ``args.checkpoint``, checked against ``model``, or drawn
+    from ``model.seed`` when there is none."""
+    require_valid(model, ctx)
+    if args.checkpoint is None:
+        weights, head, vocab = init_model(model)
+    else:
+        weights, head, vocab = load_checkpoint(args.checkpoint)
+        problems = check_shapes(weights, model, head)
+        if len(vocab.tokens) != model.vocab_size:
+            problems.append(f"{VOCAB_TENSOR} holds {len(vocab.tokens)} tokens, config "
+                            f"says vocab_size {model.vocab_size}")
+        if problems:
+            raise CheckpointError("; ".join(problems))
     features = {}
-    for aid, path, kind in job_inputs:
+    for aid, path, kind in inputs:
         if kind == "wav":
             features[aid] = compute_fbank(read_wav(path)).frames
         else:
@@ -134,57 +133,40 @@ def _load_features_for(job_inputs) -> dict[str, np.ndarray]:
                 features[aid] = FeatureMatrix(frames).frames
             except FeatureFormatError as exc:
                 raise FeatureFormatError(f"{path}: {exc}") from None
-    return features
+    return weights, head, vocab, features
 
 
-def _load_weights(job: Job):
-    if job.checkpoint is not None:
-        weights, head, vocab = load_checkpoint(job.checkpoint)
-        problems = check_shapes(weights, job.model, head)
-        if len(vocab.tokens) != job.model.vocab_size:
-            problems.append(f"{VOCAB_TENSOR} holds {len(vocab.tokens)} tokens, config "
-                            f"says vocab_size {job.model.vocab_size}")
-        if problems:
-            raise CheckpointError("; ".join(problems))
-        return weights, head, vocab
-    return init_model(job.model)
-
-
-def cmd_transcribe(job: Job) -> int:
-    if job.checkpoint is None:
+def cmd_transcribe(args, model: ModelConfig, ctx: ContextConfig, inputs) -> int:
+    if args.checkpoint is None:
         raise UsageError("transcribe requires --checkpoint "
                          "(random weights produce garbage text)")
-    require_valid(job.model, job.ctx)
-    weights, head, vocab = _load_weights(job)
-    features = _load_features_for(job.inputs)
+    weights, head, vocab, features = _load(args, model, ctx, inputs)
     decoders = {aid: DecodeState() for aid in features}
 
     def on_emit(aid, block, start):
         decoders[aid].feed(project_logits(block, head), start)
 
-    encode_full(features, weights, job.ctx, job.model, budget=job.budget,
-                on_emit=on_emit)
+    encode_full(features, weights, ctx, model, budget=args.budget, on_emit=on_emit)
     lines = []
-    for aid, _, _ in job.inputs:
-        st = decoders[aid]
-        spans = st.spans if job.timestamps else None
+    for aid, st in decoders.items():
+        spans = st.spans if args.timestamps else None
         lines.append(format_transcript_line(aid, st.tokens, vocab, spans))
     text = "\n".join(lines) + "\n"
-    if job.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        job.output.write_text(text, encoding="utf-8")
+        args.output.write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_encode(job: Job) -> int:
-    require_valid(job.model, job.ctx)
-    weights, _, _ = _load_weights(job)
-    features = _load_features_for(job.inputs)
-    hidden = encode_full(features, weights, job.ctx, job.model, budget=job.budget)
-    job.output.mkdir(parents=True, exist_ok=True)
-    for aid, _, _ in job.inputs:
-        save_features(job.output / f"{aid}.cfkf", hidden[aid])
+def cmd_encode(args, model: ModelConfig, ctx: ContextConfig, inputs) -> int:
+    if args.seed is not None:
+        model = replace(model, seed=args.seed)
+    weights, _, _, features = _load(args, model, ctx, inputs)
+    hidden = encode_full(features, weights, ctx, model, budget=args.budget)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    for aid, frames in hidden.items():
+        save_features(args.output_dir / f"{aid}.cfkf", frames)
     return EXIT_OK
 
 
@@ -230,16 +212,8 @@ def _dispatch(args) -> int:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
     model, ctx = _load_model_ctx(args)
     inputs = _collect_inputs(args.inputs, args.format)
-    if args.command == "transcribe":
-        job = Job(inputs=inputs, model=model, ctx=ctx, budget=args.budget,
-                  checkpoint=args.checkpoint, output=args.output,
-                  timestamps=args.timestamps)
-        return cmd_transcribe(job)
-    if args.seed is not None:
-        model = replace(model, seed=args.seed)
-    job = Job(inputs=inputs, model=model, ctx=ctx, budget=args.budget,
-              checkpoint=args.checkpoint, output=args.output_dir)
-    return cmd_encode(job)
+    command = cmd_transcribe if args.command == "transcribe" else cmd_encode
+    return command(args, model, ctx, inputs)
 
 
 def main(argv=None) -> int:

@@ -339,14 +339,16 @@ class _AudioStep:
 
 def _frontiers(ready: np.ndarray, total: np.ndarray, ctx: ContextConfig,
                l_conv: int, n_layers: int) -> np.ndarray:
-    """Exactness frontiers of every sublayer, one column per audio.
+    """Exactness frontiers of every sublayer, shaped (2L + 1, *ready.shape).
 
     Row 0 is ``ready``, the post frames subsampled so far; rows 2k + 1 and
-    2k + 2 are layer k's attention and output frontiers. Every frame below a
-    frontier is exact. Attention validity is whole chunk windows
-    ([l_att | c | r] must lie below the input frontier) and the conv then
-    needs l_conv frames past each output; once an input reaches the audio
-    end, every later frontier is the end too.
+    2k + 2 are layer k's attention and output frontiers. encode_step passes
+    ``ready`` as (2, audios), every audio at the step's start and end, so
+    front[j, 0] and front[j, 1] are row j before and after the step. Every
+    frame below a frontier is exact. Attention validity is whole chunk
+    windows ([l_att | c | r] must lie below the input frontier) and the conv
+    then needs l_conv frames past each output; once an input reaches the
+    audio end, every later frontier is the end too.
 
     An audio's StreamState.held is indexed like these rows: held[j] ends at
     row j. held[2k] holds layer k's attention inputs from l_att frames
@@ -372,12 +374,12 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, before: np.ndarray,
-              after: np.ndarray, ln_g, ln_b, l: int, run) -> np.ndarray:
+def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, front: np.ndarray,
+              ln_g, ln_b, l: int, run) -> np.ndarray:
     """A residual sublayer over the held and new inputs of every audio.
 
-    ``before`` and ``after`` are every audio's (input, output) frontiers of
-    the sublayer at the start and the end of the step. Audio i holds its
+    ``front`` holds every audio's input and output frontiers of the
+    sublayer, each at the start and the end of the step. Audio i holds its
     inputs up to the first input frontier in held[j], and x its inputs up to
     the second, back to back with the other audios'. ``run(h, seg, at,
     local)`` gets the normalized [held_i | new_i] buffer h, each audio's
@@ -388,7 +390,7 @@ def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, before: np.ndarray
     l frames before its new output frontier on. Returns the residual sums at
     the new output frames, audio after audio.
     """
-    (f_in, first), (f_end, last) = before, after
+    (f_in, f_end), (first, last) = front
     held = [a.state.held[j] for a in steps]
     lens = np.array([h.shape[0] for h in held])
     counts = f_end - f_in
@@ -409,20 +411,20 @@ def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
     return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2)
 
 
-def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
-                after: np.ndarray, lw: LayerWeights, table: RelPosTable,
-                ctx: ContextConfig, model: ModelConfig, layer_idx: int) -> np.ndarray:
+def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
+                lw: LayerWeights, table: RelPosTable, ctx: ContextConfig,
+                model: ModelConfig, layer_idx: int) -> np.ndarray:
     """One encoder layer over the frames that became exact at its input.
 
     Composition: half-step FF, relative MHSA over chunk rows, convolution
     module, half-step FF, per-layer output norm; residuals throughout.
-    ``before`` and ``after`` hold each audio's input, attention and output
-    frontiers of this layer at the start and the end of the step; x holds
-    the inputs between them. The FF runs on those new inputs, attention on
-    the chunk rows whose window became exact, the conv, FF and output norm
-    on the frames that became exact; each sublayer reads its left context
-    and the frames still pending from the audio's held frames. Returns the
-    new outputs.
+    ``front`` holds each audio's input, attention and output frontiers of
+    this layer at the start and the end of the step; x holds the inputs
+    between them. The FF runs on those new inputs, attention on the chunk
+    rows whose window became exact, the conv, FF and output norm on the
+    frames that became exact; each sublayer reads its left context and the
+    frames still pending from the audio's held frames. Returns the new
+    outputs.
     """
     def attend(h, seg, at, local):
         # a chunk's [l_att | c | r] row starts at its first output frame
@@ -437,12 +439,12 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, before: np.ndarray,
         return out[np.cumsum(head) - 1, col]
 
     x = x + _half_ff(x, lw.ff1)
-    x = _sublayer(steps, 2 * layer_idx, x, before[:2], after[:2],
-                  lw.att.ln_g, lw.att.ln_b, ctx.l_att, attend)
-    x = _sublayer(steps, 2 * layer_idx + 1, x, before[1:], after[1:],
-                  lw.conv.ln_g, lw.conv.ln_b, derive_l_conv(model.kernel_size),
+    x = _sublayer(steps, 2 * layer_idx, x, front[:2], lw.att.ln_g, lw.att.ln_b,
+                  ctx.l_att, attend)
+    x = _sublayer(steps, 2 * layer_idx + 1, x, front[1:], lw.conv.ln_g, lw.conv.ln_b,
+                  derive_l_conv(model.kernel_size),
                   lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
-    for a, n in zip(steps, (after[2] - before[2]).tolist()):
+    for a, n in zip(steps, (front[2, 1] - front[2, 0]).tolist()):
         a.cov = n
     return layer_norm(x + _half_ff(x, lw.ff2), lw.out_ln_g, lw.out_ln_b)
 
@@ -503,14 +505,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     x = np.concatenate(hidden)
     del hidden
     total = np.array([a.state.total_frames for a in steps])
-    before = _frontiers(np.array(ready), total, ctx, l_conv, model.n_layers)
-    after = _frontiers(np.array([a.state.frames_subsampled for a in steps]), total,
-                       ctx, l_conv, model.n_layers)
+    ends = [a.state.frames_subsampled for a in steps]
+    front = _frontiers(np.array([ready, ends]), total, ctx, l_conv, model.n_layers)
     for k in range(model.n_layers):
         if not x.shape[0]:   # nothing new at this layer, so nothing above it
             break
-        x = _layer_pass(steps, x, before[2 * k:2 * k + 3], after[2 * k:2 * k + 3],
-                        weights.layers[k], table, ctx, model, k)
+        x = _layer_pass(steps, x, front[2 * k:2 * k + 3], weights.layers[k], table,
+                        ctx, model, k)
     if model.n_layers:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}

@@ -74,6 +74,26 @@ def test_duplicate_ids_rejected(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["transcribe", "--checkpoint", "{junk}", "{wav}", "{wav}"], "duplicate audio id"),
+    (["encode", "--config", "{cfg}", "--output-dir", "{enc}"], "no input files"),
+])
+def test_input_usage_errors_come_before_config_and_weights(workdir, monkeypatch, capsys,
+                                                           argv, says):
+    junk = workdir / "junk.cfkw"
+    junk.write_bytes(b"JUNKJUNKJUNK")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"d_model": 100000001}))
+    monkeypatch.setattr(cli, "init_model", lambda *a, **k: pytest.fail("init"))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a, **k: pytest.fail("loaded"))
+    argv = [a.format(junk=junk, wav=workdir / "one.wav", cfg=cfg, enc=workdir / "enc")
+            for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and says in err
+    assert not (workdir / "enc").exists()
+
+
 def test_unreadable_input_is_io_error(workdir):
     rc = cli.main(["transcribe", "--checkpoint", str(workdir / "model.cfkw"),
                    str(workdir / "missing.wav")])

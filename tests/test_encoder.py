@@ -288,6 +288,26 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
                      "conv": small_model.n_layers}
 
 
+def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_weights,
+                                               rng, monkeypatch):
+    # the frontiers at a step's start and end come from one _frontiers call
+    calls = {"step": 0, "frontiers": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(encoder, "encode_step", counting("step", encoder.encode_step))
+    monkeypatch.setattr(encoder, "_frontiers", counting("frontiers", encoder._frontiers))
+    feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32),
+             "b": rng.normal(size=(8 * 13, 80)).astype(np.float32)}
+    encode_full(feats, small_weights, small_ctx, small_model, budget=2)
+    assert calls["step"] > 2
+    assert calls["frontiers"] == calls["step"]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_step_outputs_and_caches_take_the_weights_dtype(small_model, small_ctx,
                                                         small_weights, rng, dtype):
