@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunking import ChunkBatch
+from .functional import Workspace
 
 
 class DistanceRangeError(ValueError):
@@ -118,7 +119,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
-                 table: RelPosTable, n_heads: int) -> np.ndarray:
+                 table: RelPosTable, n_heads: int, ws: Workspace) -> np.ndarray:
     """Per-head logits (B, H, c, l+c+r) of each row's chunk queries.
 
     ``queries`` (B, c, d) are each row's chunk queries and ``keys``
@@ -129,35 +130,43 @@ def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
     so query i's scores are entries c - 1 - i + t of its row of that product,
     which makes the (c, W) score block a skewed view (offset c - 1, row
     stride n - 1) of the contiguous (c, n) product: the relative shift of
-    Transformer-XL, with no gather.
+    Transformer-XL, with no gather. The logits are the "att.scores" buffer
+    of ``ws``, and the product its "att.pos" buffer.
     """
     c = table.c
     n = table.encodings.shape[0]
+    b, w = keys.shape[:2]
     d_k = queries.shape[-1] // n_heads
     qh = _split_heads(queries, n_heads)                      # (B, H, c, d_k)
     kh = _split_heads(keys, n_heads)                         # (B, H, W, d_k)
-    scores = (qh + p.u.reshape(n_heads, 1, d_k)) @ kh.swapaxes(-1, -2)  # (B, H, c, W)
     rho_h = np.ascontiguousarray(
         (table.encodings @ p.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
-    pos = (qh + p.v.reshape(n_heads, 1, d_k)) @ rho_h.swapaxes(-1, -2)  # (B, H, c, n)
+    scores = np.matmul(qh + p.u.reshape(n_heads, 1, d_k), kh.swapaxes(-1, -2),
+                       out=ws.take("att.scores", (b, n_heads, c, w),
+                                   np.result_type(queries, p.u, keys)))
+    pos = np.matmul(qh + p.v.reshape(n_heads, 1, d_k), rho_h.swapaxes(-1, -2),
+                    out=ws.take("att.pos", (b, n_heads, c, n),
+                                np.result_type(queries, p.v, rho_h)))
     step = pos.itemsize
     scores += np.lib.stride_tricks.as_strided(
         pos[..., c - 1:], shape=scores.shape,
         strides=pos.strides[:2] + ((n - 1) * step, step), writeable=False)
-    del pos   # the largest buffer; freed before the softmax needs its own
     scores *= 1.0 / math.sqrt(d_k)
     return scores
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def masked_softmax(logits: np.ndarray, mask: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis restricted to masked-true keys.
 
     Masked keys get weight exactly 0 (via a -inf logit before normalization).
     A query with at least one valid key sums to 1; a fully masked query gets
-    an all-zero weight row. Works in one full-size buffer; ``logits`` is not
-    modified.
+    an all-zero weight row. Works in one full-size buffer, ``out`` when one
+    is given (it must not overlap ``logits``), else a new array; ``logits``
+    is not modified.
     """
-    weights = logits.copy()
+    weights = np.empty_like(logits) if out is None else out
+    np.copyto(weights, logits)
     np.copyto(weights, -np.inf, where=~np.asarray(mask, dtype=bool))
     peak = weights.max(axis=-1, keepdims=True)
     peak[~np.isfinite(peak)] = 0     # so exp(-inf - peak) is exactly 0
@@ -170,7 +179,8 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionParams,
-                    table: RelPosTable, n_heads: int) -> np.ndarray:
+                    table: RelPosTable, n_heads: int,
+                    ws: Workspace | None = None) -> np.ndarray:
     """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
     ``batch`` holds rows of a project_frames K|V buffer: position t of a row
@@ -184,6 +194,9 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
     computes their outputs. ``params`` and ``table`` must already be in the
     rows' dtype, and the table must be built for the batch's (l, c, r);
     rows, mask or queries of another shape raise DistanceRangeError.
+    The logits, the positional product and the softmax weights are the
+    "att.scores", "att.pos" and "att.weights" buffers of ``ws`` (a new
+    Workspace when none is given).
     """
     l, c, r = batch.l, batch.c, batch.r
     if (l, c, r) != (table.l, table.c, table.r):
@@ -198,9 +211,11 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
             f"(l, c, r) = {(l, c, r)} and d = {d} need K|V rows {(b, l + c + r, 2 * d)}, "
             f"a mask {(b, l + c + r)} and queries {(b, c, d)}; got {kv.shape}, "
             f"{mask.shape} and {queries.shape}")
+    ws = Workspace() if ws is None else ws
     kv[~mask] = 0
-    logits = _score_batch(queries, kv[..., :d], params, table, n_heads)
-    weights = masked_softmax(logits, mask[:, None, None, :])
+    logits = _score_batch(queries, kv[..., :d], params, table, n_heads, ws)
+    weights = masked_softmax(logits, mask[:, None, None, :],
+                             ws.take("att.weights", logits.shape, logits.dtype))
     zh = weights @ _split_heads(kv[..., d:], n_heads)     # (B, H, c, d_k)
     out = _merge_heads(zh) @ params.wo + params.bo
     out[~mask.any(axis=-1)] = 0

@@ -19,6 +19,15 @@ Both put their outputs back with one indexing, and neither reads into a
 neighbouring audio. The step sizes the lookahead so every emitted frame
 is exact, which makes multi-step, batched, and single-step runs agree.
 
+Each encode_full call creates one functional.Workspace and drops it when it
+returns. Every step and layer of that call writes its largest temporaries
+into the workspace's buffers instead of new arrays: the feed-forward hidden
+activations and their sigmoid, the attention logits, the positional product
+and the softmax weights. A buffer grows only when a step needs more than it
+holds, so an encode allocates them a few times rather than once per layer
+and step. Its page faults and its time then no longer depend on what ran
+earlier in the process, whose frees set glibc's mmap and trim thresholds.
+
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
 little-endian payload}. The weight tensors are named and shaped by
@@ -44,7 +53,7 @@ from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
                      required_lookahead, weight_parts)
 from .conv import ConvParams, conv_module_forward
 from .ctc import CtcHead, Vocab, VocabError, default_vocab
-from .functional import cast_params, ff_forward, layer_norm, swish
+from .functional import Workspace, cast_params, ff_forward, layer_norm, swish
 
 DEFAULT_BUDGET = 16   # chunk rows per decode step
 CHECKPOINT_MAGIC = b"CFKW"
@@ -407,13 +416,13 @@ def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, front: np.ndarray,
     return ext[at] + run(layer_norm(ext, ln_g, ln_b), seg, at, local)
 
 
-def _half_ff(x: np.ndarray, ff: FeedForwardParams) -> np.ndarray:
-    return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2)
+def _half_ff(x: np.ndarray, ff: FeedForwardParams, ws: Workspace) -> np.ndarray:
+    return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2, ws)
 
 
 def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
                 lw: LayerWeights, table: RelPosTable, ctx: ContextConfig,
-                model: ModelConfig, layer_idx: int) -> np.ndarray:
+                model: ModelConfig, layer_idx: int, ws: Workspace) -> np.ndarray:
     """One encoder layer over the frames that became exact at its input.
 
     Composition: half-step FF, relative MHSA over chunk rows, convolution
@@ -423,8 +432,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
     between them. The FF runs on those new inputs, attention on the chunk
     rows whose window became exact, the conv, FF and output norm on the
     frames that became exact; each sublayer reads its left context and the
-    frames still pending from the audio's held frames. Returns the new
-    outputs.
+    frames still pending from the audio's held frames. The FF and
+    attention temporaries go into ``ws``. Returns the new outputs.
     """
     def attend(h, seg, at, local):
         # a chunk's [l_att | c | r] row starts at its first output frame
@@ -435,10 +444,10 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
         queries, kv = project_frames(h, starts, ctx.c, lw.att)
         batch = chunking.oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r,
                                      (end - seg)[owner], end[owner])
-        out = chunk_attention(batch, queries, lw.att, table, model.n_heads)
+        out = chunk_attention(batch, queries, lw.att, table, model.n_heads, ws)
         return out[np.cumsum(head) - 1, col]
 
-    x = x + _half_ff(x, lw.ff1)
+    x = x + _half_ff(x, lw.ff1, ws)
     x = _sublayer(steps, 2 * layer_idx, x, front[:2], lw.att.ln_g, lw.att.ln_b,
                   ctx.l_att, attend)
     x = _sublayer(steps, 2 * layer_idx + 1, x, front[1:], lw.conv.ln_g, lw.conv.ln_b,
@@ -446,7 +455,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
                   lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
     for a, n in zip(steps, (front[2, 1] - front[2, 0]).tolist()):
         a.cov = n
-    return layer_norm(x + _half_ff(x, lw.ff2), lw.out_ln_g, lw.out_ln_b)
+    return layer_norm(x + _half_ff(x, lw.ff2, ws), lw.out_ln_g, lw.out_ln_b)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +464,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
 
 def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 features: dict[str, np.ndarray], weights: EncoderWeights,
-                ctx: ContextConfig, model: ModelConfig,
-                table: RelPosTable) -> dict[str, np.ndarray]:
+                ctx: ContextConfig, model: ModelConfig, table: RelPosTable,
+                ws: Workspace | None = None) -> dict[str, np.ndarray]:
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
     Each audio's region is its scheduled chunks plus a lookahead tail of
@@ -471,9 +480,11 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     are the first ones of each audio's held final frames, sliced off them.
     Outputs and held frames are in the dtype of ``weights``; ``table`` must
     be built for ``ctx`` and be in that dtype too, as encode_full passes
-    them.
+    them. The layers' temporaries go into ``ws``, encode_full's workspace,
+    or a new one when none is given.
     """
     dtype = weights.after_ln_g.dtype
+    ws = Workspace() if ws is None else ws
     l_conv = derive_l_conv(model.kernel_size)
     la = required_lookahead(ctx, model.n_layers, l_conv)
     by_audio: dict[str, list[ChunkPlan]] = {}
@@ -511,7 +522,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         if not x.shape[0]:   # nothing new at this layer, so nothing above it
             break
         x = _layer_pass(steps, x, front[2 * k:2 * k + 3], weights.layers[k], table,
-                        ctx, model, k)
+                        ctx, model, k, ws)
     if model.n_layers:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
@@ -544,12 +555,14 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     (post_frames(T), d_model) output is allocated once, and every emitted
     block is copied into it at its start frame. The returned dict is in
     input order. The encode runs in the dtype of ``weights``, as
-    encode_step reads it.
+    encode_step reads it, and every step shares one Workspace that lives
+    for this call.
     """
     require_valid(model, ctx)
     dtype = weights.after_ln_g.dtype
     table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
                                             model.l_max), dtype)
+    ws = Workspace()
     states: dict[str, StreamState] = {}
     out: dict[str, np.ndarray] = {}
     for aid, feats in features.items():
@@ -573,7 +586,7 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
         sched = chunking.schedule_step(pending, budget, ctx.c)
         if sched is None:
             break
-        emitted = encode_step(states, sched, features, weights, ctx, model, table)
+        emitted = encode_step(states, sched, features, weights, ctx, model, table, ws)
         for aid, block in emitted.items():
             start = states[aid].frames_consumed - block.shape[0]
             if on_emit is not None:

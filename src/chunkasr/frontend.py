@@ -124,7 +124,7 @@ def mel_filterbank() -> np.ndarray:
 _WINDOW = np.hamming(WINDOW_SAMPLES) / 32768.0
 _MEL_T = mel_filterbank().T
 
-FBANK_BLOCK = 4096   # frames per filterbank block; compute_fbank says why
+FBANK_BLOCK = 256   # frames per filterbank block; compute_fbank says why
 
 
 def compute_fbank(samples: np.ndarray) -> FeatureMatrix:
@@ -134,19 +134,21 @@ def compute_fbank(samples: np.ndarray) -> FeatureMatrix:
     one hop never start a new frame, so zero-padding by under 160 samples
     leaves the output unchanged.
 
-    Frames are computed FBANK_BLOCK at a time, each block from only its own
-    samples, into one preallocated (T, 80) float32 output through one reused
-    float64 workspace (under 40 MiB whatever T is): the windowed frames go
-    from the int16 samples into a zeroed (block, N_FFT) buffer, whose columns
-    past the window stay zero as the FFT's padding, and the power spectrum
-    goes back into its first columns. Every frame goes through the same
-    float64 operations as in a whole-audio computation, so the features are
-    bit-identical to it. The block is not smaller because freeing buffers of
-    several MiB raises glibc's dynamic mmap and trim thresholds, which keeps
-    the encoder's per-layer temporaries on the heap. With blocks of 1024
-    frames or fewer those are trimmed and faulted back in on every layer:
-    37-64k minor faults and 25-40% more time per paper-scale encode_full,
-    against none with 4096-frame blocks.
+    Frames are computed FBANK_BLOCK = 256 at a time, each block from only
+    its own samples, into one preallocated (T, 80) float32 output through
+    one reused float64 workspace (about 2.2 MiB whatever T is): the windowed
+    frames go from the int16 samples into a zeroed (block, N_FFT) buffer,
+    whose columns past the window stay zero as the FFT's padding, and the
+    power spectrum goes back into its first columns. Every frame goes
+    through the same float64 operations as in a whole-audio computation, so
+    the features are bit-identical to it at any block size. 256 frames keep
+    the 1 MiB frame buffer and the 1 MiB spectrum inside a 4 MiB L2 cache;
+    cost per frame on 120 s of audio (2-vCPU host, one BLAS thread, best
+    of 12-20 runs, ranges over sessions), most of the gain being the power
+    spectrum's:
+
+        block (frames)  4096     2048     1024     512   256      128
+        us per frame    4.8-6.5  4.7-6.0  3.6-5.0  3.9  3.5-4.1  3.7-3.9
     """
     t = num_frames(len(samples))
     out = np.empty((t, N_MELS), dtype=np.float32)

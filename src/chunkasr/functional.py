@@ -1,12 +1,14 @@
 """Small numeric primitives shared by the engine and the reference paths.
 
-Everything here is a pure per-position function or a plain matmul; windowing,
-masking and segmentation logic live with their owners so the reference
-implementations stay independent of the fast path.
+Everything here is a pure per-position function or a plain matmul, plus the
+Workspace that holds a caller's scratch buffers; windowing, masking and
+segmentation logic live with their owners so the reference implementations
+stay independent of the fast path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -31,7 +33,30 @@ def cast_params(params, dtype):
     return params
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Scratch buffers that one caller reuses across calls, one per name.
+
+    take(name, shape, dtype) returns a C-contiguous array on the named
+    buffer, which is allocated again only when a request needs more bytes
+    than it holds. The array holds whatever its last user left there, so
+    its user writes every element before reading it, and it stays valid
+    until the next take of that name. A Workspace is created by the code
+    whose calls share it, and dropped with it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function through the identity sigmoid(x) = (1 + tanh(x / 2)) / 2.
 
     tanh saturates at +-1 instead of overflowing, so every finite or infinite
@@ -40,8 +65,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     outputs is larger, as 1/2 + 1/2 tanh cancels). swish and glu go through
     this function rather than their own tanh forms, so one kernel serves all
     three and the benchmark's functional.sigmoid span times all of them.
+    The result goes into ``out`` when one is given, else into a new array.
     """
-    t = np.tanh(x * 0.5)
+    t = np.multiply(x, 0.5, out=out)
+    np.tanh(t, out=t)
     t *= 0.5
     t += 0.5
     return t
@@ -74,6 +101,16 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarra
 
 
 def ff_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-               w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Position-wise feed-forward with swish activation."""
-    return swish(x @ w1 + b1) @ w2 + b2
+               w2: np.ndarray, b2: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Position-wise feed-forward with swish activation.
+
+    The (n, d_ff) hidden activations and their sigmoid live in the
+    "ff.hidden" and "ff.gate" buffers of ``ws`` (a new Workspace when none
+    is given), where the bias and the swish run in place.
+    """
+    ws = Workspace() if ws is None else ws
+    shape, dtype = x.shape[:-1] + w1.shape[-1:], np.result_type(x, w1)
+    h = np.matmul(x, w1, out=ws.take("ff.hidden", shape, dtype))
+    h += b1
+    h *= sigmoid(h, out=ws.take("ff.gate", shape, dtype))
+    return h @ w2 + b2

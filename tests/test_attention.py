@@ -8,7 +8,7 @@ from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batc
                                 masked_softmax, project_frames, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
-from chunkasr.functional import cast_params
+from chunkasr.functional import Workspace, cast_params
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
 
@@ -16,7 +16,8 @@ from conftest import rel_err
 def attention_scores(row, p, table, n_heads):
     """Logits (H, c, l+c+r) of one row's chunk queries, as a one-row batch."""
     queries = row[table.l:table.l + table.c] @ p.wq
-    return _score_batch(queries[None], (row @ p.wk)[None], p, table, n_heads)[0]
+    return _score_batch(queries[None], (row @ p.wk)[None], p, table, n_heads,
+                        Workspace())[0]
 
 
 def gather(x, starts, p, table, lo=0, hi=None):

@@ -15,7 +15,7 @@ from chunkasr.encoder import (CheckpointError, encode_full, encode_step,
                               init_model, init_weights, load_checkpoint, post_frames,
                               save_checkpoint, subsample_forward)
 from chunkasr.frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES
-from chunkasr.functional import cast_params, layer_norm
+from chunkasr.functional import Workspace, cast_params, layer_norm
 from chunkasr.oracle import (_chunk_attention_loop, _conv_module_full, _macaron_ff,
                              full_context_encode, full_subsample, loop_oct_encode)
 from conftest import rel_err, write_cfkw
@@ -689,6 +689,87 @@ def test_poisoned_masked_row_slots_change_no_output_bit(small_model, small_ctx,
             assert np.array_equal(dirty[aid].view(np.uint8), clean[aid].view(np.uint8)), \
                 (aid, poison)
     assert sum(masked) > 0
+
+
+WORKSPACE_BUFFERS = {"ff.hidden", "ff.gate", "att.scores", "att.pos", "att.weights"}
+
+
+class PoisonedWorkspace(Workspace):
+    """A Workspace that fills every array it hands out with ``fill``."""
+
+    def __init__(self, fill, taken):
+        super().__init__()
+        self.fill, self.taken = fill, taken
+
+    def take(self, name, shape, dtype):
+        buf = super().take(name, shape, dtype)
+        buf.fill(self.fill)
+        self.taken.add(name)
+        return buf
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("budget", [1, 4])
+def test_poisoned_workspace_changes_no_output_bit(small_model, small_ctx, small_weights,
+                                                  rng, dtype, budget, monkeypatch):
+    # every consumer writes each workspace element it reads, so buffers full
+    # of NaN or +inf before each use change nothing; "a" and "b" end in a
+    # partial chunk (6 and 47 post frames, c = 4), "c" in a whole one
+    feats = {"a": rng.normal(size=(41, 80)).astype(np.float32),
+             "b": rng.normal(size=(370, 80)).astype(np.float32),
+             "c": rng.normal(size=(128, 80)).astype(np.float32)}
+    w = cast_params(small_weights, dtype)
+    clean = encode_full(feats, w, small_ctx, small_model, budget=budget)
+    for fill in (np.nan, np.inf):
+        taken = set()
+        monkeypatch.setattr(encoder, "Workspace", lambda: PoisonedWorkspace(fill, taken))
+        dirty = encode_full(feats, w, small_ctx, small_model, budget=budget)
+        assert taken == WORKSPACE_BUFFERS
+        for aid in feats:
+            assert dirty[aid].dtype == dtype
+            assert np.array_equal(dirty[aid].view(np.uint8), clean[aid].view(np.uint8)), \
+                (aid, fill)
+
+
+def test_workspace_buffers_are_allocated_only_to_grow(small_model, small_ctx,
+                                                      small_weights, rng, monkeypatch):
+    # one workspace serves every step and layer of an encode; a buffer is
+    # allocated again only when a request needs more bytes than any before
+    takes = []
+
+    class Recording(Workspace):
+        def take(self, name, shape, dtype):
+            buf = super().take(name, shape, dtype)
+            takes.append((name, buf.nbytes, buf.base))
+            return buf
+
+    steps = []
+    step = encoder.encode_step
+
+    def counting(*args):
+        steps.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(encoder, "Workspace", Recording)
+    monkeypatch.setattr(encoder, "encode_step", counting)
+    feats = {"a": rng.normal(size=(41, 80)).astype(np.float32),
+             "b": rng.normal(size=(1600, 80)).astype(np.float32)}
+    encode_full(feats, small_weights, small_ctx, small_model, budget=1)
+    assert len(steps) > 5 and all(ws is steps[0] for ws in steps)
+    assert {name for name, _, _ in takes} == WORKSPACE_BUFFERS
+    allocations = 0
+    for name in WORKSPACE_BUFFERS:
+        held, buffer = 0, None
+        for key, nbytes, base in takes:
+            if key == name:
+                grows = nbytes > held
+                assert (base is not buffer) == grows, name
+                held, buffer = max(held, nbytes), base
+                allocations += grows
+    # both FFs of every layer pass take "ff.hidden"
+    passes = sum(name == "ff.hidden" for name, _, _ in takes) // 2
+    assert passes > 10 * small_model.n_layers
+    assert allocations < len(takes) / 10
 
 
 def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_ctx,

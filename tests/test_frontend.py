@@ -36,8 +36,9 @@ def samples_for(frames, tail=0):
     return 400 + 160 * (frames - 1) + tail
 
 
+# a block's own edges, and 16 and 32 blocks (the edges of 4096-frame blocks)
 @pytest.mark.parametrize("frames", [1, FBANK_BLOCK - 1, FBANK_BLOCK, FBANK_BLOCK + 1,
-                                    2 * FBANK_BLOCK + 1])
+                                    2 * FBANK_BLOCK + 1, 4095, 4096, 4097, 8193])
 def test_blocks_are_bit_identical_to_the_whole_audio_formula(rng, frames):
     for tail in (0, 1, 159):
         audio = make_audio(samples_for(frames, tail), rng)
@@ -45,6 +46,19 @@ def test_blocks_are_bit_identical_to_the_whole_audio_formula(rng, frames):
         assert got.shape == (frames, 80)
         assert np.array_equal(got.view(np.uint32),
                               reference_fbank(audio).view(np.uint32))
+
+
+def test_block_size_never_changes_a_feature_bit(rng, monkeypatch):
+    # 2 x 4096 + 1 frames cross the edges of every block size here, and
+    # keep the old 4096-frame blocks' edges covered
+    for tail in (0, 1, 159):
+        audio = make_audio(samples_for(2 * 4096 + 1, tail), rng)
+        want = reference_fbank(audio).view(np.uint32)
+        for block in (1, 7, 256, 4096):
+            monkeypatch.setattr(frontend, "FBANK_BLOCK", block)
+            got = compute_fbank(audio).frames
+            assert got.shape == (2 * 4096 + 1, 80)
+            assert np.array_equal(got.view(np.uint32), want), (tail, block)
 
 
 def test_full_scale_input_is_bit_identical(rng):
@@ -67,7 +81,7 @@ def test_working_memory_is_flat_in_duration(rng):
             tracemalloc.stop()
         extra.append(peak - out.nbytes)
     assert abs(extra[0] - extra[1]) <= 64 * 1024
-    assert max(extra) < 64 * 2 ** 20
+    assert max(extra) < 4 * 2 ** 20
 
 
 def test_one_second_is_98_frames(rng):
