@@ -65,20 +65,20 @@ class ChunkBatch:
 
 @dataclass
 class StreamState:
-    """Per-audio decoding state: progress counters and the held frames.
+    """Per-audio decoding state: emit frontier, exactness frontiers, held frames.
 
-    ``held`` is all a step carries to the next: the exact frames that later
-    steps still read or emit. encoder._frontiers says what each entry
-    holds. It is empty before the first step and after the audio has
-    finished. No raw features are held: the subsample reads the raw frames
-    each step needs straight from the audio's features, which stay
-    resident for the whole encode.
+    ``front`` and ``held`` are all a step carries to the next: the 2L + 1
+    frontiers as of its last step (front[0] is the subsample frontier) and
+    the exact frames later steps still read or emit; encoder._frontiers
+    says what each entry is and holds. Both are empty before the first
+    step, and ``held`` again once the audio has finished. The subsample
+    reads raw frames straight from the audio's features, which stay resident.
     """
 
     audio_id: str
     total_frames: int                      # post-subsample frames in the audio
     frames_consumed: int = 0               # emit frontier
-    frames_subsampled: int = 0             # subsample frontier
+    front: list[int] = field(default_factory=list)
     held: list[np.ndarray] = field(default_factory=list)
 
 

@@ -186,6 +186,7 @@ def cmd_selftest(seed: int) -> int:
 
 def cmd_cost(args) -> int:
     model, ctx = _load_model_ctx(args)
+    require_valid(model, ctx, positional=False)   # the table reads no positional encoding
     try:
         durations = [float(x) for x in args.durations.split(",") if x]
     except ValueError:

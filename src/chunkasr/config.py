@@ -120,7 +120,7 @@ def weight_count(model: ModelConfig) -> int:
                for _, shape, _ in tensors)
 
 
-def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
+def validate(model: ModelConfig, ctx: ContextConfig, positional: bool = True) -> list[str]:
     """Check every invariant; returns all violations, not just the first.
 
     Besides the lower bounds, every field in MODEL_CAPS has an upper bound:
@@ -128,7 +128,8 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
     vocab_size <= 65536 and l_max <= 8192, and within those the weight count
     is at most WEIGHT_CAP. So a config of a few bytes cannot start unbounded
     work in init_weights or build_rel_pos_table, and since l_max must cover
-    l_att + c + r, the context is bounded too.
+    l_att + c + r, the context is bounded too. With ``positional`` False
+    that coverage goes unchecked: only the relative-position table needs it.
     """
     problems = []
     for name, cap in MODEL_CAPS.items():
@@ -162,7 +163,7 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
     if model.vocab_size < 2:
         problems.append(f"vocab_size must be >= 2 (blank + tokens), got {model.vocab_size}")
     span = ctx.l_att + ctx.c + ctx.r
-    if model.l_max < span:
+    if positional and model.l_max < span:
         problems.append(
             f"l_max ({model.l_max}) must cover l_att + c + r = {span} so every "
             "relative distance used by attention has an encoding row"
@@ -170,8 +171,8 @@ def validate(model: ModelConfig, ctx: ContextConfig) -> list[str]:
     return problems
 
 
-def require_valid(model: ModelConfig, ctx: ContextConfig) -> None:
-    problems = validate(model, ctx)
+def require_valid(model: ModelConfig, ctx: ContextConfig, positional: bool = True) -> None:
+    problems = validate(model, ctx, positional)
     if problems:
         raise ConfigError(problems)
 

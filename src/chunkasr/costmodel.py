@@ -3,14 +3,16 @@ masked vs naive padded batching.
 
 Conventions (also printed in report headers): one multiply-accumulate counts
 as 2 FLOPs; only matmul-like terms are counted (norms, activations, and the
-softmax are ignored). Each term is billed where the engine runs it: the
-feed-forwards, the conv module and the K and V projections once per frame;
-the Q and output projections on each row's c chunk positions, so a partial
-last chunk pays for a whole one; the attention window term per row, over its
-c queries and l_att + c + r keys. That term counts content scores, positional
-scores, and value mixing, so a full-context configuration (l_att = r = 0,
-c = L) degenerates to exactly the dense count. Wall-clock seconds and memory
-are out of scope; only frame counts and FLOPs are modeled.
+softmax are ignored). The feed-forwards, the conv module and the K and V
+projections are billed once per frame; the Q and output projections on each
+row's c chunk positions, so a partial last chunk pays for a whole one; the
+attention window term per row, over its c queries and l_att + c + r keys.
+That term counts content scores, positional scores, and value mixing, so a
+full-context configuration (l_att = r = 0, c = L) degenerates to exactly the
+dense count. The totals are exact for an audio encoded in one step and a
+lower bound for one encoded in several, as each step re-runs the K and V
+projections, the conv's pointwise-in and its depthwise conv on the frames
+held from the step before. Wall-clock seconds and memory are out of scope.
 """
 
 from __future__ import annotations
@@ -144,11 +146,10 @@ def batch_cost(durations: list[float], ctx: ContextConfig, model: ModelConfig,
               for i, s in enumerate(durations)]
     naive = [_audio_cost(f"a{i}", s, longest, ctx, model)
              for i, s in enumerate(durations)]
-    report = CostReport(mode=mode, context=ctx, note=FLOP_NOTE,
-                        audios=naive if mode == "naive" else masked,
-                        naive_total_flops=sum(a.total_flops for a in naive),
-                        masked_total_flops=sum(a.total_flops for a in masked))
-    return report
+    return CostReport(mode=mode, context=ctx, note=FLOP_NOTE,
+                      audios=naive if mode == "naive" else masked,
+                      naive_total_flops=sum(a.total_flops for a in naive),
+                      masked_total_flops=sum(a.total_flops for a in masked))
 
 
 def format_cost_table(report: CostReport) -> str:

@@ -346,21 +346,19 @@ class _AudioStep:
                           # inputs before _layer_pass, the frames it ran after
 
 
-def _frontiers(ready: np.ndarray, total: np.ndarray, ctx: ContextConfig,
-               l_conv: int, n_layers: int) -> np.ndarray:
-    """Exactness frontiers of every sublayer, shaped (2L + 1, *ready.shape).
+def _frontiers(ready: int, total: int, ctx: ContextConfig, l_conv: int,
+               n_layers: int) -> list[int]:
+    """Exactness frontiers of every sublayer of one audio, 2L + 1 of them.
 
-    Row 0 is ``ready``, the post frames subsampled so far; rows 2k + 1 and
-    2k + 2 are layer k's attention and output frontiers. encode_step passes
-    ``ready`` as (2, audios), every audio at the step's start and end, so
-    front[j, 0] and front[j, 1] are row j before and after the step. Every
-    frame below a frontier is exact. Attention validity is whole chunk
-    windows ([l_att | c | r] must lie below the input frontier) and the conv
-    then needs l_conv frames past each output; once an input reaches the
-    audio end, every later frontier is the end too.
+    Entry 0 is ``ready``, the post frames subsampled so far, of ``total``;
+    entries 2k + 1 and 2k + 2 are layer k's attention and output frontiers.
+    Every frame below a frontier is exact. Attention validity is whole
+    chunk windows ([l_att | c | r] must lie below the input frontier) and
+    the conv then needs l_conv frames past each output; once an input
+    reaches the audio end, every later frontier is the end too.
 
-    An audio's StreamState.held is indexed like these rows: held[j] ends at
-    row j. held[2k] holds layer k's attention inputs from l_att frames
+    An audio's StreamState.held is indexed like these entries: held[j] ends
+    at entry j. held[2k] holds layer k's attention inputs from l_att frames
     before its attention frontier on, held[2k + 1] its conv inputs from
     l_conv frames before its output frontier on, and held[2L] the final
     frames, past the last layer's norm, from the emit frontier on. Frames
@@ -369,12 +367,11 @@ def _frontiers(ready: np.ndarray, total: np.ndarray, ctx: ContextConfig,
     the missing history shows up as masked attention-row positions and as
     the conv's zero padding at the audio start.
     """
-    rows = [ready]
+    front = [ready]
     for _ in range(n_layers):
-        att = np.where(rows[-1] == total, total,
-                       np.maximum(0, ctx.c * ((rows[-1] - ctx.r) // ctx.c)))
-        rows += [att, np.where(att == total, total, np.maximum(0, att - l_conv))]
-    return np.array(rows)
+        att = total if front[-1] == total else max(0, ctx.c * ((front[-1] - ctx.r) // ctx.c))
+        front += [att, total if att == total else max(0, att - l_conv)]
+    return front
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,10 +469,11 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     required_lookahead frames, clipped at the audio end, which brings the
     scheduled chunks to exactness at every layer. The region is subsampled
     only past the subsample frontier, straight from the audio's resident
-    ``features``, and each layer runs only on the frames that became exact
-    at its input this step, packed for all audios into one buffer. Exact
-    frames past each frontier stay in the state's held frames for the next
-    step, so no frame is computed twice at any layer. The last layer's new
+    ``features``; the frontiers it reaches are computed once per audio and
+    kept in its state as the next step's start. Each layer runs only on the
+    frames that became exact at its input this step, packed for all audios
+    into one buffer. Exact frames past each frontier stay in the held
+    frames, so no frame is computed twice at any layer. The last layer's new
     frames take the final norm as they become exact, and the emitted frames
     are the first ones of each audio's held final frames, sliced off them.
     Outputs and held frames are in the dtype of ``weights``; ``table`` must
@@ -492,7 +490,7 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         by_audio.setdefault(p.audio_id, []).append(p)
     steps: list[_AudioStep] = []
     hidden: list[np.ndarray] = []
-    ready: list[int] = []
+    fronts: list[tuple[list[int], list[int]]] = []
     for aid, rows in by_audio.items():
         st = states[aid]
         start = st.frames_consumed
@@ -504,20 +502,19 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         for p, q in zip(rows, rows[1:]):
             if q.chunk_index != p.chunk_index + 1:
                 raise SchedulerError(f"audio {aid!r}: non-contiguous chunks scheduled")
-        emit = sum(p.valid_frames for p in rows)
-        done = st.frames_subsampled
-        end = max(done, min(start + emit + la, st.total_frames))
-        hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
         if not st.held:
             st.held = [np.zeros((0, model.d_model), dtype)] * (2 * model.n_layers + 1)
-        ready.append(done)
-        st.frames_subsampled = end
+            st.front = [0] * (2 * model.n_layers + 1)
+        emit = sum(p.valid_frames for p in rows)
+        done = st.front[0]
+        end = max(done, min(start + emit + la, st.total_frames))
+        hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
+        fronts.append((st.front, _frontiers(end, st.total_frames, ctx, l_conv, model.n_layers)))
+        st.front = fronts[-1][1]
         steps.append(_AudioStep(state=st, emit=emit, cov=end - done))
     x = np.concatenate(hidden)
     del hidden
-    total = np.array([a.state.total_frames for a in steps])
-    ends = [a.state.frames_subsampled for a in steps]
-    front = _frontiers(np.array([ready, ends]), total, ctx, l_conv, model.n_layers)
+    front = np.array(fronts).transpose(2, 1, 0)   # (2L + 1, start | end, audios)
     for k in range(model.n_layers):
         if not x.shape[0]:   # nothing new at this layer, so nothing above it
             break

@@ -162,14 +162,14 @@ def test_schedule_lookahead_frames_for_forty_frame_audio():
     # N=2, kernel 1: the step emits chunks 0-4 and subsamples 6 lookahead
     # frames (frames 20..25); the next step resumes at frame 20.
     st = lookahead_step(40, 5)
-    assert (st.frames_consumed, st.frames_subsampled) == (20, 20 + 6)
+    assert (st.frames_consumed, st.front[0]) == (20, 20 + 6)
     sched2 = schedule_step([st], 5, 4)
     assert sched2.rows[0].chunk_index * 4 == 20
 
 
 def test_schedule_lookahead_clipped_at_audio_end():
     st = lookahead_step(22, 5)
-    assert (st.frames_consumed, st.frames_subsampled) == (20, 20 + 2)
+    assert (st.frames_consumed, st.front[0]) == (20, 20 + 2)
 
 
 def test_schedule_exhaustive_coverage_property(rng):

@@ -429,5 +429,23 @@ def test_cost_bad_durations(capsys):
     assert cli.main(["cost", "--durations", "0.025"]) == 0
 
 
+@pytest.mark.parametrize("flag,value,says", [
+    ("--context", "1,0,1", "c must be >= 1, got 0"),
+    ("--context", "8,-8,8", "c must be >= 1, got -8"),
+    ("--context", "16,8,-8", "r must be >= 0, got -8"),
+    ("--context", "-1,8,8", "l_att must be >= 0, got -1"),
+    ("--config", {"c": 0}, "c must be >= 1, got 0"),
+    ("--config", {"n_layers": -3}, "n_layers must be >= 0, got -3"),
+])
+def test_cost_refuses_what_encode_refuses(tmp_path, capsys, flag, value, says):
+    if flag == "--config":
+        (tmp_path / "cfg.json").write_text(json.dumps(value))
+        value = str(tmp_path / "cfg.json")
+    assert cli.main(["cost", "--durations", "1,30", f"{flag}={value}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"checkpoint/config error: {says}\n"
+
+
 def test_unknown_command_usage():
     assert cli.main(["frobnicate"]) == 2

@@ -290,22 +290,41 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
 
 def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_weights,
                                                rng, monkeypatch):
-    # the frontiers at a step's start and end come from one _frontiers call
-    calls = {"step": 0, "frontiers": 0}
+    # a step computes each scheduled audio's end frontiers once; its start
+    # frontiers are the ones the audio's state kept from its last step
+    computed, tables, audios = [], [], []
+    frontiers_fn, layer_pass_fn = encoder._frontiers, encoder._layer_pass
 
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def frontiers(*args):
+        computed.append(frontiers_fn(*args))
+        return computed[-1]
 
-    monkeypatch.setattr(encoder, "encode_step", counting("step", encoder.encode_step))
-    monkeypatch.setattr(encoder, "_frontiers", counting("frontiers", encoder._frontiers))
+    def layer_pass(*args):
+        tables.append((args[7], args[2]))
+        return layer_pass_fn(*args)
+
+    def step(states, sched, *args):
+        ids = list(dict.fromkeys(p.audio_id for p in sched.rows))
+        before = [states[aid].front or [0] * (2 * small_model.n_layers + 1) for aid in ids]
+        computed.clear()
+        tables.clear()
+        out = encode_step(states, sched, *args)
+        after = [states[aid].front for aid in ids]
+        assert computed == after
+        for k, front in tables:
+            assert front.tolist() == [[[f[j] for f in before], [f[j] for f in after]]
+                                      for j in range(2 * k, 2 * k + 3)]
+        audios.append(len(ids))
+        return out
+
+    monkeypatch.setattr(encoder, "_frontiers", frontiers)
+    monkeypatch.setattr(encoder, "_layer_pass", layer_pass)
+    monkeypatch.setattr(encoder, "encode_step", step)
+    # "b" has 3 chunks, so its last one shares a budget-2 step with "a"
     feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32),
-             "b": rng.normal(size=(8 * 13, 80)).astype(np.float32)}
+             "b": rng.normal(size=(8 * 11, 80)).astype(np.float32)}
     encode_full(feats, small_weights, small_ctx, small_model, budget=2)
-    assert calls["step"] > 2
-    assert calls["frontiers"] == calls["step"]
+    assert len(audios) > 2 and audios.count(2) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -345,8 +364,8 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
     # the conv (l_conv = 2) up to 10. "b" ends inside the step.
     frontiers = {"b": (2, 2, 2), "a": (14, 12, 10)}
     for aid, st in states.items():
+        assert st.front == list(frontiers[aid])
         ready, att_end, conv_end = frontiers[aid]
-        assert st.frames_subsampled == ready
         x = full_subsample(feats[aid], w, np.float64)
         x1 = x + _macaron_ff(x, lw.ff1, np.float64)
         h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
@@ -484,10 +503,10 @@ def test_held_frames_equal_oracle_layer_outputs(case):
             st, (top, layers) = states[aid], ref[aid]
             assert_same(block, layer_norm(top, w.after_ln_g, w.after_ln_b)
                         [start[aid]:st.frames_consumed])
-            assert st.frames_subsampled == ready[aid]
+            expected = exact_frontiers(ready[aid], st.total_frames, ctx, l_conv, model.n_layers)
+            assert st.front == [ready[aid], *(f for pair in expected for f in pair)]
             f_in = ready[aid]
-            for k, (att_end, f_out) in enumerate(
-                    exact_frontiers(ready[aid], st.total_frames, ctx, l_conv, model.n_layers)):
+            for k, (att_end, f_out) in enumerate(expected):
                 x1, x2, _ = layers[k]
                 assert_same(st.held[2 * k], x1[max(0, att_end - ctx.l_att):f_in])
                 assert_same(st.held[2 * k + 1], x2[max(0, f_out - l_conv):att_end])
