@@ -88,8 +88,8 @@ def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
                        encodings=rel_pos_encoding(np.arange(hi, lo - 1, -1), d_model))
 
 
-def project_frames(h: np.ndarray, starts, c: int,
-                   p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+def project_frames(h: np.ndarray, starts, c: int, p: AttentionParams,
+                   ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The chunk queries and the K|V buffer of a buffer of frames h (n, d).
 
     Returns the (B, c, d) queries h[starts[b] + i] Wq of the chunks that
@@ -97,14 +97,23 @@ def project_frames(h: np.ndarray, starts, c: int,
     holds its key h[t] Wk and its value h[t] Wv side by side, from which
     oct_segment gathers the rows. A partial chunk's queries past its own
     frames read whatever frames follow (the last one past the buffer end);
-    their outputs are discarded.
+    their outputs are discarded. The frames and the chunks go through
+    ws.split (a Workspace with no worker when none is given) as one call
+    of 4 n d^2 + 2 B c d^2 FLOPs.
     """
     n, d = h.shape
     at = np.minimum(np.asarray(starts, dtype=np.int64)[:, None] + np.arange(c), n - 1)
     kv = np.empty((n, 2 * d), np.result_type(h, p.wk))
-    np.matmul(h, p.wk, out=kv[:, :d])
-    np.matmul(h, p.wv, out=kv[:, d:])
-    return h[at] @ p.wq, kv
+    queries = np.empty(at.shape + (d,), np.result_type(h, p.wq))
+
+    def run(frames, chunks):
+        np.matmul(h[frames], p.wk, out=kv[frames, :d])
+        np.matmul(h[frames], p.wv, out=kv[frames, d:])
+        np.matmul(h[at[chunks]], p.wq, out=queries[chunks])
+
+    (Workspace() if ws is None else ws).split(2 * d * d * (2 * n + at.size), run,
+                                              n, at.shape[0])
+    return queries, kv
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -119,34 +128,26 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
-                 table: RelPosTable, n_heads: int, ws: Workspace) -> np.ndarray:
-    """Per-head logits (B, H, c, l+c+r) of each row's chunk queries.
+                 rho_h: np.ndarray, scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Per-head logits (B, H, c, l+c+r) of each row's chunk queries, in ``scores``.
 
     ``queries`` (B, c, d) are each row's chunk queries and ``keys``
-    (B, l+c+r, d) its mask-zeroed keys, in the table's geometry; ``p`` and
-    ``table`` must already be in their dtype. Chunk query i and key t are
-    l + i - t apart, the distance of the table's entry c - 1 - i + t. The
-    positional term is one matmul against all n = l + 2c + r - 1 encodings,
-    so query i's scores are entries c - 1 - i + t of its row of that product,
-    which makes the (c, W) score block a skewed view (offset c - 1, row
-    stride n - 1) of the contiguous (c, n) product: the relative shift of
-    Transformer-XL, with no gather. The logits are the "att.scores" buffer
-    of ``ws``, and the product its "att.pos" buffer.
+    (B, l+c+r, d) its mask-zeroed keys; ``rho_h`` (H, n, d_k) are the
+    table's n = l + 2c + r - 1 encodings projected by Wr, split by head.
+    ``p`` and ``rho_h`` must already be in their dtype. Chunk query i and
+    key t are l + i - t apart, the distance of the table's entry
+    c - 1 - i + t. The positional term is one matmul against all n
+    encodings, into ``pos`` (B, H, c, n), so query i's scores are entries
+    c - 1 - i + t of its row of that product, which makes the (c, W) score
+    block a skewed view (offset c - 1, row stride n - 1) of the contiguous
+    (c, n) product: the relative shift of Transformer-XL, with no gather.
     """
-    c = table.c
-    n = table.encodings.shape[0]
-    b, w = keys.shape[:2]
-    d_k = queries.shape[-1] // n_heads
+    n_heads, n, d_k = rho_h.shape
+    c = queries.shape[1]
     qh = _split_heads(queries, n_heads)                      # (B, H, c, d_k)
     kh = _split_heads(keys, n_heads)                         # (B, H, W, d_k)
-    rho_h = np.ascontiguousarray(
-        (table.encodings @ p.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
-    scores = np.matmul(qh + p.u.reshape(n_heads, 1, d_k), kh.swapaxes(-1, -2),
-                       out=ws.take("att.scores", (b, n_heads, c, w),
-                                   np.result_type(queries, p.u, keys)))
-    pos = np.matmul(qh + p.v.reshape(n_heads, 1, d_k), rho_h.swapaxes(-1, -2),
-                    out=ws.take("att.pos", (b, n_heads, c, n),
-                                np.result_type(queries, p.v, rho_h)))
+    np.matmul(qh + p.u.reshape(n_heads, 1, d_k), kh.swapaxes(-1, -2), out=scores)
+    np.matmul(qh + p.v.reshape(n_heads, 1, d_k), rho_h.swapaxes(-1, -2), out=pos)
     step = pos.itemsize
     scores += np.lib.stride_tricks.as_strided(
         pos[..., c - 1:], shape=scores.shape,
@@ -196,7 +197,10 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
     rows, mask or queries of another shape raise DistanceRangeError.
     The logits, the positional product and the softmax weights are the
     "att.scores", "att.pos" and "att.weights" buffers of ``ws`` (a new
-    Workspace when none is given).
+    Workspace when none is given). The rows go through ws.split as one
+    call of 2 B c d (2 (l + c + r) + n + d) FLOPs, n = l + 2c + r - 1: the
+    content and value products, the positional product and the output
+    projection.
     """
     l, c, r = batch.l, batch.c, batch.r
     if (l, c, r) != (table.l, table.c, table.r):
@@ -212,11 +216,25 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
             f"a mask {(b, l + c + r)} and queries {(b, c, d)}; got {kv.shape}, "
             f"{mask.shape} and {queries.shape}")
     ws = Workspace() if ws is None else ws
-    kv[~mask] = 0
-    logits = _score_batch(queries, kv[..., :d], params, table, n_heads, ws)
-    weights = masked_softmax(logits, mask[:, None, None, :],
-                             ws.take("att.weights", logits.shape, logits.dtype))
-    zh = weights @ _split_heads(kv[..., d:], n_heads)     # (B, H, c, d_k)
-    out = _merge_heads(zh) @ params.wo + params.bo
-    out[~mask.any(axis=-1)] = 0
+    n, d_k = table.encodings.shape[0], d // n_heads
+    rho_h = np.ascontiguousarray(
+        (table.encodings @ params.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
+    scores = ws.take("att.scores", (b, n_heads, c, l + c + r),
+                     np.result_type(queries, params.u, kv))
+    pos = ws.take("att.pos", (b, n_heads, c, n), np.result_type(queries, params.v, rho_h))
+    weights = ws.take("att.weights", scores.shape, scores.dtype)
+    out = np.empty((b, c, d), np.result_type(weights, kv, params.wo, params.bo))
+
+    def run(rows):
+        kv_rows, mask_rows = kv[rows], mask[rows]
+        kv_rows[~mask_rows] = 0
+        logits = _score_batch(queries[rows], kv_rows[..., :d], params, rho_h,
+                              scores[rows], pos[rows])
+        masked_softmax(logits, mask_rows[:, None, None, :], weights[rows])
+        zh = weights[rows] @ _split_heads(kv_rows[..., d:], n_heads)   # (B, H, c, d_k)
+        o = np.matmul(_merge_heads(zh), params.wo, out=out[rows])
+        o += params.bo
+        o[~mask_rows.any(axis=-1)] = 0
+
+    ws.split(2 * b * c * d * (2 * (l + c + r) + n + d), run, b)
     return out

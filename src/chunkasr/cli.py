@@ -6,7 +6,10 @@ frames to feature containers), selftest (equivalence/poison suites), cost
 
 Exit codes: 0 ok, 1 tolerance/selftest failure, 2 usage, 3 IO/format,
 4 checkpoint/config mismatch. All outputs are deterministic for fixed inputs,
-seed, and flags.
+seed, and flags, and do not depend on the number of CPUs the process may
+use: the encoder runs the rows of its large kernel calls in two halves on
+two threads only when it may use more than one CPU, and each output row is
+computed the same way either way.
 """
 
 from __future__ import annotations

@@ -27,6 +27,14 @@ and the softmax weights. A buffer grows only when a step needs more than it
 holds, so an encode allocates them a few times rather than once per layer
 and step. Its page faults and its time then no longer depend on what ran
 earlier in the process, whose frees set glibc's mmap and trim thresholds.
+The workspace also holds a worker thread for the call, unless the
+process may use only one CPU. A kernel call of at least
+functional.SPLIT_FLOP FLOPs (the feed-forward, the K|V and query
+projections, the attention, the conv's pointwise stages) runs its rows in
+two halves, one on the worker; each output row is computed as in one
+call, so outputs do not depend on the CPU count. At paper scale every
+layer's calls of a step over a few hundred frames split; the default
+model's calls stay far below the gate and run whole, and start no thread.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -438,7 +446,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
         head = col == 0
         starts, end = at[head], np.cumsum(seg)
         owner = np.searchsorted(end, starts, side="right")
-        queries, kv = project_frames(h, starts, ctx.c, lw.att)
+        queries, kv = project_frames(h, starts, ctx.c, lw.att, ws)
         batch = chunking.oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r,
                                      (end - seg)[owner], end[owner])
         out = chunk_attention(batch, queries, lw.att, table, model.n_heads, ws)
@@ -449,7 +457,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
                   ctx.l_att, attend)
     x = _sublayer(steps, 2 * layer_idx + 1, x, front[1:], lw.conv.ln_g, lw.conv.ln_b,
                   derive_l_conv(model.kernel_size),
-                  lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at))
+                  lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at, ws))
     for a, n in zip(steps, (front[2, 1] - front[2, 0]).tolist()):
         a.cov = n
     return layer_norm(x + _half_ff(x, lw.ff2, ws), lw.out_ln_g, lw.out_ln_b)
@@ -553,13 +561,14 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     block is copied into it at its start frame. The returned dict is in
     input order. The encode runs in the dtype of ``weights``, as
     encode_step reads it, and every step shares one Workspace that lives
-    for this call.
+    for this call. With more than one CPU in the process's affinity mask,
+    the workspace's worker thread runs half of each kernel call past
+    functional.SPLIT_FLOP; it is joined before this call returns or raises.
     """
     require_valid(model, ctx)
     dtype = weights.after_ln_g.dtype
     table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
                                             model.l_max), dtype)
-    ws = Workspace()
     states: dict[str, StreamState] = {}
     out: dict[str, np.ndarray] = {}
     for aid, feats in features.items():
@@ -576,17 +585,18 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     # audios are always a prefix of it, dropped before each step.
     pending = deque(sorted(states.values(),
                            key=lambda st: features[st.audio_id].shape[0]))
-    while True:
-        while pending and pending[0].frames_consumed == pending[0].total_frames:
-            done = pending.popleft()
-            done.held = []
-        sched = chunking.schedule_step(pending, budget, ctx.c)
-        if sched is None:
-            break
-        emitted = encode_step(states, sched, features, weights, ctx, model, table, ws)
-        for aid, block in emitted.items():
-            start = states[aid].frames_consumed - block.shape[0]
-            if on_emit is not None:
-                on_emit(aid, block, start)
-            out[aid][start:start + block.shape[0]] = block
+    with Workspace() as ws:
+        while True:
+            while pending and pending[0].frames_consumed == pending[0].total_frames:
+                done = pending.popleft()
+                done.held = []
+            sched = chunking.schedule_step(pending, budget, ctx.c)
+            if sched is None:
+                break
+            emitted = encode_step(states, sched, features, weights, ctx, model, table, ws)
+            for aid, block in emitted.items():
+                start = states[aid].frames_consumed - block.shape[0]
+                if on_emit is not None:
+                    on_emit(aid, block, start)
+                out[aid][start:start + block.shape[0]] = block
     return out

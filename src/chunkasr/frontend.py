@@ -190,7 +190,8 @@ def save_features(path, frames: np.ndarray) -> None:
 def load_features(path) -> np.ndarray:
     """Read a feature container; byte-exact round trip with save_features.
 
-    The payload size is checked against the file before anything is allocated.
+    The payload size is checked against the file, and a zero frame width
+    refused, before anything is allocated.
     """
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -199,6 +200,8 @@ def load_features(path) -> np.ndarray:
         version, t, dim = struct.unpack_from("<III", head, 4)
         if version != FEATURE_VERSION:
             raise FeatureFormatError(f"{path}: unsupported version {version}")
+        if not dim:
+            raise FeatureFormatError(f"{path}: header declares {t} frames of width 0")
         payload = os.fstat(fh.fileno()).st_size - 16
         if payload == 4 * t * dim:
             frames = np.empty((t, dim), dtype="<f4")

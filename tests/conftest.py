@@ -29,6 +29,19 @@ def small_weights(small_model):
     return init_weights(small_model, seed=7)
 
 
+# Two layers of the paper-scale model. A step over a few hundred frames
+# makes every split kernel call cross functional.SPLIT_FLOP, so with two
+# CPUs their rows run in two halves.
+WIDE_MODEL = ModelConfig(n_layers=2, d_model=256, n_heads=4, d_ff=1024, kernel_size=31,
+                         vocab_size=8, l_max=320)
+WIDE_CTX = ContextConfig(l_att=128, c=64, r=128)
+
+
+@pytest.fixture(scope="session")
+def wide_weights():
+    return init_weights(WIDE_MODEL, seed=9)
+
+
 def rel_err(actual, expected):
     actual = np.asarray(actual, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)

@@ -8,7 +8,7 @@ from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batc
                                 masked_softmax, project_frames, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
-from chunkasr.functional import Workspace, cast_params
+from chunkasr.functional import cast_params
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
 
@@ -16,8 +16,11 @@ from conftest import rel_err
 def attention_scores(row, p, table, n_heads):
     """Logits (H, c, l+c+r) of one row's chunk queries, as a one-row batch."""
     queries = row[table.l:table.l + table.c] @ p.wq
-    return _score_batch(queries[None], (row @ p.wk)[None], p, table, n_heads,
-                        Workspace())[0]
+    n, d = table.encodings.shape
+    rho_h = (table.encodings @ p.wr).reshape(n, n_heads, d // n_heads).swapaxes(0, 1)
+    return _score_batch(queries[None], (row @ p.wk)[None], p, rho_h,
+                        np.empty((1, n_heads, table.c, row.shape[0])),
+                        np.empty((1, n_heads, table.c, n)))[0]
 
 
 def gather(x, starts, p, table, lo=0, hi=None):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from chunkasr import cli, encoder
 from chunkasr.config import ModelConfig, weight_parts
 from chunkasr.encoder import init_model, post_frames, save_checkpoint
 from chunkasr.frontend import load_features, save_features, write_wav
-from conftest import dropping_oldest_att_frame, write_cfkw
+from conftest import WIDE_CTX, WIDE_MODEL, dropping_oldest_att_frame, write_cfkw
 
 
 @pytest.fixture
@@ -171,6 +172,31 @@ def test_encode_writes_containers_and_is_deterministic(workdir):
         hidden = load_features(out1 / f"{name}.cfkf")
         t_raw = 1 + (n - 400) // 160
         assert hidden.shape == (post_frames(t_raw), ModelConfig().d_model)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a second CPU to differ")
+def test_encode_writes_the_same_bytes_on_one_cpu_and_on_all(tmp_path, rng):
+    # the wide model's kernel calls run their rows in two halves on two
+    # threads when the process may use two CPUs, and whole when pinned to one
+    import chunkasr
+    wav = tmp_path / "long.wav"
+    write_wav(wav, (3000 * rng.normal(size=24 * 16000)).astype(np.int16))
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({**asdict(WIDE_MODEL), **asdict(WIDE_CTX)}))
+    src = str(Path(chunkasr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    mask = sorted(os.sched_getaffinity(0))
+    for name, cpus in (("one", mask[:1]), ("all", mask)):
+        argv = ["encode", "--seed", "1", "--config", str(cfg),
+                "--output-dir", str(tmp_path / name), str(wav)]
+        code = (f"import os, sys; os.sched_setaffinity(0, {cpus}); "
+                f"from chunkasr.cli import main; sys.exit(main({argv!r}))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, cwd=tmp_path, timeout=120)
+        assert run.returncode == 0, run.stderr
+    assert (tmp_path / "one" / "long.cfkf").read_bytes() == \
+        (tmp_path / "all" / "long.cfkf").read_bytes()
 
 
 def test_encode_accepts_feature_inputs(workdir, rng):
@@ -352,6 +378,25 @@ def test_budget_below_one_is_usage_error_before_any_input_is_read(tmp_path, caps
     err = capsys.readouterr().err
     assert err == f"usage error: --budget must be >= 1, got {budget}\n"
     assert not (tmp_path / "enc").exists()
+
+
+def test_encode_refuses_a_zero_width_header_before_allocating(workdir, capsys):
+    # 16 bytes that declare 2^26 frames of width 0: nothing to read, but a
+    # per-frame check would allocate 64 MiB
+    fpath = workdir / "flat.cfkf"
+    fpath.write_bytes(b"CFKF" + struct.pack("<III", 1, 2 ** 26, 0))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["encode", "--seed", "1", "--format", "features",
+                       "--output-dir", str(workdir / "enc7"), str(fpath)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "flat.cfkf" in err and "width 0" in err
+    assert peak < 8 * 2 ** 20
+    assert not (workdir / "enc7").exists()
 
 
 def test_encode_rejects_features_of_the_wrong_width(workdir, rng, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from chunkasr.frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES
 from chunkasr.functional import Workspace, cast_params, layer_norm
 from chunkasr.oracle import (_chunk_attention_loop, _conv_module_full, _macaron_ff,
                              full_context_encode, full_subsample, loop_oct_encode)
-from conftest import rel_err, write_cfkw
+from conftest import WIDE_CTX, WIDE_MODEL, rel_err, write_cfkw
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +229,12 @@ def test_encode_full_rejects_an_audio_without_frames(small_model, small_ctx,
 
 
 def run_step(states, sched, feats, w, ctx, model, dtype=np.float32):
-    """encode_step in ``dtype``, with the weights and table cast to it."""
+    """encode_step in ``dtype``, with the weights and table cast to it, in a
+    workspace that may split large calls, as encode_full runs it."""
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
-    return encode_step(states, sched, feats, cast_params(w, dtype), ctx, model,
-                       cast_params(table, dtype))
+    with Workspace() as ws:
+        return encode_step(states, sched, feats, cast_params(w, dtype), ctx, model,
+                           cast_params(table, dtype), ws)
 
 
 def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
@@ -259,11 +262,12 @@ def test_encode_step_rejects_broken_schedules(small_model, small_ctx,
         run(0, [0, 1], valid=11)
 
 
-def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
-                                             small_weights, rng, monkeypatch):
-    # three audios in one step: each FF, the attention row gather and the
-    # conv run once per layer, over all audios together
-    calls = {"ff": 0, "gather": 0, "conv": 0}
+def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx, small_weights,
+                                             wide_weights, rng, monkeypatch):
+    # three audios in one step: each FF, the attention row gather, the
+    # attention and the conv run once per layer, over all audios together;
+    # in the wide model they run their rows in two halves below these names
+    calls = Counter()
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -274,18 +278,22 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx,
     monkeypatch.setattr(encoder, "ff_forward", counting("ff", encoder.ff_forward))
     monkeypatch.setattr(chunking, "oct_segment",
                         counting("gather", chunking.oct_segment))
+    monkeypatch.setattr(encoder, "chunk_attention",
+                        counting("attention", encoder.chunk_attention))
     monkeypatch.setattr(encoder, "conv_module_forward",
                         counting("conv", encoder.conv_module_forward))
-    lengths = {"a": 50, "b": 23, "c": 9}
-    feats = {k: rng.normal(size=(n, 80)).astype(np.float32)
-             for k, n in lengths.items()}
-    states = {k: StreamState(k, post_frames(n)) for k, n in lengths.items()}
-    sched = schedule_step(list(states.values()), 100, small_ctx.c)
-    assert list(dict.fromkeys(p.audio_id for p in sched.rows)) == ["a", "b", "c"]
-    run_step(states, sched, feats, small_weights, small_ctx, small_model)
-    assert calls == {"ff": 2 * small_model.n_layers,
-                     "gather": small_model.n_layers,
-                     "conv": small_model.n_layers}
+    for model, ctx, w, scale in ((small_model, small_ctx, small_weights, 1),
+                                 (WIDE_MODEL, WIDE_CTX, wide_weights, 48)):
+        lengths = {"a": 50 * scale, "b": 23 * scale, "c": 9 * scale}
+        feats = {k: rng.normal(size=(n, 80)).astype(np.float32)
+                 for k, n in lengths.items()}
+        states = {k: StreamState(k, post_frames(n)) for k, n in lengths.items()}
+        sched = schedule_step(list(states.values()), 100, ctx.c)
+        assert list(dict.fromkeys(p.audio_id for p in sched.rows)) == ["a", "b", "c"]
+        calls.clear()
+        run_step(states, sched, feats, w, ctx, model)
+        assert calls == {"ff": 2 * model.n_layers, "gather": model.n_layers,
+                         "attention": model.n_layers, "conv": model.n_layers}
 
 
 def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_weights,
@@ -377,18 +385,22 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
         assert rel_err(conv, x2[conv_from:att_end]) <= 1e-12
 
 
-# (n_layers, kernel_size, (l_att, c, r), budget, raw frames per audio): every
-# batch takes several steps
+# (n_layers, kernel_size, (l_att, c, r), budget, raw frames per audio,
+# (d_model, n_heads, d_ff)): every batch takes several steps
 GEOMETRIES = [
-    (3, 5, (4, 3, 4), 1, (93, 200, 315)),   # lookahead 19 > the 12-frame audio; 3 does not divide 4
-    (2, 3, (5, 4, 0), 4, (240, 73, 136)),   # r = 0
-    (2, 7, (6, 4, 6), 16, (800, 557, 40)),  # budget 16; 4 does not divide 6
+    # lookahead 19 > the 12-frame audio; 3 does not divide 4
+    (3, 5, (4, 3, 4), 1, (93, 200, 315), (8, 2, 16)),
+    (2, 3, (5, 4, 0), 4, (240, 73, 136), (8, 2, 16)),   # r = 0
+    (2, 7, (6, 4, 6), 16, (800, 557, 40), (8, 2, 16)),  # budget 16; 4 does not divide 6
 ]
+# the wide model (conftest): its first step's kernel calls cross the split gate
+WIDE = (WIDE_MODEL.n_layers, WIDE_MODEL.kernel_size, (WIDE_CTX.l_att, WIDE_CTX.c, WIDE_CTX.r),
+        4, (2400, 1104, 432), (WIDE_MODEL.d_model, WIDE_MODEL.n_heads, WIDE_MODEL.d_ff))
 
 
 def geometry(case, seed):
-    n_layers, kernel, (l_att, c, r), budget, lengths = case
-    model = ModelConfig(n_layers=n_layers, d_model=8, n_heads=2, d_ff=16,
+    n_layers, kernel, (l_att, c, r), budget, lengths, (d_model, n_heads, d_ff) = case
+    model = ModelConfig(n_layers=n_layers, d_model=d_model, n_heads=n_heads, d_ff=d_ff,
                         kernel_size=kernel, vocab_size=4, l_max=l_att + c + r)
     rng = np.random.default_rng(seed)
     feats = {f"a{i}": rng.normal(size=(t, 80)).astype(np.float32)
@@ -396,7 +408,7 @@ def geometry(case, seed):
     return model, ContextConfig(l_att, c, r), budget, init_weights(model, seed=seed), feats
 
 
-@pytest.mark.parametrize("case", GEOMETRIES)
+@pytest.mark.parametrize("case", GEOMETRIES + [WIDE])
 def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
     model, ctx, budget, w, feats = geometry(case, seed=5)
     seen = {"rows": 0, "frames": 0, "steps": 0, "conv": 0}
