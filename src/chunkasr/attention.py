@@ -30,6 +30,16 @@ from .chunking import ChunkBatch
 from .functional import Workspace
 
 
+# _row_max folds a row of at most this many bytes in halves and reduces a
+# wider one. Fold against np.maximum.reduce over the last axis, best of 5 on
+# a 2-vCPU Xeon (numpy 2.4.6), 512 and 1536 rows: float32 0.51-0.58x at 32
+# keys (the default model's rows), 0.64-0.76x at 64, 0.89-0.99x at 128,
+# 1.14-1.31x at 160 and 1.75-1.86x at 320 (the paper-scale rows); float64
+# 0.83-0.93x at 32 and 1.16-1.33x at 47-64. The reduce pays a fixed cost per
+# row, the fold one per entry, so the row's bytes set the crossover.
+FOLD_ROW_BYTES = 256
+
+
 class DistanceRangeError(ValueError):
     """Rows need relative distances that the positional table does not hold."""
 
@@ -121,12 +131,6 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(*lead, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    x = x.swapaxes(-3, -2)
-    *lead, n_heads, d_k = x.shape[:-1] + x.shape[-1:]
-    return x.reshape(*x.shape[:-2], n_heads * d_k)
-
-
 def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
                  rho_h: np.ndarray, scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Per-head logits (B, H, c, l+c+r) of each row's chunk queries, in ``scores``.
@@ -149,11 +153,32 @@ def _score_batch(queries: np.ndarray, keys: np.ndarray, p: AttentionParams,
     np.matmul(qh + p.u.reshape(n_heads, 1, d_k), kh.swapaxes(-1, -2), out=scores)
     np.matmul(qh + p.v.reshape(n_heads, 1, d_k), rho_h.swapaxes(-1, -2), out=pos)
     step = pos.itemsize
-    scores += np.lib.stride_tricks.as_strided(
-        pos[..., c - 1:], shape=scores.shape,
-        strides=pos.strides[:2] + ((n - 1) * step, step), writeable=False)
+    scores += np.ndarray(scores.shape, pos.dtype, pos, (c - 1) * step,
+                         pos.strides[:2] + ((n - 1) * step, step))
     scores *= 1.0 / math.sqrt(d_k)
     return scores
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """The max over the last axis of x, keepdims, in a new array.
+
+    A row of at most FOLD_ROW_BYTES is folded in halves: each np.maximum of
+    its first and last (n + 1) // 2 entries halves the width, and the two
+    halves overlap in one entry when n is odd. A wider row goes to
+    np.maximum.reduce. Max is exact in any order, so both give the reduce's
+    values, NaN included; only the sign of a zero peak may differ, and the
+    softmax subtracts the peak before exp, which maps both zeros to 1.
+    """
+    n = x.shape[-1]
+    if n * x.itemsize > FOLD_ROW_BYTES:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    if n == 1:
+        return x.copy()
+    while n > 1:
+        h = (n + 1) // 2
+        x = np.maximum(x[..., :h], x[..., n - h:n])
+        n = h
+    return x
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray,
@@ -164,16 +189,18 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray,
     A query with at least one valid key sums to 1; a fully masked query gets
     an all-zero weight row. Works in one full-size buffer, ``out`` when one
     is given (it must not overlap ``logits``), else a new array; ``logits``
-    is not modified.
+    is not modified. The row max comes from _row_max, a fold of halves on
+    short rows.
     """
     weights = np.empty_like(logits) if out is None else out
     np.copyto(weights, logits)
-    np.copyto(weights, -np.inf, where=~np.asarray(mask, dtype=bool))
-    peak = weights.max(axis=-1, keepdims=True)
+    # -inf in the weights' dtype: a float64 one would go through a cast
+    np.copyto(weights, np.array(-np.inf, weights.dtype), where=~np.asarray(mask, dtype=bool))
+    peak = _row_max(weights)
     peak[~np.isfinite(peak)] = 0     # so exp(-inf - peak) is exactly 0
     weights -= peak
     np.exp(weights, out=weights)
-    denom = weights.sum(axis=-1, keepdims=True)
+    denom = np.add.reduce(weights, axis=-1, keepdims=True)
     denom[~(denom > 0)] = 1
     weights /= denom
     return weights
@@ -223,7 +250,8 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
                      np.result_type(queries, params.u, kv))
     pos = ws.take("att.pos", (b, n_heads, c, n), np.result_type(queries, params.v, rho_h))
     weights = ws.take("att.weights", scores.shape, scores.dtype)
-    out = np.empty((b, c, d), np.result_type(weights, kv, params.wo, params.bo))
+    heads = np.empty((b, c, n_heads, d_k), np.result_type(weights, kv))
+    out = np.empty((b, c, d), np.result_type(heads, params.wo, params.bo))
 
     def run(rows):
         kv_rows, mask_rows = kv[rows], mask[rows]
@@ -231,10 +259,13 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
         logits = _score_batch(queries[rows], kv_rows[..., :d], params, rho_h,
                               scores[rows], pos[rows])
         masked_softmax(logits, mask_rows[:, None, None, :], weights[rows])
-        zh = weights[rows] @ _split_heads(kv_rows[..., d:], n_heads)   # (B, H, c, d_k)
-        o = np.matmul(_merge_heads(zh), params.wo, out=out[rows])
+        # each head's outputs land in its d_k columns of the (B, c, d) rows
+        z = heads[rows]
+        np.matmul(weights[rows], _split_heads(kv_rows[..., d:], n_heads), out=z.swapaxes(1, 2))
+        o = np.matmul(z.reshape(z.shape[0], c, d), params.wo, out=out[rows])
         o += params.bo
         o[~mask_rows.any(axis=-1)] = 0
 
-    ws.split(2 * b * c * d * (2 * (l + c + r) + n + d), run, b)
+    if b:   # _score_batch's skewed view needs a row to lie on
+        ws.split(2 * b * c * d * (2 * (l + c + r) + n + d), run, b)
     return out

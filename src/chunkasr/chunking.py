@@ -113,7 +113,7 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
     if n == 0:
         rows = np.zeros(idx.shape + flat.shape[1:], flat.dtype)
     else:
-        rows = flat[np.clip(idx, 0, n - 1)]
+        rows = flat[np.minimum(np.maximum(idx, 0), n - 1)]
     return ChunkBatch(rows=rows, mask=mask, l=l, c=c, r=r)
 
 

@@ -40,7 +40,9 @@ def depthwise_conv(x: np.ndarray, kernel: np.ndarray, seg, at) -> np.ndarray:
 
     x is (sum(seg), d): segments of seg[i] frames back to back. Output j is
     sum_w kernel[w] * x[at[j] + w - (k - 1) / 2], channels independent,
-    where a read outside at[j]'s own segment is zero.
+    where a read outside at[j]'s own segment is zero. The segments are
+    copied once into a zeroed buffer with (k - 1) / 2 zero frames around
+    each, and the k-frame windows are a view on that buffer's strides.
     """
     k = kernel.shape[0]
     if k % 2 == 0:
@@ -51,12 +53,17 @@ def depthwise_conv(x: np.ndarray, kernel: np.ndarray, seg, at) -> np.ndarray:
         return np.zeros((0, x.shape[1]), np.result_type(x, kernel))
     half = (k - 1) // 2
     # half zero frames before every segment and after the last one
-    owner = np.repeat(np.arange(seg.size), seg)
     padded = np.zeros((x.shape[0] + (seg.size + 1) * half, x.shape[1]), x.dtype)
-    padded[np.arange(x.shape[0]) + (owner + 1) * half] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+    a = 0
+    for i, n in enumerate(seg.tolist(), 1):
+        padded[a + i * half:a + i * half + n] = x[a:a + n]
+        a += n
+    # windows[p, :, w] is padded[p + w]
+    rows, cols = padded.strides
+    windows = np.ndarray((padded.shape[0] - k + 1, padded.shape[1], k), padded.dtype,
+                         padded, 0, (rows, cols, rows))
     y = np.einsum("pcw,wc->pc", windows, kernel)
-    return y[at + half * owner[at]]
+    return y[at + half * np.repeat(np.arange(seg.size), seg)[at]]
 
 
 def conv_module_forward(x: np.ndarray, params: ConvParams, seg, at,

@@ -20,13 +20,15 @@ neighbouring audio. The step sizes the lookahead so every emitted frame
 is exact, which makes multi-step, batched, and single-step runs agree.
 
 Each encode_full call creates one functional.Workspace and drops it when it
-returns. Every step and layer of that call writes its largest temporaries
-into the workspace's buffers instead of new arrays: the feed-forward hidden
-activations and their sigmoid, the attention logits, the positional product
-and the softmax weights. A buffer grows only when a step needs more than it
-holds, so an encode allocates them a few times rather than once per layer
-and step. Its page faults and its time then no longer depend on what ran
-earlier in the process, whose frees set glibc's mmap and trim thresholds.
+returns. Every step and layer of that call takes its largest temporaries
+from the workspace: the feed-forward hidden activations and their sigmoid,
+the attention logits, the positional product and the softmax weights. One
+of at least functional.HOLD_BYTES (the paper-scale model's) is written
+into a held buffer that grows only when a step needs more than it holds,
+so an encode allocates it a few times rather than once per layer and
+step, and its page faults do not depend on what ran earlier in the
+process, whose frees set glibc's mmap and trim thresholds. The default
+model's are smaller and come from np.empty, which costs less per call.
 The workspace also holds a worker thread for the call, unless the
 process may use only one CPU. A kernel call of at least
 functional.SPLIT_FLOP FLOPs (the feed-forward, the K|V and query
@@ -325,7 +327,8 @@ def subsample_forward(feats: np.ndarray, sub: SubsampleWeights, post_start: int,
     full-sequence subsampling exactly. Each level copies only its inputs
     inside [0, limit), limit being T halved (rounded up) per level, into one
     zeroed buffer: only those raw frames are copied and cast, and the zeros
-    stand for the frames before the start and past the end.
+    stand for the frames before the start and past the end. The level's
+    stride-2 windows of 3 frames are a view on that buffer's strides.
     """
     dtype = sub.out_w.dtype
     if post_end <= post_start:
@@ -336,10 +339,15 @@ def subsample_forward(feats: np.ndarray, sub: SubsampleWeights, post_start: int,
         lo, hi = max(2 * s - 1, 0), min(2 * e, limit)          # its in-range inputs
         buf = np.zeros((2 * (e - s) + 1, x.shape[1]), dtype)  # inputs [2s - 1, 2e)
         buf[lo - 2 * s + 1:hi - 2 * s + 1] = x[lo - x_start:hi - x_start]
-        windows = np.lib.stride_tricks.sliding_window_view(buf, 3, axis=0)[::2]
-        y = np.einsum("tcw,wc->tc", windows, blk.dw_w)
-        x, x_start, limit = swish(y @ blk.pw_w + blk.pw_b), s, -(-limit // 2)
-    return x @ sub.out_w + sub.out_b
+        # windows[t, :, w] is buf[2t + w]
+        rows, cols = buf.strides
+        windows = np.ndarray((e - s, buf.shape[1], 3), dtype, buf, 0, (2 * rows, cols, rows))
+        h = np.einsum("tcw,wc->tc", windows, blk.dw_w) @ blk.pw_w
+        h += blk.pw_b
+        x, x_start, limit = swish(h), s, -(-limit // 2)
+    y = x @ sub.out_w
+    y += sub.out_b
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +390,6 @@ def _frontiers(ready: int, total: int, ctx: ContextConfig, l_conv: int,
     return front
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and position within its owner of sum(counts) items, owner by owner."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-
-
 def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, front: np.ndarray,
               ln_g, ln_b, l: int, run) -> np.ndarray:
     """A residual sublayer over the held and new inputs of every audio.
@@ -404,25 +406,33 @@ def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, front: np.ndarray,
     l frames before its new output frontier on. Returns the residual sums at
     the new output frames, audio after audio.
     """
-    (f_in, f_end), (first, last) = front
-    held = [a.state.held[j] for a in steps]
-    lens = np.array([h.shape[0] for h in held])
-    counts = f_end - f_in
-    at = (np.cumsum(counts) - counts).tolist()
-    ext = np.concatenate([part for h, a, n in zip(held, at, counts.tolist())
-                          for part in (h, x[a:a + n])])
-    seg = lens + counts
-    base = np.cumsum(seg) - seg
-    shift = base + lens - f_in                 # buffer index minus absolute frame
-    for a, b, k, n in zip(steps, base.tolist(), (last - l + shift).tolist(), seg.tolist()):
-        a.state.held[j] = ext[max(b, k):b + n].copy()
-    audio, local = _ragged(last - first)
-    at = (first + shift)[audio] + local
-    return ext[at] + run(layer_norm(ext, ln_g, ln_b), seg, at, local)
+    (f_in, f_end), (first, last) = front.tolist()
+    parts, seg, at = [], [], 0
+    for a, u, v in zip(steps, f_in, f_end):
+        held = a.state.held[j]
+        parts += (held, x[at:at + v - u])
+        seg.append(held.shape[0] + v - u)
+        at += v - u
+    ext = np.concatenate(parts)
+    outputs, base = [], 0
+    for a, n, v, lo, hi in zip(steps, seg, f_end, first, last):
+        shift = base + n - v                   # buffer index minus absolute frame
+        a.state.held[j] = ext[max(base, hi - l + shift):base + n].copy()
+        outputs.append((lo + shift, hi + shift))
+        base += n
+    at = np.concatenate([np.arange(lo, hi) for lo, hi in outputs])
+    local = np.concatenate([np.arange(hi - lo) for lo, hi in outputs])
+    y = run(layer_norm(ext, ln_g, ln_b), seg, at, local)
+    y += ext[at]
+    return y
 
 
 def _half_ff(x: np.ndarray, ff: FeedForwardParams, ws: Workspace) -> np.ndarray:
-    return 0.5 * ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2, ws)
+    """x + ff(layer_norm(x)) / 2, the residual half-step, in the FF's output."""
+    y = ff_forward(layer_norm(x, ff.ln_g, ff.ln_b), ff.w1, ff.b1, ff.w2, ff.b2, ws)
+    y *= 0.5
+    y += x
+    return y
 
 
 def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
@@ -452,7 +462,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
         out = chunk_attention(batch, queries, lw.att, table, model.n_heads, ws)
         return out[np.cumsum(head) - 1, col]
 
-    x = x + _half_ff(x, lw.ff1, ws)
+    x = _half_ff(x, lw.ff1, ws)
     x = _sublayer(steps, 2 * layer_idx, x, front[:2], lw.att.ln_g, lw.att.ln_b,
                   ctx.l_att, attend)
     x = _sublayer(steps, 2 * layer_idx + 1, x, front[1:], lw.conv.ln_g, lw.conv.ln_b,
@@ -460,7 +470,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
                   lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at, ws))
     for a, n in zip(steps, (front[2, 1] - front[2, 0]).tolist()):
         a.cov = n
-    return layer_norm(x + _half_ff(x, lw.ff2, ws), lw.out_ln_g, lw.out_ln_b)
+    x = _half_ff(x, lw.ff2, ws)
+    return layer_norm(x, lw.out_ln_g, lw.out_ln_b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +539,13 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
             break
         x = _layer_pass(steps, x, front[2 * k:2 * k + 3], weights.layers[k], table,
                         ctx, model, k, ws)
-    if model.n_layers:
+    if model.n_layers and x.shape[0]:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
     at = 0
     for a in steps:
         st = a.state
-        held = np.concatenate([st.held[-1], x[at:at + a.cov]])
+        held = np.concatenate([st.held[-1], x[at:at + a.cov]]) if a.cov else st.held[-1]
         at += a.cov
         if held.shape[0] < a.emit:
             raise SchedulerError(

@@ -291,6 +291,14 @@ def test_poisoned_masked_keys_change_nothing_bitwise(rng):
             assert np.array_equal(got.view(np.uint8), base.view(np.uint8)), (dtype, poison)
 
 
+def test_chunk_attention_of_no_rows_is_empty(rng):
+    d, heads = 8, 2
+    p = random_params(rng, d)
+    table = build_rel_pos_table(4, 3, 2, d)
+    out = attend(rng.normal(size=(5, d)), np.zeros(0, np.int64), p, table, heads)
+    assert out.shape == (0, 3, d) and out.dtype == np.float64
+
+
 def test_dtype_paths(rng):
     d, heads = 16, 2
     ctx = ContextConfig(l_att=6, c=4, r=3)
@@ -321,21 +329,27 @@ def test_masked_softmax_bitwise_equals_reference_formula(rng, dtype):
         safe = np.where(denom > 0, denom, np.ones((), dtype=logits.dtype))
         return weights / safe
 
-    logits = (rng.normal(size=(3, 2, 5, 9)) * 20).astype(dtype)
-    logits[0, 0, 0, 2] = np.inf
-    logits[0, 1, 1, 4] = -np.inf
-    logits[1, 0, 2, :] = -np.inf
-    logits[2, 1, 3, 0] = np.nan
-    mask = rng.random((3, 1, 1, 9)) < 0.7
-    mask[0, ..., [2, 4]] = True         # +inf and -inf among the valid keys
-    mask[2, ..., 0] = True              # and a NaN
-    mask[1] = False                     # fully masked rows
-    before = logits.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = masked_softmax(logits, mask)
-        want = reference(logits, mask)
-    assert got.dtype == want.dtype == dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    ok = ~np.isnan(want)
-    assert np.array_equal(got[ok].view(np.uint8), want[ok].view(np.uint8))
-    assert np.array_equal(logits, before, equal_nan=True)
+    # widths 1-3 take the fold's single, even and odd (overlapping) halves,
+    # 32 is the default model's row, and 320 is wide enough for the reduce
+    for width in (1, 2, 3, 9, 32, 320):
+        logits = (rng.normal(size=(3, 2, 5, width)) * 20).astype(dtype)
+        logits[0, 0, 0, 2 % width] = np.inf
+        logits[0, 1, 1, 4 % width] = -np.inf
+        logits[1, 0, 2, :] = -np.inf
+        logits[2, 1, 3, 0] = np.nan
+        mask = rng.random((3, 1, 1, width)) < 0.7
+        mask[0, ..., [2 % width, 4 % width]] = True    # +inf and -inf among the valid keys
+        mask[2, ..., 0] = True                         # and a NaN
+        mask[1] = False                                # fully masked rows
+        before = logits.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = masked_softmax(logits, mask)
+            want = reference(logits, mask)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want, equal_nan=True), width
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok].view(np.uint8), want[ok].view(np.uint8)), width
+        assert np.array_equal(logits.view(np.uint8), before.view(np.uint8)), width
+        if width == 1:      # a lone valid key gets weight 1, a masked one 0
+            assert np.array_equal(got[1], np.zeros_like(got[1]))
+            assert (got[2][~np.isnan(logits[2])] == 1).all()

@@ -1,12 +1,13 @@
 import hashlib
 import struct
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from chunkasr import chunking, encoder
+from chunkasr import chunking, encoder, functional
 from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import (ChunkingError, ChunkPlan, SchedulerError, StepSchedule,
                                StreamState, schedule_step)
@@ -762,16 +763,20 @@ def test_poisoned_workspace_changes_no_output_bit(small_model, small_ctx, small_
                 (aid, fill)
 
 
-def test_workspace_buffers_are_allocated_only_to_grow(small_model, small_ctx,
-                                                      small_weights, rng, monkeypatch):
-    # one workspace serves every step and layer of an encode; a buffer is
-    # allocated again only when a request needs more bytes than any before
+def test_workspace_buffers_are_allocated_only_to_grow(wide_weights, rng, monkeypatch):
+    # one workspace serves every step and layer of an encode; a request of
+    # at least HOLD_BYTES lands on its name's buffer, which is allocated
+    # again only when a request needs more bytes than any before, and a
+    # smaller one gets an array of its own. The wide model at budget 1 makes
+    # both: the short audio's step and the long one's 64-frame steps ask
+    # for 0.02-0.37 MiB, the long one's first (448 frames) and last steps
+    # for up to 2.2 MiB.
     takes = []
 
     class Recording(Workspace):
         def take(self, name, shape, dtype):
             buf = super().take(name, shape, dtype)
-            takes.append((name, buf.nbytes, buf.base))
+            takes.append((name, buf.nbytes, buf.base, self._buffers.get(name)))
             return buf
 
     steps = []
@@ -784,23 +789,50 @@ def test_workspace_buffers_are_allocated_only_to_grow(small_model, small_ctx,
     monkeypatch.setattr(encoder, "Workspace", Recording)
     monkeypatch.setattr(encoder, "encode_step", counting)
     feats = {"a": rng.normal(size=(41, 80)).astype(np.float32),
-             "b": rng.normal(size=(1600, 80)).astype(np.float32)}
-    encode_full(feats, small_weights, small_ctx, small_model, budget=1)
+             "b": rng.normal(size=(6400, 80)).astype(np.float32)}
+    encode_full(feats, wide_weights, WIDE_CTX, WIDE_MODEL, budget=1)
     assert len(steps) > 5 and all(ws is steps[0] for ws in steps)
-    assert {name for name, _, _ in takes} == WORKSPACE_BUFFERS
+    assert {name for name, _, _, _ in takes} == WORKSPACE_BUFFERS
+    large = [t for t in takes if t[1] >= functional.HOLD_BYTES]
+    small = [t for t in takes if t[1] < functional.HOLD_BYTES]
+    assert len(large) >= len(WORKSPACE_BUFFERS) and len(small) > 5 * len(large)
+    for name, nbytes, base, held in small:
+        assert base is None, name       # an array that owns its data
     allocations = 0
     for name in WORKSPACE_BUFFERS:
-        held, buffer = 0, None
-        for key, nbytes, base in takes:
+        size, buffer = 0, None
+        for key, nbytes, base, held in large:
             if key == name:
-                grows = nbytes > held
-                assert (base is not buffer) == grows, name
-                held, buffer = max(held, nbytes), base
+                grows = nbytes > size
+                assert base is held and (base is not buffer) == grows, name
+                size, buffer = max(size, nbytes), base
                 allocations += grows
-    # both FFs of every layer pass take "ff.hidden"
-    passes = sum(name == "ff.hidden" for name, _, _ in takes) // 2
-    assert passes > 10 * small_model.n_layers
-    assert allocations < len(takes) / 10
+    assert allocations < len(large)
+
+
+def test_default_model_encode_holds_no_buffer_and_starts_no_thread(rng, monkeypatch):
+    # every request of the default model stays below HOLD_BYTES and every
+    # kernel call below SPLIT_FLOP, at budgets 1 and 16
+    model, ctx = ModelConfig(), ContextConfig()
+    weights = init_weights(model, seed=3)
+    workspaces = []
+
+    class Recording(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(encoder, "Workspace", Recording)
+    feats = {f"a{i}": rng.normal(size=(t, 80)).astype(np.float32)
+             for i, t in enumerate((3001, 1207, 97, 640))}
+    before = threading.active_count()
+    for budget in (1, 16):
+        during = []
+        encode_full(feats, weights, ctx, model, budget=budget,
+                    on_emit=lambda *_: during.append(threading.active_count()))
+        assert set(during) == {before}
+    assert len(workspaces) == 2
+    assert all(ws._buffers == {} and ws._worker is None for ws in workspaces)
 
 
 def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_ctx,

@@ -80,6 +80,35 @@ def test_layer_norm_matches_textbook_form(rng, dtype):
     assert (np.abs(got - want) / np.maximum(1, np.abs(want))).max() <= 16 * bound(dtype)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("width", [1, 7, 64, 256])
+def test_layer_norm_bitwise_equals_the_mean_form(rng, dtype, width):
+    # layer_norm takes the mean as np.add.reduce and an in-place divide, the
+    # arithmetic of x.mean; written out with x.mean, every bit must agree,
+    # also when the result goes into x itself
+    def reference(x, scale, shift):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = np.einsum("...i,...i->...", xc, xc)[..., None]
+        var /= x.shape[-1]
+        var += LN_EPS
+        xc /= np.sqrt(var)
+        xc *= scale
+        xc += shift
+        return xc
+
+    x = (rng.normal(size=(3, 50, width)) * 5 + 3).astype(dtype)
+    x[0, 0] = 7.0          # a constant row: zero variance
+    scale = rng.normal(size=width).astype(dtype)
+    shift = rng.normal(size=width).astype(dtype)
+    want = reference(x, scale, shift)
+    got = layer_norm(x, scale, shift)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    aliased = x.copy()
+    assert layer_norm(aliased, scale, shift, out=aliased) is aliased
+    assert np.array_equal(aliased.view(np.uint8), want.view(np.uint8))
+
+
 @pytest.mark.parametrize("name", ["sigmoid", "swish", "glu", "layer_norm"])
 def test_primitives_leave_their_input_and_return_a_new_array(rng, name):
     x = rng.normal(size=(7, 16)).astype(np.float32)

@@ -27,6 +27,9 @@ FIXED = [
     (2, 3, 2, 4, 7, 3),    # r > c, r not a multiple of c
 ]
 SEEDED = 14
+# (d_model, n_heads, d_ff): the fixed cases run the first, the seeded ones
+# cycle through all four, so attention runs with 1, 2, 4 and 8 heads
+MODELS = [(8, 2, 16), (16, 4, 32), (8, 1, 16), (32, 8, 64)]
 
 
 def draw(rng):
@@ -37,12 +40,16 @@ def draw(rng):
 
 def geometries():
     rng = np.random.default_rng(2024)
-    return FIXED + [draw(rng) for _ in range(SEEDED)]
+    seeded = [draw(rng) + MODELS[i % len(MODELS)] for i in range(SEEDED)]
+    # the last runs two layers on rows of one position, l_att + c + r = 1
+    seeded[-1] = (2, seeded[-1][1], 0, 1, 0) + seeded[-1][5:]
+    return FIXED + seeded
 
 
 def setup(case, seed):
-    n_layers, kernel, l_att, c, r, budget = case
-    model = ModelConfig(n_layers=n_layers, d_model=8, n_heads=2, d_ff=16,
+    n_layers, kernel, l_att, c, r, budget, *dims = case
+    d_model, n_heads, d_ff = dims or MODELS[0]
+    model = ModelConfig(n_layers=n_layers, d_model=d_model, n_heads=n_heads, d_ff=d_ff,
                         kernel_size=kernel, vocab_size=4,
                         l_max=l_att + c + r, seed=seed)
     ctx = ContextConfig(l_att=l_att, c=c, r=r)
