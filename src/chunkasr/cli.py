@@ -231,8 +231,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AudioFormatError, FeatureFormatError, ChunkingError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (AudioFormatError, FeatureFormatError, ChunkingError, OSError) as exc:
         print(f"input/output error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (CheckpointError, ConfigError) as exc:

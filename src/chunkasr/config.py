@@ -198,7 +198,9 @@ def load_config(path) -> tuple[ModelConfig, ContextConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and int literals past Python's
+        # digit limit are ValueErrors; deep nesting is a RecursionError
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import ConfigError, ContextConfig, ModelConfig
-from .frontend import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, N_MELS
+from .encoder import post_frames
+from .frontend import SAMPLE_RATE, WINDOW_SAMPLES, N_MELS, num_frames
 
 FLOP_NOTE = ("FLOPs: 1 multiply-accumulate = 2 FLOPs; matmul-like terms only "
              "(norms/activations ignored)")
@@ -33,7 +34,7 @@ def raw_frames_for_duration(seconds: float) -> int:
     if samples < WINDOW_SAMPLES:
         raise ConfigError(f"duration {seconds}s is shorter than one "
                           f"{WINDOW_SAMPLES}-sample analysis window")
-    return 1 + (samples - WINDOW_SAMPLES) // HOP_SAMPLES
+    return num_frames(samples)
 
 
 def attention_flops(t_post: int, ctx: ContextConfig, model: ModelConfig) -> int:
@@ -65,7 +66,7 @@ def _layer_fixed_flops(frames: int, queries: int, model: ModelConfig) -> dict[st
 
 def subsample_flops(t_raw: int, model: ModelConfig) -> int:
     d = model.d_model
-    l1, l2, l3 = -(-t_raw // 2), -(-t_raw // 4), -(-t_raw // 8)
+    l1, l2, l3 = -(-t_raw // 2), -(-t_raw // 4), post_frames(t_raw)
     total = l1 * (2 * 3 * N_MELS + 2 * N_MELS * d)
     total += l2 * (2 * 3 * d + 2 * d * d)
     total += l3 * (2 * 3 * d + 2 * d * d)
@@ -115,7 +116,7 @@ class CostReport:
 def _audio_cost(audio_id: str, seconds: float, billed: float, ctx: ContextConfig,
                 model: ModelConfig) -> AudioCost:
     t_raw = raw_frames_for_duration(billed)
-    t_post = -(-t_raw // 8)
+    t_post = post_frames(t_raw)
     rows = -(-t_post // ctx.c)
     fixed = _layer_fixed_flops(t_post, rows * ctx.c, model)
     att = attention_flops(t_post, ctx, model)

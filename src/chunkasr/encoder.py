@@ -19,24 +19,8 @@ Both put their outputs back with one indexing, and neither reads into a
 neighbouring audio. The step sizes the lookahead so every emitted frame
 is exact, which makes multi-step, batched, and single-step runs agree.
 
-Each encode_full call creates one functional.Workspace and drops it when it
-returns. Every step and layer of that call takes its largest temporaries
-from the workspace: the feed-forward hidden activations and their sigmoid,
-the attention logits, the positional product and the softmax weights. One
-of at least functional.HOLD_BYTES (the paper-scale model's) is written
-into a held buffer that grows only when a step needs more than it holds,
-so an encode allocates it a few times rather than once per layer and
-step, and its page faults do not depend on what ran earlier in the
-process, whose frees set glibc's mmap and trim thresholds. The default
-model's are smaller and come from np.empty, which costs less per call.
-The workspace also holds a worker thread for the call, unless the
-process may use only one CPU. A kernel call of at least
-functional.SPLIT_FLOP FLOPs (the feed-forward, the K|V and query
-projections, the attention, the conv's pointwise stages) runs its rows in
-two halves, one on the worker; each output row is computed as in one
-call, so outputs do not depend on the CPU count. At paper scale every
-layer's calls of a step over a few hundred frames split; the default
-model's calls stay far below the gate and run whole, and start no thread.
+Each encode_full call runs its steps in one functional.Workspace, whose
+docstring gives the rules for its held buffers and its split kernel calls.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
@@ -357,6 +341,7 @@ def subsample_forward(feats: np.ndarray, sub: SubsampleWeights, post_start: int,
 @dataclass
 class _AudioStep:
     state: StreamState
+    start: list[int]      # the frontiers state.front held when the step began
     emit: int             # frames emitted this step
     cov: int              # new frames in the current layer buffer: the layer's
                           # inputs before _layer_pass, the frames it ran after
@@ -390,33 +375,34 @@ def _frontiers(ready: int, total: int, ctx: ContextConfig, l_conv: int,
     return front
 
 
-def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, front: np.ndarray,
-              ln_g, ln_b, l: int, run) -> np.ndarray:
+def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, ln_g, ln_b, l: int,
+              run) -> np.ndarray:
     """A residual sublayer over the held and new inputs of every audio.
 
-    ``front`` holds every audio's input and output frontiers of the
-    sublayer, each at the start and the end of the step. Audio i holds its
-    inputs up to the first input frontier in held[j], and x its inputs up to
-    the second, back to back with the other audios'. ``run(h, seg, at,
-    local)`` gets the normalized [held_i | new_i] buffer h, each audio's
-    segment length in it, and the buffer index of every frame between the
-    output frontiers with its place among its audio's outputs; it returns
-    one output per such frame, read from that frame's own segment only,
-    whose inputs are all exact. Each audio's held[j] becomes its inputs from
-    l frames before its new output frontier on. Returns the residual sums at
-    the new output frames, audio after audio.
+    Frontiers j and j + 1 of each audio are the sublayer's input and output
+    frontiers, at the start of the step in its start and at the end in its
+    state.front. Audio i holds its inputs up to the start input frontier in
+    held[j], and x its inputs up to the end one, back to back with the
+    other audios'. ``run(h, seg, at, local)`` gets the normalized
+    [held_i | new_i] buffer h, each audio's segment length in it, and the
+    buffer index of every frame between the output frontiers with its place
+    among its audio's outputs; it returns one output per such frame, read
+    from that frame's own segment only, whose inputs are all exact. Each
+    audio's held[j] becomes its inputs from l frames before its new output
+    frontier on. Returns the residual sums at the new output frames, audio
+    after audio.
     """
-    (f_in, f_end), (first, last) = front.tolist()
     parts, seg, at = [], [], 0
-    for a, u, v in zip(steps, f_in, f_end):
-        held = a.state.held[j]
-        parts += (held, x[at:at + v - u])
-        seg.append(held.shape[0] + v - u)
-        at += v - u
+    for a in steps:
+        held, new = a.state.held[j], a.state.front[j] - a.start[j]
+        parts += (held, x[at:at + new])
+        seg.append(held.shape[0] + new)
+        at += new
     ext = np.concatenate(parts)
     outputs, base = [], 0
-    for a, n, v, lo, hi in zip(steps, seg, f_end, first, last):
-        shift = base + n - v                   # buffer index minus absolute frame
+    for a, n in zip(steps, seg):
+        lo, hi = a.start[j + 1], a.state.front[j + 1]
+        shift = base + n - a.state.front[j]    # buffer index minus absolute frame
         a.state.held[j] = ext[max(base, hi - l + shift):base + n].copy()
         outputs.append((lo + shift, hi + shift))
         base += n
@@ -435,19 +421,20 @@ def _half_ff(x: np.ndarray, ff: FeedForwardParams, ws: Workspace) -> np.ndarray:
     return y
 
 
-def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
-                lw: LayerWeights, table: RelPosTable, ctx: ContextConfig,
-                model: ModelConfig, layer_idx: int, ws: Workspace) -> np.ndarray:
+def _layer_pass(steps: list[_AudioStep], x: np.ndarray, lw: LayerWeights, table: RelPosTable,
+                ctx: ContextConfig, model: ModelConfig, layer_idx: int,
+                ws: Workspace) -> np.ndarray:
     """One encoder layer over the frames that became exact at its input.
 
     Composition: half-step FF, relative MHSA over chunk rows, convolution
     module, half-step FF, per-layer output norm; residuals throughout.
-    ``front`` holds each audio's input, attention and output frontiers of
-    this layer at the start and the end of the step; x holds the inputs
-    between them. The FF runs on those new inputs, attention on the chunk
-    rows whose window became exact, the conv, FF and output norm on the
-    frames that became exact; each sublayer reads its left context and the
-    frames still pending from the audio's held frames. The FF and
+    Frontiers 2k, 2k + 1 and 2k + 2 of each audio, k = ``layer_idx``, are
+    this layer's input, attention and output frontiers, at the start of the
+    step in the audio's start and at its end in its state.front; x holds
+    the inputs between them. The FF runs on those new inputs, attention on
+    the chunk rows whose window became exact, the conv, FF and output norm
+    on the frames that became exact; each sublayer reads its left context
+    and the frames still pending from the audio's held frames. The FF and
     attention temporaries go into ``ws``. Returns the new outputs.
     """
     def attend(h, seg, at, local):
@@ -463,13 +450,13 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, front: np.ndarray,
         return out[np.cumsum(head) - 1, col]
 
     x = _half_ff(x, lw.ff1, ws)
-    x = _sublayer(steps, 2 * layer_idx, x, front[:2], lw.att.ln_g, lw.att.ln_b,
-                  ctx.l_att, attend)
-    x = _sublayer(steps, 2 * layer_idx + 1, x, front[1:], lw.conv.ln_g, lw.conv.ln_b,
+    j = 2 * layer_idx
+    x = _sublayer(steps, j, x, lw.att.ln_g, lw.att.ln_b, ctx.l_att, attend)
+    x = _sublayer(steps, j + 1, x, lw.conv.ln_g, lw.conv.ln_b,
                   derive_l_conv(model.kernel_size),
                   lambda h, seg, at, _local: conv_module_forward(h, lw.conv, seg, at, ws))
-    for a, n in zip(steps, (front[2, 1] - front[2, 0]).tolist()):
-        a.cov = n
+    for a in steps:
+        a.cov = a.state.front[j + 2] - a.start[j + 2]
     x = _half_ff(x, lw.ff2, ws)
     return layer_norm(x, lw.out_ln_g, lw.out_ln_b, x)
 
@@ -509,7 +496,6 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         by_audio.setdefault(p.audio_id, []).append(p)
     steps: list[_AudioStep] = []
     hidden: list[np.ndarray] = []
-    fronts: list[tuple[list[int], list[int]]] = []
     for aid, rows in by_audio.items():
         st = states[aid]
         start = st.frames_consumed
@@ -528,17 +514,14 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
         done = st.front[0]
         end = max(done, min(start + emit + la, st.total_frames))
         hidden.append(subsample_forward(features[aid], weights.subsample, done, end))
-        fronts.append((st.front, _frontiers(end, st.total_frames, ctx, l_conv, model.n_layers)))
-        st.front = fronts[-1][1]
-        steps.append(_AudioStep(state=st, emit=emit, cov=end - done))
+        steps.append(_AudioStep(state=st, start=st.front, emit=emit, cov=end - done))
+        st.front = _frontiers(end, st.total_frames, ctx, l_conv, model.n_layers)
     x = np.concatenate(hidden)
     del hidden
-    front = np.array(fronts).transpose(2, 1, 0)   # (2L + 1, start | end, audios)
     for k in range(model.n_layers):
         if not x.shape[0]:   # nothing new at this layer, so nothing above it
             break
-        x = _layer_pass(steps, x, front[2 * k:2 * k + 3], weights.layers[k], table,
-                        ctx, model, k, ws)
+        x = _layer_pass(steps, x, weights.layers[k], table, ctx, model, k, ws)
     if model.n_layers and x.shape[0]:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     out: dict[str, np.ndarray] = {}
@@ -573,7 +556,7 @@ def encode_full(features: dict[str, np.ndarray], weights: EncoderWeights,
     input order. The encode runs in the dtype of ``weights``, as
     encode_step reads it, and every step shares one Workspace that lives
     for this call. With more than one CPU in the process's affinity mask,
-    the workspace's worker thread runs half of each kernel call past
+    the workspace's pool thread runs half of each kernel call past
     functional.SPLIT_FLOP; it is joined before this call returns or raises.
     """
     require_valid(model, ctx)

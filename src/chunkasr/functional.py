@@ -1,17 +1,17 @@
-"""Small numeric primitives shared by the engine and the reference paths.
+"""Small numeric primitives, and the feed-forward kernel and Workspace of the engine.
 
-Everything here is a pure per-position function or a plain matmul, plus the
-Workspace that holds a caller's scratch buffers; windowing, masking and
-segmentation logic live with their owners so the reference implementations
-stay independent of the fast path.
+The reference paths share only cast_params and the pure per-position
+functions (sigmoid, swish, glu, layer_norm); ff_forward and the Workspace
+that holds a caller's scratch buffers are the engine's. Windowing, masking
+and segmentation logic live with their owners so the reference
+implementations stay independent of the fast path.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -58,7 +58,7 @@ def cast_params(params, dtype):
 
 class Workspace:
     """Scratch buffers that one caller reuses across calls, one per name, and
-    the worker thread that runs half of each large kernel call.
+    the one-thread pool that runs half of each large kernel call.
 
     take(name, shape, dtype) returns a C-contiguous array. A request of at
     least HOLD_BYTES is served from the named buffer, which is allocated
@@ -72,41 +72,31 @@ class Workspace:
 
     Inside a ``with`` block, unless the process may run on only one CPU,
     split() runs each kernel call of at least SPLIT_FLOP FLOPs in two
-    halves, one of them on a worker thread. The first such call starts the
-    worker, and the block's exit joins it, so a workspace whose calls all
-    stay below the gate starts no thread. BLAS and numpy's loops release
-    the interpreter lock, so the halves overlap. The kernels that split are
-    ff_forward, attention.project_frames (the K|V and query matmuls),
-    attention.chunk_attention (by chunk row) and conv.conv_module_forward
-    (its two pointwise layers with their GLU, norm and swish).
+    halves, one of them on the thread of a concurrent.futures
+    ThreadPoolExecutor(max_workers=1) that the block creates. The pool
+    starts its thread on the first such call, and the block's exit shuts it
+    down, so a workspace whose calls all stay below the gate, or that is
+    used outside a ``with`` block, starts no thread. BLAS and numpy's loops
+    release the interpreter lock, so the halves overlap. The kernels that
+    split are ff_forward, attention.project_frames (the K|V and query
+    matmuls), attention.chunk_attention (by chunk row) and
+    conv.conv_module_forward (its two pointwise layers with their GLU, norm
+    and swish).
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self._may_split = False
-        self._worker: threading.Thread | None = None
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        self._errors: queue.SimpleQueue = queue.SimpleQueue()
+        self._pool: ThreadPoolExecutor | None = None
 
     def __enter__(self) -> "Workspace":
-        self._may_split = len(os.sched_getaffinity(0)) > 1
+        if len(os.sched_getaffinity(0)) > 1:
+            self._pool = ThreadPoolExecutor(max_workers=1)
         return self
 
     def __exit__(self, *_) -> None:
-        self._may_split = False
-        if self._worker is not None:
-            self._calls.put(None)
-            self._worker.join()
-            self._worker = None
-
-    def _serve(self) -> None:
-        while (call := self._calls.get()) is not None:
-            try:
-                call()
-            except BaseException as exc:   # split raises it in the caller's thread
-                self._errors.put(exc)
-            else:
-                self._errors.put(None)
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -123,26 +113,23 @@ class Workspace:
 
         A call of ``flop`` >= SPLIT_FLOP whose sizes are all 2 or more runs
         as two inside a ``with`` block on more than one CPU: run gets the
-        first half of every size here and the second half on the worker,
-        which this call starts if it has not run yet. Each half writes only
-        its own rows of arrays the caller allocated, and takes no buffer
-        of this workspace. The halves run the same numpy calls on their rows
-        as one call does, and each output row is computed on its own, so
-        the outputs do not depend on whether the call split. Returns once
+        first half of every size here and the second half on the pool's
+        thread. Each half writes only its own rows of arrays the caller
+        allocated, and takes no buffer of this workspace. The halves run the
+        same numpy calls on their rows as one call does, and each output row
+        is computed on its own, so the outputs do not depend on whether the
+        call split. Returns once
         both halves have; an exception of either is raised here, the
         caller's half's first.
         """
-        if not self._may_split or flop < SPLIT_FLOP or min(sizes) < 2:
+        if self._pool is None or flop < SPLIT_FLOP or min(sizes) < 2:
             run(*(slice(0, n) for n in sizes))
             return
-        if self._worker is None:
-            self._worker = threading.Thread(target=self._serve, name="chunkasr-split")
-            self._worker.start()
-        self._calls.put(lambda: run(*(slice(n // 2, n) for n in sizes)))
+        future = self._pool.submit(run, *(slice(n // 2, n) for n in sizes))
         try:
             run(*(slice(0, n // 2) for n in sizes))
         finally:
-            error = self._errors.get()
+            error = future.exception()
         if error is not None:
             raise error
 
@@ -206,15 +193,14 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 
 
 def ff_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-               w2: np.ndarray, b2: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+               w2: np.ndarray, b2: np.ndarray, ws: Workspace) -> np.ndarray:
     """Position-wise feed-forward with swish activation.
 
     The (n, d_ff) hidden activations and their sigmoid live in the
-    "ff.hidden" and "ff.gate" buffers of ``ws`` (a new Workspace when none
-    is given), where the bias and the swish run in place. The n rows go
-    through ws.split as one call of 4 n d d_ff FLOPs.
+    "ff.hidden" and "ff.gate" buffers of ``ws``, where the bias and the
+    swish run in place. The n rows go through ws.split as one call of
+    4 n d d_ff FLOPs.
     """
-    ws = Workspace() if ws is None else ws
     shape, dtype = x.shape[:-1] + w1.shape[-1:], np.result_type(x, w1)
     hidden = ws.take("ff.hidden", shape, dtype)
     gate = ws.take("ff.gate", shape, dtype)

@@ -3,9 +3,10 @@
 These run the same layer math as the engine but with none of its machinery:
 no row gathers, no caches, no scheduler, no shared masking or window code.
 Segmentation here is plain python slicing, softmax is written inline, and the
-convolutions run over whole sequences. Only the pure primitives (layer norm,
-feed-forward, activations, the sinusoid formula) and the parameter containers
-are shared, so a divergence localizes bugs to the chunking machinery.
+convolutions run over whole sequences, and every matmul is written here.
+Only the pure per-position primitives (layer norm and the activations), the
+sinusoid formula and the parameter containers are shared, so a divergence
+localizes bugs to the chunking machinery.
 
 Everything runs in float64 by default to give a tighter reference.
 run_selftest checks the engine against them; its poison suite fills the
@@ -23,7 +24,7 @@ import numpy as np
 from .attention import AttentionParams, rel_pos_encoding
 from .config import ContextConfig, ModelConfig
 from .encoder import EncoderWeights
-from .functional import cast_params, ff_forward, glu, layer_norm, swish
+from .functional import cast_params, glu, layer_norm, swish
 
 
 @dataclass
@@ -159,7 +160,7 @@ def _conv_module_full(x: np.ndarray, lw, dtype) -> np.ndarray:
 
 def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
     f = cast_params(ff, dtype)
-    return 0.5 * ff_forward(layer_norm(x, f.ln_g, f.ln_b), f.w1, f.b1, f.w2, f.b2)
+    return 0.5 * (swish(layer_norm(x, f.ln_g, f.ln_b) @ f.w1 + f.b1) @ f.w2 + f.b2)
 
 
 # ---------------------------------------------------------------------------

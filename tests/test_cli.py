@@ -492,5 +492,37 @@ def test_cost_refuses_what_encode_refuses(tmp_path, capsys, flag, value, says):
     assert captured.err == f"checkpoint/config error: {says}\n"
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",                        # not UTF-8
+    b'{"c": ' + b"9" * 5000 + b"}",      # past Python's int-string digit limit
+    b"[" * 200_000,                       # nested past the recursion limit
+], ids=["not-utf8", "long-int", "deep-nesting"])
+def test_unparsable_config_is_one_line_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert cli.main(["cost", "--durations", "10", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint/config error: {cfg}: not valid JSON (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--seed", "0", "--output-dir", "{file}", "{wav}"],          # exists
+    ["encode", "--seed", "0", "--output-dir", "{file}/enc", "{wav}"],      # under a file
+    ["cost", "--durations", "10", "--csv", "{file}/cost.csv"],
+    ["transcribe", "--checkpoint", "{ck}", "--output", "{file}/out.tsv", "{wav}"],
+], ids=["encode-dir-is-a-file", "encode-dir-under-a-file", "cost-csv-under-a-file",
+        "transcribe-output-under-a-file"])
+def test_output_path_blocked_by_a_file_is_one_line_io_error(workdir, capsys, argv):
+    blocker = workdir / "blocker"
+    blocker.write_text("a file, not a directory")
+    paths = dict(file=blocker, wav=workdir / "one.wav", ck=workdir / "model.cfkw")
+    assert cli.main([arg.format(**paths) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input/output error: ") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "a file, not a directory"
+
+
 def test_unknown_command_usage():
     assert cli.main(["frobnicate"]) == 2

@@ -300,8 +300,9 @@ def test_step_runs_each_op_once_per_sublayer(small_model, small_ctx, small_weigh
 def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_weights,
                                                rng, monkeypatch):
     # a step computes each scheduled audio's end frontiers once; its start
-    # frontiers are the ones the audio's state kept from its last step
-    computed, tables, audios = [], [], []
+    # frontiers are the ones the audio's state kept from its last step, and
+    # every layer pass reads both, as ints, from the audio's start and state
+    computed, passes, audios, layers = [], [], [], []
     frontiers_fn, layer_pass_fn = encoder._frontiers, encoder._layer_pass
 
     def frontiers(*args):
@@ -309,21 +310,23 @@ def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_wei
         return computed[-1]
 
     def layer_pass(*args):
-        tables.append((args[7], args[2]))
+        passes.append([(list(a.start), list(a.state.front)) for a in args[0]])
         return layer_pass_fn(*args)
 
     def step(states, sched, *args):
         ids = list(dict.fromkeys(p.audio_id for p in sched.rows))
         before = [states[aid].front or [0] * (2 * small_model.n_layers + 1) for aid in ids]
         computed.clear()
-        tables.clear()
+        passes.clear()
         out = encode_step(states, sched, *args)
         after = [states[aid].front for aid in ids]
         assert computed == after
-        for k, front in tables:
-            assert front.tolist() == [[[f[j] for f in before], [f[j] for f in after]]
-                                      for j in range(2 * k, 2 * k + 3)]
+        assert len(passes) <= small_model.n_layers
+        assert all(p == list(zip(before, after)) for p in passes)
+        assert all(type(f) is int for p in passes for fronts in p for pair in fronts
+                   for f in pair)
         audios.append(len(ids))
+        layers.append(len(passes))
         return out
 
     monkeypatch.setattr(encoder, "_frontiers", frontiers)
@@ -333,7 +336,9 @@ def test_each_step_computes_its_frontiers_once(small_model, small_ctx, small_wei
     feats = {"a": rng.normal(size=(8 * 30, 80)).astype(np.float32),
              "b": rng.normal(size=(8 * 11, 80)).astype(np.float32)}
     encode_full(feats, small_weights, small_ctx, small_model, budget=2)
+    # the two-audio step runs every layer, reading both audios' frontiers
     assert len(audios) > 2 and audios.count(2) == 1
+    assert layers[audios.index(2)] == small_model.n_layers
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -832,7 +837,7 @@ def test_default_model_encode_holds_no_buffer_and_starts_no_thread(rng, monkeypa
                     on_emit=lambda *_: during.append(threading.active_count()))
         assert set(during) == {before}
     assert len(workspaces) == 2
-    assert all(ws._buffers == {} and ws._worker is None for ws in workspaces)
+    assert all(ws._buffers == {} for ws in workspaces)
 
 
 def test_outputs_own_their_data_and_equal_the_emitted_blocks(small_model, small_ctx,

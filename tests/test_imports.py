@@ -114,3 +114,40 @@ def test_checker_finds_module_attribute_writes():
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_module_writes_no_module_attribute(module):
     assert module_attribute_writes((PACKAGE / module).read_text()) == []
+
+
+# The oracles are the independent spec of the engine: they may share only
+# parameter containers and pure primitives with it, never an engine kernel.
+# run_selftest's function-level imports are the engine under test.
+ORACLE_SHARES = {"AttentionParams", "rel_pos_encoding", "ContextConfig", "ModelConfig",
+                 "EncoderWeights", "cast_params", "sigmoid", "swish", "glu", "layer_norm"}
+
+
+def package_imports(source: str) -> list[str]:
+    """Names that ``source`` imports from this package outside any function."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "chunkasr"):
+            found.extend(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names if a.name.split(".")[0] == "chunkasr")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_checker_finds_package_imports():
+    source = ("import numpy as np\nfrom numpy import linalg\nfrom .a import b\n"
+              "import chunkasr.encoder\nfrom chunkasr.x import y as z\n"
+              "if np:\n    from . import w\nclass C:\n    from .v import u\n"
+              "def f():\n    from .e import g\n")
+    assert package_imports(source) == ["b", "chunkasr.encoder", "u", "w", "y"]
+
+
+def test_oracle_imports_only_containers_and_primitives():
+    assert set(package_imports((PACKAGE / "oracle.py").read_text())) <= ORACLE_SHARES

@@ -17,7 +17,10 @@ import numpy as np
 import pytest
 
 from chunkasr import chunking, functional
-from chunkasr.encoder import encode_full
+from chunkasr.attention import build_rel_pos_table
+from chunkasr.chunking import StreamState, schedule_step
+from chunkasr.config import ContextConfig
+from chunkasr.encoder import encode_full, encode_step, post_frames
 from chunkasr.functional import Workspace, cast_params, ff_forward
 from chunkasr.oracle import loop_oct_encode
 from conftest import WIDE_CTX, WIDE_MODEL, rel_err
@@ -60,8 +63,23 @@ def feats():
 
 
 @pytest.fixture(scope="module")
-def reference(feats, wide_weights):
-    return loop_oct_encode(feats, wide_weights, WIDE_CTX, WIDE_MODEL)
+def references(feats, wide_weights):
+    """The loop oracle's outputs under a context, computed once per context."""
+    cache = {}
+
+    def get(ctx):
+        if ctx not in cache:
+            cache[ctx] = loop_oct_encode(feats, wide_weights, ctx, WIDE_MODEL)
+        return cache[ctx]
+
+    return get
+
+
+# WIDE_CTX at budgets 1 and 4; then r = 0, l_att = 0, and a c that divides
+# neither r nor l_att, each at budget 1
+CONTEXTS = [pytest.param(WIDE_CTX, b, id=str(b)) for b in (1, 4)] + [
+    pytest.param(ContextConfig(*lcr), 1, id=",".join(map(str, lcr)) + "-1")
+    for lcr in ((128, 64, 0), (0, 64, 128), (64, 48, 100))]
 
 
 def same_bytes(a, b):
@@ -69,17 +87,18 @@ def same_bytes(a, b):
 
 
 @two_cpus
-@pytest.mark.parametrize("budget", [1, 4])
+@pytest.mark.parametrize("ctx,budget", CONTEXTS)
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-8)])
-def test_split_encode_equals_one_cpu_encode_and_the_oracle(feats, wide_weights, reference,
-                                                           threads, budget, dtype, tol):
+def test_split_encode_equals_one_cpu_encode_and_the_oracle(feats, wide_weights, references,
+                                                           threads, ctx, budget, dtype, tol):
     w = cast_params(wide_weights, dtype)
-    split = encode_full(feats, w, WIDE_CTX, WIDE_MODEL, budget=budget)
+    split = encode_full(feats, w, ctx, WIDE_MODEL, budget=budget)
     assert len(threads) == 2
     threads.clear()
     with one_cpu():
-        whole = encode_full(feats, w, WIDE_CTX, WIDE_MODEL, budget=budget)
+        whole = encode_full(feats, w, ctx, WIDE_MODEL, budget=budget)
     assert len(threads) == 1
+    reference = references(ctx)
     for aid in feats:
         assert same_bytes(split[aid], whole[aid]), aid
         assert rel_err(split[aid], reference[aid]) <= tol, aid
@@ -146,6 +165,23 @@ def test_one_cpu_starts_no_worker(feats, wide_weights, threads):
                        ff.w1, ff.b1, ff.w2, ff.b2, ws)
             assert threading.active_count() == before
     assert len(threads) == 1
+
+
+def test_workspace_outside_with_starts_no_thread(feats, wide_weights, threads):
+    # calls past SPLIT_FLOP, in a workspace that was never entered and in
+    # the one encode_step makes when it is given none, run whole
+    before = threading.active_count()
+    ff = wide_weights.layers[0].ff1
+    ff_forward(np.ones((512, WIDE_MODEL.d_model), np.float32), ff.w1, ff.b1, ff.w2, ff.b2,
+               Workspace())
+    assert len(threads) == 1 and threading.active_count() == before
+    states = {k: StreamState(k, post_frames(f.shape[0])) for k, f in feats.items()}
+    sched = schedule_step(list(states.values()), 4, WIDE_CTX.c)
+    table = cast_params(build_rel_pos_table(WIDE_CTX.l_att, WIDE_CTX.c, WIDE_CTX.r,
+                                            WIDE_MODEL.d_model, WIDE_MODEL.l_max), np.float32)
+    out = encode_step(states, sched, feats, wide_weights, WIDE_CTX, WIDE_MODEL, table)
+    assert sum(block.shape[0] for block in out.values()) == 4 * WIDE_CTX.c
+    assert len(threads) == 1 and threading.active_count() == before
 
 
 @two_cpus
