@@ -9,14 +9,16 @@ outputs. The per-pair score is
     e[j, t] = ((x_j Wq + u) . (x_t Wk) + (x_j Wq + v) . (R_{j-t} Wr)) / sqrt(d_k)
 
 which is the four-term content/position/bias sum with the two bias terms
-folded in. The projections run once per frame, not once per row position:
-project_frames turns a buffer of frames into each chunk's queries and one
-K|V buffer, and the rows gathered from that buffer hold a position's key
-and value side by side. A row's masked slots hold other frames, often of a
-neighbouring audio, and chunk_attention alone clears them: it zeroes their
-keys and values on entry and gives masked keys -inf before the softmax, so
-their weight is exactly zero and outputs are bit-wise independent of
-whatever a masked slot holds, inf and NaN included.
+folded in. The keys and values are projected once per frame, not once per
+row position: project_frames turns a buffer of frames into one K|V buffer,
+and the rows gathered from it hold a position's key and value side by side.
+chunk_attention takes each row's chunk query inputs and runs every
+per-query product itself: the query projection, the scores, the softmax,
+the values and the output projection. A row's masked slots hold other
+frames, often of a neighbouring audio, and chunk_attention alone clears
+them: it zeroes their keys and values on entry and gives masked keys -inf
+before the softmax, so their weight is exactly zero and outputs are
+bit-wise independent of whatever a masked slot holds, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def rel_pos_encoding(distance, d_model: int) -> np.ndarray:
 
 
 def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
-                        l_max: int | None = None) -> RelPosTable:
+                        l_max: int) -> RelPosTable:
     """The positional table of [l_att | c | r] rows.
 
     Chunk query i sits at row position l_att + i and key t at t, so the
@@ -92,38 +94,28 @@ def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
     Raises DistanceRangeError if one of them is farther than l_max.
     """
     hi, lo = l_att + c - 1, -(c + r - 1)
-    if l_max is not None and max(hi, -lo) > l_max:
+    if max(hi, -lo) > l_max:
         raise DistanceRangeError(f"rows need distances in [{lo}, {hi}] but l_max={l_max}")
     return RelPosTable(l=l_att, c=c, r=r,
                        encodings=rel_pos_encoding(np.arange(hi, lo - 1, -1), d_model))
 
 
-def project_frames(h: np.ndarray, starts, c: int, p: AttentionParams,
-                   ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk queries and the K|V buffer of a buffer of frames h (n, d).
+def project_frames(h: np.ndarray, p: AttentionParams, ws: Workspace) -> np.ndarray:
+    """The (n, 2d) K|V buffer of a buffer of frames h (n, d).
 
-    Returns the (B, c, d) queries h[starts[b] + i] Wq of the chunks that
-    start at buffer indices ``starts``, and the (n, 2d) buffer whose frame t
-    holds its key h[t] Wk and its value h[t] Wv side by side, from which
-    oct_segment gathers the rows. A partial chunk's queries past its own
-    frames read whatever frames follow (the last one past the buffer end);
-    their outputs are discarded. The frames and the chunks go through
-    ws.split (a Workspace with no worker when none is given) as one call
-    of 4 n d^2 + 2 B c d^2 FLOPs.
+    Frame t of the buffer holds its key h[t] Wk and its value h[t] Wv side
+    by side; oct_segment gathers the rows from it. The frames go through
+    ws.split as one call of 4 n d^2 FLOPs.
     """
     n, d = h.shape
-    at = np.minimum(np.asarray(starts, dtype=np.int64)[:, None] + np.arange(c), n - 1)
     kv = np.empty((n, 2 * d), np.result_type(h, p.wk))
-    queries = np.empty(at.shape + (d,), np.result_type(h, p.wq))
 
-    def run(frames, chunks):
+    def run(frames):
         np.matmul(h[frames], p.wk, out=kv[frames, :d])
         np.matmul(h[frames], p.wv, out=kv[frames, d:])
-        np.matmul(h[at[chunks]], p.wq, out=queries[chunks])
 
-    (Workspace() if ws is None else ws).split(2 * d * d * (2 * n + at.size), run,
-                                              n, at.shape[0])
-    return queries, kv
+    ws.split(4 * n * d * d, run, n)
+    return kv
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -181,53 +173,48 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis restricted to masked-true keys.
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to masked-true keys, in place.
 
     Masked keys get weight exactly 0 (via a -inf logit before normalization).
     A query with at least one valid key sums to 1; a fully masked query gets
-    an all-zero weight row. Works in one full-size buffer, ``out`` when one
-    is given (it must not overlap ``logits``), else a new array; ``logits``
-    is not modified. The row max comes from _row_max, a fold of halves on
-    short rows.
+    an all-zero weight row. The weights overwrite ``logits``, which is
+    returned. The row max comes from _row_max, a fold of halves on short
+    rows.
     """
-    weights = np.empty_like(logits) if out is None else out
-    np.copyto(weights, logits)
-    # -inf in the weights' dtype: a float64 one would go through a cast
-    np.copyto(weights, np.array(-np.inf, weights.dtype), where=~np.asarray(mask, dtype=bool))
-    peak = _row_max(weights)
+    # -inf in the logits' dtype: a float64 one would go through a cast
+    np.copyto(logits, np.array(-np.inf, logits.dtype), where=~np.asarray(mask, dtype=bool))
+    peak = _row_max(logits)
     peak[~np.isfinite(peak)] = 0     # so exp(-inf - peak) is exactly 0
-    weights -= peak
-    np.exp(weights, out=weights)
-    denom = np.add.reduce(weights, axis=-1, keepdims=True)
+    logits -= peak
+    np.exp(logits, out=logits)
+    denom = np.add.reduce(logits, axis=-1, keepdims=True)
     denom[~(denom > 0)] = 1
-    weights /= denom
-    return weights
+    logits /= denom
+    return logits
 
 
-def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionParams,
-                    table: RelPosTable, n_heads: int,
-                    ws: Workspace | None = None) -> np.ndarray:
+def chunk_attention(batch: ChunkBatch, x: np.ndarray, params: AttentionParams,
+                    table: RelPosTable, n_heads: int, ws: Workspace) -> np.ndarray:
     """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
     ``batch`` holds rows of a project_frames K|V buffer: position t of a row
     holds its frame's key and value side by side, (B, l + c + r, 2d).
-    ``queries`` (B, c, d) are the rows' chunk queries from the same call.
-    Masked keys and values, which may hold anything, are zeroed in place in
-    ``batch.rows``.
+    ``x`` (B, c, d) holds each row's chunk query inputs, the frames whose
+    queries x Wq its chunk positions ask with. Masked keys and values,
+    which may hold anything, are zeroed in place in ``batch.rows``.
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row
     computes their outputs. ``params`` and ``table`` must already be in the
     rows' dtype, and the table must be built for the batch's (l, c, r);
-    rows, mask or queries of another shape raise DistanceRangeError.
-    The logits, the positional product and the softmax weights are the
-    "att.scores", "att.pos" and "att.weights" buffers of ``ws`` (a new
-    Workspace when none is given). The rows go through ws.split as one
-    call of 2 B c d (2 (l + c + r) + n + d) FLOPs, n = l + 2c + r - 1: the
-    content and value products, the positional product and the output
-    projection.
+    rows, mask or query inputs of another shape raise DistanceRangeError.
+    The logits, which the softmax turns into weights in place, and the
+    positional product are the "att.scores" and "att.pos" buffers of
+    ``ws``. The rows go through ws.split as one call of
+    2 B c d (2 (l + c + r) + n + 2d) FLOPs, n = l + 2c + r - 1: the query
+    projection, the content and value products, the positional product and
+    the output projection.
     """
     l, c, r = batch.l, batch.c, batch.r
     if (l, c, r) != (table.l, table.c, table.r):
@@ -237,35 +224,34 @@ def chunk_attention(batch: ChunkBatch, queries: np.ndarray, params: AttentionPar
     d = params.wo.shape[0]
     b = kv.shape[0]
     if kv.shape != (b, l + c + r, 2 * d) or mask.shape != kv.shape[:2] \
-            or queries.shape != (b, c, d):
+            or x.shape != (b, c, d):
         raise DistanceRangeError(
             f"(l, c, r) = {(l, c, r)} and d = {d} need K|V rows {(b, l + c + r, 2 * d)}, "
-            f"a mask {(b, l + c + r)} and queries {(b, c, d)}; got {kv.shape}, "
-            f"{mask.shape} and {queries.shape}")
-    ws = Workspace() if ws is None else ws
+            f"a mask {(b, l + c + r)} and query inputs {(b, c, d)}; got {kv.shape}, "
+            f"{mask.shape} and {x.shape}")
     n, d_k = table.encodings.shape[0], d // n_heads
     rho_h = np.ascontiguousarray(
         (table.encodings @ params.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
+    q_type = np.result_type(x, params.wq)
     scores = ws.take("att.scores", (b, n_heads, c, l + c + r),
-                     np.result_type(queries, params.u, kv))
-    pos = ws.take("att.pos", (b, n_heads, c, n), np.result_type(queries, params.v, rho_h))
-    weights = ws.take("att.weights", scores.shape, scores.dtype)
-    heads = np.empty((b, c, n_heads, d_k), np.result_type(weights, kv))
+                     np.result_type(q_type, params.u, kv))
+    pos = ws.take("att.pos", (b, n_heads, c, n), np.result_type(q_type, params.v, rho_h))
+    heads = np.empty((b, c, n_heads, d_k), np.result_type(scores, kv))
     out = np.empty((b, c, d), np.result_type(heads, params.wo, params.bo))
 
     def run(rows):
         kv_rows, mask_rows = kv[rows], mask[rows]
         kv_rows[~mask_rows] = 0
-        logits = _score_batch(queries[rows], kv_rows[..., :d], params, rho_h,
+        logits = _score_batch(x[rows] @ params.wq, kv_rows[..., :d], params, rho_h,
                               scores[rows], pos[rows])
-        masked_softmax(logits, mask_rows[:, None, None, :], weights[rows])
+        weights = masked_softmax(logits, mask_rows[:, None, None, :])
         # each head's outputs land in its d_k columns of the (B, c, d) rows
         z = heads[rows]
-        np.matmul(weights[rows], _split_heads(kv_rows[..., d:], n_heads), out=z.swapaxes(1, 2))
+        np.matmul(weights, _split_heads(kv_rows[..., d:], n_heads), out=z.swapaxes(1, 2))
         o = np.matmul(z.reshape(z.shape[0], c, d), params.wo, out=out[rows])
         o += params.bo
         o[~mask_rows.any(axis=-1)] = 0
 
     if b:   # _score_batch's skewed view needs a row to lie on
-        ws.split(2 * b * c * d * (2 * (l + c + r) + n + d), run, b)
+        ws.split(2 * b * c * d * (2 * (l + c + r) + n + 2 * d), run, b)
     return out

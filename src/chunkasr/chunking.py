@@ -89,15 +89,13 @@ class StepSchedule:
     rows: list[ChunkPlan]
 
 
-def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
-                lo=0, hi=None) -> ChunkBatch:
+def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int, lo, hi) -> ChunkBatch:
     """Gather overlapping rows [s - l, s + c + r) from a flat buffer.
 
     ``starts`` are buffer indices of each chunk's first frame. Row b may read
-    only buffer positions in [lo[b], hi[b]) (scalars apply to every row; the
-    default is the whole buffer); in-range positions are exact copies, and
-    positions outside are masked and hold the buffer frame at the index
-    clipped to [0, n).
+    only buffer positions in [lo[b], hi[b]) (scalars apply to every row);
+    in-range positions are exact copies, and positions outside are masked
+    and hold the buffer frame at the index clipped to [0, n).
     """
     if l < 0 or r < 0:
         raise ConfigError(f"context lengths must be >= 0, got l={l}, r={r}")
@@ -107,7 +105,7 @@ def oct_segment(flat: np.ndarray, starts, l: int, c: int, r: int,
     n = flat.shape[0]
     starts = np.asarray(starts, dtype=np.int64).reshape(-1)
     lo = np.maximum(np.asarray(lo, dtype=np.int64), 0)
-    hi = np.minimum(np.asarray(n if hi is None else hi, dtype=np.int64), n)
+    hi = np.minimum(np.asarray(hi, dtype=np.int64), n)
     idx = starts[:, None] + np.arange(-l, c + r, dtype=np.int64)[None, :]
     mask = (idx >= np.reshape(lo, (-1, 1))) & (idx < np.reshape(hi, (-1, 1)))
     if n == 0:

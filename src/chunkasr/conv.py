@@ -67,7 +67,7 @@ def depthwise_conv(x: np.ndarray, kernel: np.ndarray, seg, at) -> np.ndarray:
 
 
 def conv_module_forward(x: np.ndarray, params: ConvParams, seg, at,
-                        ws: Workspace | None = None) -> np.ndarray:
+                        ws: Workspace) -> np.ndarray:
     """Convolution block at buffer frames ``at``; the caller adds the residual.
 
     x holds the sublayer's layer-normed inputs, one segment of seg[i] frames
@@ -75,11 +75,10 @@ def conv_module_forward(x: np.ndarray, params: ConvParams, seg, at,
     (d -> 2d) and GLU run on every buffer frame, the depthwise conv on each
     segment, then layer norm (feature axis) -> swish -> pointwise (d -> d)
     only on the output frames. The two pointwise stages each go through
-    ws.split (a Workspace with no worker when none is given), the first
-    as one call of 4 n d^2 FLOPs over the n buffer frames, the second of
-    2 m d^2 over the m output frames; the depthwise conv runs here.
+    ws.split, the first as one call of 4 n d^2 FLOPs over the n buffer
+    frames, the second of 2 m d^2 over the m output frames; the depthwise
+    conv runs here.
     """
-    ws = Workspace() if ws is None else ws
     n, d = x.shape[0], params.dw_w.shape[1]
     pre = np.empty((n, 2 * d), np.result_type(x, params.pw_in_w, params.pw_in_b))
     gated = np.empty((n, d), pre.dtype)

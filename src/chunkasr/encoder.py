@@ -438,15 +438,17 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, lw: LayerWeights, table:
     attention temporaries go into ``ws``. Returns the new outputs.
     """
     def attend(h, seg, at, local):
-        # a chunk's [l_att | c | r] row starts at its first output frame
+        # a chunk's [l_att | c | r] row starts at its first output frame; a
+        # partial chunk's extra queries read the frames that follow (the
+        # last one past the buffer end), and their outputs are dropped
         col = local % ctx.c
         head = col == 0
         starts, end = at[head], np.cumsum(seg)
         owner = np.searchsorted(end, starts, side="right")
-        queries, kv = project_frames(h, starts, ctx.c, lw.att, ws)
-        batch = chunking.oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r,
-                                     (end - seg)[owner], end[owner])
-        out = chunk_attention(batch, queries, lw.att, table, model.n_heads, ws)
+        batch = chunking.oct_segment(project_frames(h, lw.att, ws), starts, ctx.l_att, ctx.c,
+                                     ctx.r, (end - seg)[owner], end[owner])
+        q_in = h[np.minimum(starts[:, None] + np.arange(ctx.c), h.shape[0] - 1)]
+        out = chunk_attention(batch, q_in, lw.att, table, model.n_heads, ws)
         return out[np.cumsum(head) - 1, col]
 
     x = _half_ff(x, lw.ff1, ws)
@@ -468,7 +470,7 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, lw: LayerWeights, table:
 def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
                 features: dict[str, np.ndarray], weights: EncoderWeights,
                 ctx: ContextConfig, model: ModelConfig, table: RelPosTable,
-                ws: Workspace | None = None) -> dict[str, np.ndarray]:
+                ws: Workspace) -> dict[str, np.ndarray]:
     """Run one scheduled step; returns the emitted hidden frames per audio.
 
     Each audio's region is its scheduled chunks plus a lookahead tail of
@@ -484,11 +486,9 @@ def encode_step(states: dict[str, StreamState], schedule: StepSchedule,
     are the first ones of each audio's held final frames, sliced off them.
     Outputs and held frames are in the dtype of ``weights``; ``table`` must
     be built for ``ctx`` and be in that dtype too, as encode_full passes
-    them. The layers' temporaries go into ``ws``, encode_full's workspace,
-    or a new one when none is given.
+    them. The layers' temporaries go into ``ws``, encode_full's workspace.
     """
     dtype = weights.after_ln_g.dtype
-    ws = Workspace() if ws is None else ws
     l_conv = derive_l_conv(model.kernel_size)
     la = required_lookahead(ctx, model.n_layers, l_conv)
     by_audio: dict[str, list[ChunkPlan]] = {}

@@ -78,10 +78,10 @@ class Workspace:
     down, so a workspace whose calls all stay below the gate, or that is
     used outside a ``with`` block, starts no thread. BLAS and numpy's loops
     release the interpreter lock, so the halves overlap. The kernels that
-    split are ff_forward, attention.project_frames (the K|V and query
-    matmuls), attention.chunk_attention (by chunk row) and
-    conv.conv_module_forward (its two pointwise layers with their GLU, norm
-    and swish).
+    split are ff_forward, attention.project_frames (the K|V matmuls, by
+    frame), attention.chunk_attention (every per-query product, by chunk
+    row) and conv.conv_module_forward (its two pointwise layers with their
+    GLU, norm and swish).
     """
 
     def __init__(self):
@@ -108,26 +108,24 @@ class Workspace:
             buf = self._buffers[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
-    def split(self, flop: float, run, *sizes: int) -> None:
-        """Call run(*rows), rows holding a slice of [0, n) for each n in ``sizes``.
+    def split(self, flop: float, run, n: int) -> None:
+        """Call run(rows), rows a slice of [0, n).
 
-        A call of ``flop`` >= SPLIT_FLOP whose sizes are all 2 or more runs
-        as two inside a ``with`` block on more than one CPU: run gets the
-        first half of every size here and the second half on the pool's
-        thread. Each half writes only its own rows of arrays the caller
-        allocated, and takes no buffer of this workspace. The halves run the
-        same numpy calls on their rows as one call does, and each output row
-        is computed on its own, so the outputs do not depend on whether the
-        call split. Returns once
-        both halves have; an exception of either is raised here, the
-        caller's half's first.
+        A call of ``flop`` >= SPLIT_FLOP with n >= 2 runs as two inside a
+        ``with`` block on more than one CPU: run gets the first half of the
+        rows here and the second half on the pool's thread. Each half writes
+        only its own rows of arrays the caller allocated, and takes no buffer
+        of this workspace. The halves run the same numpy calls on their rows
+        as one call does, and each output row is computed on its own, so the
+        outputs do not depend on whether the call split. Returns once both halves have; an exception of either is
+        raised here, the caller's half's first.
         """
-        if self._pool is None or flop < SPLIT_FLOP or min(sizes) < 2:
-            run(*(slice(0, n) for n in sizes))
+        if self._pool is None or flop < SPLIT_FLOP or n < 2:
+            run(slice(0, n))
             return
-        future = self._pool.submit(run, *(slice(n // 2, n) for n in sizes))
+        future = self._pool.submit(run, slice(n // 2, n))
         try:
-            run(*(slice(0, n // 2) for n in sizes))
+            run(slice(0, n // 2))
         finally:
             error = future.exception()
         if error is not None:

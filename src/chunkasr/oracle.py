@@ -262,6 +262,7 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     from .attention import build_rel_pos_table, chunk_attention, project_frames
     from .chunking import oct_segment
     from .encoder import encode_full, init_weights
+    from .functional import Workspace
 
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
@@ -275,32 +276,34 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
                         kernel_size=15, vocab_size=8, l_max=64, seed=seed)
     ctx = ContextConfig(l_att=8, c=4, r=4)
     weights = init_weights(model, seed=seed + 1)
+    ws = Workspace()   # never entered, so every engine call below runs whole
+
+    def gather(h, starts, lo, hi, att):
+        """The K|V rows and the query inputs of the chunks at ``starts`` of h."""
+        starts = np.asarray(starts)
+        batch = oct_segment(project_frames(h, att, ws), starts, ctx.l_att, ctx.c, ctx.r,
+                            lo, hi)
+        return batch, h[np.minimum(starts[:, None] + np.arange(ctx.c), h.shape[0] - 1)]
 
     # dense attention equivalence on the chunk outputs of gathered rows
-    worst32 = worst64 = 0.0
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model)
+    worst = {np.float32: 0.0, np.float64: 0.0}
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
     lw = weights.layers[0]
     for case in range(4):
         L = int(rng.integers(16, 64))
         x = rng.normal(size=(L, model.d_model))
         mask = chunk_window_mask(L, ctx)
         ref = dense_attention_reference(x, lw.att, mask, model.n_heads)
-        for dtype, sink in ((np.float32, "32"), (np.float64, "64")):
-            n = -(-L // ctx.c)
-            starts, att = ctx.c * np.arange(n), cast_params(lw.att, dtype)
-            queries, kv = project_frames(x.astype(dtype), starts, ctx.c, att)
-            batch = oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r)
-            out = chunk_attention(batch, queries, att, cast_params(table, dtype),
-                                  model.n_heads)
+        n = -(-L // ctx.c)
+        for dtype in worst:
+            att = cast_params(lw.att, dtype)
+            batch, q = gather(x.astype(dtype), ctx.c * np.arange(n), 0, L, att)
+            out = chunk_attention(batch, q, att, cast_params(table, dtype), model.n_heads, ws)
             got = np.concatenate([out[j, :min(ctx.c, L - j * ctx.c)]
                                   for j in range(n)])
-            err = compare("dense", got, ref, 0).max_rel_err
-            if sink == "32":
-                worst32 = max(worst32, err)
-            else:
-                worst64 = max(worst64, err)
-    add(OracleReport("dense_att_f32", worst32, worst32, None, 1e-5))
-    add(OracleReport("dense_att_f64", worst64, worst64, None, 1e-10))
+            worst[dtype] = max(worst[dtype], compare("dense", got, ref, 0).max_rel_err)
+    add(OracleReport("dense_att_f32", worst[np.float32], worst[np.float32], None, 1e-5))
+    add(OracleReport("dense_att_f64", worst[np.float64], worst[np.float64], None, 1e-10))
 
     # streaming: multi-step equals single-step on emitted frames
     feats = rng.normal(size=(370, 80)).astype(np.float32)
@@ -335,13 +338,12 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     differ = 0
     for dtype in (np.float32, np.float64):
         att, tab = cast_params(lw.att, dtype), cast_params(table, dtype)
-        queries, kv = project_frames(h.astype(dtype), starts, ctx.c, att)
-        batch = oct_segment(kv, starts, ctx.l_att, ctx.c, ctx.r, lo, hi)
-        rows, bits = batch.rows.copy(), f"u{kv.itemsize}"
-        clean = chunk_attention(batch, queries, att, tab, model.n_heads).view(bits)
+        batch, q = gather(h.astype(dtype), starts, lo, hi, att)
+        rows, bits = batch.rows.copy(), f"u{batch.rows.itemsize}"
+        clean = chunk_attention(batch, q, att, tab, model.n_heads, ws).view(bits)
         for poison in (rng.normal(size=rows.shape) * 1e6, np.inf, -np.inf, np.nan):
             batch.rows = np.where(batch.mask[..., None], rows, poison).astype(dtype)
-            dirty = chunk_attention(batch, queries, att, tab, model.n_heads)
+            dirty = chunk_attention(batch, q, att, tab, model.n_heads, ws)
             differ += int(np.count_nonzero(dirty.view(bits) != clean))
     add(OracleReport("poison", float(differ), float(differ), None, 0.0))
 

@@ -8,9 +8,11 @@ from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batc
                                 masked_softmax, project_frames, rel_pos_encoding)
 from chunkasr.chunking import ChunkBatch, oct_segment
 from chunkasr.config import ContextConfig
-from chunkasr.functional import cast_params
+from chunkasr.functional import Workspace, cast_params
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
 from conftest import rel_err
+
+L_MAX = 320   # covers the distances of every row geometry below
 
 
 def attention_scores(row, p, table, n_heads):
@@ -23,15 +25,18 @@ def attention_scores(row, p, table, n_heads):
                         np.empty((1, n_heads, table.c, n)))[0]
 
 
-def gather(x, starts, p, table, lo=0, hi=None):
-    """The chunk queries and K|V rows of chunks at ``starts`` of frames x."""
-    queries, kv = project_frames(x, starts, table.c, p)
-    return oct_segment(kv, starts, table.l, table.c, table.r, lo, hi), queries
+def gather(x, starts, p, table):
+    """The K|V rows and the chunk query inputs of the chunks at ``starts`` of
+    frames x, as the engine makes them."""
+    starts = np.asarray(starts, dtype=np.int64)
+    batch = oct_segment(project_frames(x, p, Workspace()), starts, table.l, table.c, table.r,
+                        0, x.shape[0])
+    return batch, x[np.minimum(starts[:, None] + np.arange(table.c), x.shape[0] - 1)]
 
 
 def attend(x, starts, p, table, n_heads):
     """chunk_attention of the chunks at ``starts`` of frames x."""
-    return chunk_attention(*gather(x, starts, p, table), p, table, n_heads)
+    return chunk_attention(*gather(x, starts, p, table), p, table, n_heads, Workspace())
 
 
 def random_params(rng, d):
@@ -68,9 +73,9 @@ def test_table_covers_row_window():
         assert np.array_equal(table.encodings[i], rel_pos_encoding(dist, 8))
     # a row geometry wider than the table is refused, not wrapped around
     p = random_params(np.random.default_rng(0), 8)
+    wider = build_rel_pos_table(8, 4, 6, 8, L_MAX)
     with pytest.raises(DistanceRangeError):
-        chunk_attention(*gather(np.zeros((12, 8)), [0], p, build_rel_pos_table(8, 4, 6, 8)),
-                        p, table, 1)
+        chunk_attention(*gather(np.zeros((12, 8)), [0], p, wider), p, table, 1, Workspace())
     with pytest.raises(DistanceRangeError):
         build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=10)
     with pytest.raises(DistanceRangeError):   # -(c + r - 1) is the farthest here
@@ -81,7 +86,7 @@ def test_table_covers_row_window():
                                      (4, 3, 0, 8),        # no lookahead
                                      (128, 64, 128, 256)])  # the paper's geometry
 def test_table_is_the_stacked_encodings_bit_for_bit(l, c, r, d):
-    table = build_rel_pos_table(l, c, r, d)
+    table = build_rel_pos_table(l, c, r, d, L_MAX)
     rows = np.stack([rel_pos_encoding(k, d) for k in range(l + c - 1, -(c + r), -1)])
     assert table.encodings.dtype == rows.dtype == np.float64
     assert np.array_equal(table.encodings.view(np.uint8), rows.view(np.uint8))
@@ -92,13 +97,13 @@ def test_table_of_another_geometry_with_as_many_rows_is_refused(rng):
     # but not the same ones
     d, heads = 8, 2
     p = random_params(rng, d)
-    table = build_rel_pos_table(2, 2, 3, d)
-    own = build_rel_pos_table(3, 2, 2, d)
+    table = build_rel_pos_table(2, 2, 3, d, L_MAX)
+    own = build_rel_pos_table(3, 2, 2, d, L_MAX)
     assert table.encodings.shape == own.encodings.shape == (8, d)
     batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, own)
     with pytest.raises(DistanceRangeError, match=r"\(3, 2, 2\).*\(2, 2, 3\)"):
-        chunk_attention(batch, queries, p, table, heads)
-    assert chunk_attention(batch, queries, p, own, heads).shape == (5, 2, d)
+        chunk_attention(batch, queries, p, table, heads, Workspace())
+    assert chunk_attention(batch, queries, p, own, heads, Workspace()).shape == (5, 2, d)
 
 
 def test_batch_of_another_shape_than_its_geometry_is_refused(rng):
@@ -106,7 +111,7 @@ def test_batch_of_another_shape_than_its_geometry_is_refused(rng):
     # whose rows are wider than l + 2c + r - 1 must not reach it
     d, heads, (l, c, r) = 8, 2, (3, 2, 2)
     p = random_params(rng, d)
-    table = build_rel_pos_table(l, c, r, d)
+    table = build_rel_pos_table(l, c, r, d, L_MAX)
     batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, table)
     width = l + 2 * c + r   # one past the l + 2c + r - 1 distances of the table
     bad = {
@@ -114,15 +119,15 @@ def test_batch_of_another_shape_than_its_geometry_is_refused(rng):
                                  l, c, r), queries),
         "short mask": (ChunkBatch(batch.rows, batch.mask[:, 1:], l, c, r), queries),
         "K rows only": (ChunkBatch(batch.rows[..., :d], batch.mask, l, c, r), queries),
-        "queries of another width": (batch, queries[..., :d // 2]),
-        "queries of another count": (batch, queries[:, :1]),
-        "queries of other rows": (batch, queries[1:]),
+        "query inputs of another width": (batch, queries[..., :d // 2]),
+        "query inputs of another count": (batch, queries[:, :1]),
+        "query inputs of other rows": (batch, queries[1:]),
     }
     for name, (b, q) in bad.items():
         with pytest.raises(DistanceRangeError, match=r"need K\|V rows") as err:
-            chunk_attention(b, q, p, table, heads)
+            chunk_attention(b, q, p, table, heads, Workspace())
         assert "\n" not in str(err.value), name
-    assert chunk_attention(batch, queries, p, table, heads).shape == (5, c, d)
+    assert chunk_attention(batch, queries, p, table, heads, Workspace()).shape == (5, c, d)
 
 
 def test_scores_zero_inputs_zero_bias(rng):
@@ -130,7 +135,7 @@ def test_scores_zero_inputs_zero_bias(rng):
     p = random_params(rng, d)
     p.u = np.zeros(d)
     p.v = np.zeros(d)
-    table = build_rel_pos_table(l, c, r, d)
+    table = build_rel_pos_table(l, c, r, d, L_MAX)
     row = np.zeros((l + c + r, d))
     logits = attention_scores(row, p, table, n_heads=1)
     assert logits.shape == (1, c, l + c + r)
@@ -148,7 +153,7 @@ def test_scores_match_term_by_term_reference(rng):
         d = 4 * n_heads
         d_k = d // n_heads
         p = random_params(rng, d)
-        table = build_rel_pos_table(l, c, r, d)
+        table = build_rel_pos_table(l, c, r, d, L_MAX)
         row = rng.normal(size=(l + c + r, d))
         logits = attention_scores(row, p, table, n_heads)
         assert logits.shape == (n_heads, c, l + c + r)
@@ -170,7 +175,7 @@ def test_scores_equal_content_equal_distance_symmetry(rng):
     # their respective queries produce identical logits
     d, l, c, r = 8, 4, 4, 0
     p = random_params(rng, d)
-    table = build_rel_pos_table(l, c, r, d)
+    table = build_rel_pos_table(l, c, r, d, L_MAX)
     row = rng.normal(size=(l + c + r, d))
     row[1] = row[3]
     row[5] = row[7]  # queries at positions 5 and 7 share content too
@@ -210,7 +215,7 @@ def test_chunk_attention_full_context_limit(rng):
     d, heads, t_len = 16, 2, 12
     p = random_params(rng, d)
     ctx = ContextConfig(l_att=t_len, c=t_len, r=t_len)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(t_len, d))
     out = attend(x, [0], p, table, heads)
     ref = dense_attention_reference(x, p, np.ones((t_len, t_len), bool), heads)
@@ -221,7 +226,7 @@ def test_chunk_attention_matches_dense_reference_per_chunk(rng):
     d, heads = 8, 2
     ctx = ContextConfig(l_att=5, c=3, r=2)
     p = random_params(rng, d)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     for t_len in (7, 12, 16):
         x = rng.normal(size=(t_len, d))
         n = -(-t_len // ctx.c)
@@ -236,7 +241,7 @@ def test_chunk_attention_two_audio_batch_equals_solo(rng):
     d, heads = 8, 2
     ctx = ContextConfig(l_att=4, c=3, r=2)
     p = random_params(rng, d)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     xa = rng.normal(size=(8, d))
     xb = rng.normal(size=(5, d))
 
@@ -247,9 +252,9 @@ def test_chunk_attention_two_audio_batch_equals_solo(rng):
     combined = ChunkBatch(rows=np.concatenate([ba.rows, bb.rows]),
                           mask=np.concatenate([ba.mask, bb.mask]),
                           l=ctx.l_att, c=ctx.c, r=ctx.r)
-    out = chunk_attention(combined, np.concatenate([qa, qb]), p, table, heads)
-    solo_a = chunk_attention(ba, qa, p, table, heads)
-    solo_b = chunk_attention(bb, qb, p, table, heads)
+    out = chunk_attention(combined, np.concatenate([qa, qb]), p, table, heads, Workspace())
+    solo_a = chunk_attention(ba, qa, p, table, heads, Workspace())
+    solo_b = chunk_attention(bb, qb, p, table, heads, Workspace())
     assert np.array_equal(out[: ba.rows.shape[0]], solo_a)
     assert np.array_equal(out[ba.rows.shape[0]:], solo_b)
 
@@ -259,7 +264,7 @@ def test_window_bounds_keys_outside_have_no_effect(rng):
     d, heads = 8, 1
     ctx = ContextConfig(l_att=3, c=3, r=2)
     p = random_params(rng, d)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(12, d))
     starts = ctx.c * np.arange(4)
     base = attend(x, starts, p, table, heads)
@@ -276,17 +281,17 @@ def test_poisoned_masked_keys_change_nothing_bitwise(rng):
     d, heads = 8, 2
     ctx = ContextConfig(l_att=4, c=3, r=2)
     p = random_params(rng, d)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(7, d))
     for dtype in (np.float32, np.float64):
         pd, td = cast_params(p, dtype), cast_params(table, dtype)
         batch, queries = gather(x.astype(dtype), [0, 3, 6], pd, td)
         assert not batch.mask.all()
-        base = chunk_attention(batch, queries, pd, td, heads)
+        base = chunk_attention(batch, queries, pd, td, heads, Workspace())
         clean = batch.rows.copy()
         for poison in (rng.normal(size=clean.shape) * 1e6, np.inf, -np.inf, np.nan):
             batch.rows = np.where(batch.mask[..., None], clean, poison).astype(dtype)
-            got = chunk_attention(batch, queries, pd, td, heads)
+            got = chunk_attention(batch, queries, pd, td, heads, Workspace())
             assert got.dtype == dtype
             assert np.array_equal(got.view(np.uint8), base.view(np.uint8)), (dtype, poison)
 
@@ -294,7 +299,7 @@ def test_poisoned_masked_keys_change_nothing_bitwise(rng):
 def test_chunk_attention_of_no_rows_is_empty(rng):
     d, heads = 8, 2
     p = random_params(rng, d)
-    table = build_rel_pos_table(4, 3, 2, d)
+    table = build_rel_pos_table(4, 3, 2, d, L_MAX)
     out = attend(rng.normal(size=(5, d)), np.zeros(0, np.int64), p, table, heads)
     assert out.shape == (0, 3, d) and out.dtype == np.float64
 
@@ -303,7 +308,7 @@ def test_dtype_paths(rng):
     d, heads = 16, 2
     ctx = ContextConfig(l_att=6, c=4, r=3)
     p = random_params(rng, d)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d)
+    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(20, d))
     n = 5
     ref = dense_attention_reference(x, p, chunk_window_mask(20, ctx), heads)
@@ -343,13 +348,13 @@ def test_masked_softmax_bitwise_equals_reference_formula(rng, dtype):
         mask[1] = False                                # fully masked rows
         before = logits.copy()
         with np.errstate(over="ignore", invalid="ignore"):
+            want = reference(before, mask)
             got = masked_softmax(logits, mask)
-            want = reference(logits, mask)
+        assert got is logits     # the weights overwrite the logits
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want, equal_nan=True), width
         ok = ~np.isnan(want)
         assert np.array_equal(got[ok].view(np.uint8), want[ok].view(np.uint8)), width
-        assert np.array_equal(logits.view(np.uint8), before.view(np.uint8)), width
         if width == 1:      # a lone valid key gets weight 1, a masked one 0
             assert np.array_equal(got[1], np.zeros_like(got[1]))
-            assert (got[2][~np.isnan(logits[2])] == 1).all()
+            assert (got[2][~np.isnan(before[2])] == 1).all()

@@ -6,6 +6,7 @@ from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import ChunkPlan, StreamState, oct_segment, schedule_step
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
+from chunkasr.functional import Workspace
 
 
 def partition(total_frames, c):
@@ -38,7 +39,7 @@ def test_carve_empty_rejected():
 def test_oct_segment_resume_after_fifteen_decoded():
     # stream with the first 15 frames decoded; rows for chunks at 15/18/21
     flat = np.arange(26, dtype=np.float64)[:, None]
-    batch = oct_segment(flat, [15, 18, 21], l=4, c=3, r=2)
+    batch = oct_segment(flat, [15, 18, 21], 4, 3, 2, 0, 26)
     assert batch.rows.shape == (3, 9, 1)
     assert batch.rows[0, :, 0].tolist() == [11, 12, 13, 14, 15, 16, 17, 18, 19]
     assert batch.mask.all(axis=1)[0]
@@ -46,7 +47,7 @@ def test_oct_segment_resume_after_fifteen_decoded():
 
 def test_oct_segment_identity_single_chunk():
     flat = np.arange(10, dtype=np.float64)[:, None]
-    batch = oct_segment(flat, [0], l=0, c=10, r=0)
+    batch = oct_segment(flat, [0], 0, 10, 0, 0, 10)
     assert np.array_equal(batch.rows[0], flat)
     assert batch.mask.all()
 
@@ -55,7 +56,7 @@ def test_oct_segment_matches_bruteforce_slices(rng):
     s_len, l, c, r = 50, 5, 4, 3
     flat = rng.normal(size=(s_len, 6))
     starts = list(range(0, s_len, c))
-    batch = oct_segment(flat, starts, l, c, r)
+    batch = oct_segment(flat, starts, l, c, r, 0, s_len)
     for b, s in enumerate(starts):
         for p, idx in enumerate(range(s - l, s + c + r)):
             # in range: the mask bit and an exact copy; a masked slot's
@@ -67,7 +68,7 @@ def test_oct_segment_matches_bruteforce_slices(rng):
 
 def test_oct_segment_negative_context_rejected(rng):
     with pytest.raises(ConfigError):
-        oct_segment(rng.normal(size=(5, 2)), [0], l=-1, c=2, r=0)
+        oct_segment(rng.normal(size=(5, 2)), [0], -1, 2, 0, 0, 5)
 
 
 def test_oct_then_unmask_recovers_sequence(rng):
@@ -75,7 +76,7 @@ def test_oct_then_unmask_recovers_sequence(rng):
     flat = rng.normal(size=(37, 4))
     l, c, r = 6, 5, 2
     starts = list(range(0, 37, c))
-    batch = oct_segment(flat, starts, l, c, r)
+    batch = oct_segment(flat, starts, l, c, r, 0, 37)
     pieces = [batch.rows[b, l:l + min(c, 37 - s)] for b, s in enumerate(starts)]
     assert np.array_equal(np.concatenate(pieces), flat)
 
@@ -154,7 +155,8 @@ def lookahead_step(total, budget):
     states = {"a": StreamState("a", total)}
     sched = schedule_step(list(states.values()), budget, ctx.c)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
-    encode_step(states, sched, feats, init_weights(model, seed=0), ctx, model, table)
+    encode_step(states, sched, feats, init_weights(model, seed=0), ctx, model, table,
+                Workspace())
     return states["a"]
 
 

@@ -6,7 +6,7 @@ from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import StreamState, schedule_step
 from chunkasr.conv import ConvParams, conv_module_forward, depthwise_conv
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
-from chunkasr.functional import cast_params, layer_norm
+from chunkasr.functional import Workspace, cast_params, layer_norm
 from chunkasr.oracle import _conv_module_full, _depthwise_same_full
 from conftest import rel_err
 
@@ -69,12 +69,12 @@ def test_no_leak_between_audios_in_one_batch(rng):
     p = random_conv_params(rng, d, k)
     x, starts = segment_layout(rng, lengths, d)
     at = starts[1] + np.arange(lengths[1])
-    base = conv_module_forward(x, p, lengths, at)
+    base = conv_module_forward(x, p, lengths, at, Workspace())
     dirty = x.copy()
     dirty[:starts[1]] = rng.normal(size=(starts[1], d)) * 1e6
     dirty[starts[2]:] = np.nan    # any read of it would show
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(conv_module_forward(dirty, p, lengths, at), base)
+        assert np.array_equal(conv_module_forward(dirty, p, lengths, at, Workspace()), base)
         assert np.array_equal(depthwise_conv(dirty, p.dw_w, lengths, at),
                               depthwise_conv(x, p.dw_w, lengths, at))
 
@@ -94,10 +94,10 @@ def test_module_poison_is_bitwise_invisible(rng):
         read[at + off] = True
     read[starts[1]:starts[2]] = False
     assert not read[starts[0]] and not read[-1]
-    base = conv_module_forward(x, p, lengths, at)
+    base = conv_module_forward(x, p, lengths, at, Workspace())
     dirty = np.where(read[:, None], x,
                      rng.normal(size=x.shape).astype(np.float32) * 1e5)
-    assert np.array_equal(conv_module_forward(dirty, p, lengths, at), base)
+    assert np.array_equal(conv_module_forward(dirty, p, lengths, at, Workspace()), base)
 
 
 def test_module_zero_input_zero_bias_gives_zero(rng):
@@ -106,7 +106,7 @@ def test_module_zero_input_zero_bias_gives_zero(rng):
     p.pw_in_b = np.zeros(2 * d)
     p.pw_out_b = np.zeros(d)
     p.dw_ln_b = np.zeros(d)
-    out = conv_module_forward(np.zeros((7, d)), p, [3, 4], np.arange(7))
+    out = conv_module_forward(np.zeros((7, d)), p, [3, 4], np.arange(7), Workspace())
     assert np.allclose(out, 0.0)
 
 
@@ -118,7 +118,7 @@ def test_module_matches_straight_line_reference(rng, small_model):
     lengths = [24, 6, 17]
     x, starts = segment_layout(rng, lengths, d)
     h = layer_norm(x, lw.conv.ln_g, lw.conv.ln_b)
-    out = conv_module_forward(h, lw.conv, lengths, np.arange(x.shape[0]))
+    out = conv_module_forward(h, lw.conv, lengths, np.arange(x.shape[0]), Workspace())
     full = np.concatenate([_conv_module_full(x[s:s + n], lw, np.float64)
                            for s, n in zip(starts, lengths)])
     assert rel_err(out, full) <= 1e-10
@@ -140,7 +140,8 @@ def test_cache_length_follows_kernel(kernel, cache, rng):
     states = {"a": StreamState("a", post_frames(8 * 60))}
     sched = schedule_step(list(states.values()), 3, ctx.c)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
-    encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table)
+    encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table,
+                Workspace())
     assert states["a"].frames_consumed == 12
     assert [c.shape[0] for c in states["a"].held[1::2]] == \
         [cache + a - o for a, o in zip(att_end, conv_end)]

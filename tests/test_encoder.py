@@ -180,7 +180,7 @@ def test_emitted_rows_match_schedule(small_model, small_ctx, small_weights, rng)
                                 small_model.d_model, small_model.l_max)
     sched = schedule_step(list(states.values()), 3, small_ctx.c)
     out = encode_step(states, sched, feats, small_weights, small_ctx,
-                      small_model, table)
+                      small_model, table, Workspace())
     assert out["x"].shape[0] == sum(p.valid_frames for p in sched.rows)
     assert states["x"].frames_consumed == out["x"].shape[0]
 
@@ -516,7 +516,7 @@ def test_held_frames_equal_oracle_layer_outputs(case):
             if n:
                 ready[aid] = max(ready[aid], min(start[aid] + n + la,
                                                  states[aid].total_frames))
-        out = encode_step(states, sched, feats, w64, ctx, model, table)
+        out = encode_step(states, sched, feats, w64, ctx, model, table, Workspace())
         for aid, block in out.items():
             st, (top, layers) = states[aid], ref[aid]
             assert_same(block, layer_norm(top, w.after_ln_g, w.after_ln_b)
@@ -728,7 +728,7 @@ def test_poisoned_masked_row_slots_change_no_output_bit(small_model, small_ctx,
     assert sum(masked) > 0
 
 
-WORKSPACE_BUFFERS = {"ff.hidden", "ff.gate", "att.scores", "att.pos", "att.weights"}
+WORKSPACE_BUFFERS = {"ff.hidden", "ff.gate", "att.scores", "att.pos"}
 
 
 class PoisonedWorkspace(Workspace):

@@ -1,5 +1,7 @@
 """Every engine module uses each name it imports, every function each
-parameter it takes, and no module writes an attribute of a module."""
+parameter it takes, and no module writes an attribute of a module. Every
+kernel runs in its caller's workspace: no ``ws`` parameter has a default,
+and only the two top-level runs make a Workspace."""
 
 import ast
 from pathlib import Path
@@ -38,6 +40,40 @@ def unused_parameters(source: str) -> list[str]:
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         name = getattr(node, "name", "<lambda>")
         found += [f"{name}.{p}" for p in params if not p.startswith("_") and p not in read]
+    return sorted(found)
+
+
+def defaulted_parameters(source: str, name: str) -> list[str]:
+    """Every function or lambda in ``source`` whose parameter ``name`` has a
+    default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+        if any(p.arg == name for p in defaulted):
+            found.append(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def calls_of(source: str, callee: str) -> list[str]:
+    """The innermost function around each call of ``callee`` in ``source``, a
+    plain or a module-qualified name; ``<module>`` for a call outside any."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.append(scope)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
     return sorted(found)
 
 
@@ -96,6 +132,31 @@ def test_checker_finds_unused_parameters():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
+
+
+def test_checker_finds_defaulted_workspaces_and_their_makers():
+    source = ("ws = Workspace()\n"
+              "def f(a, ws=None, b=2):\n    return functional.Workspace().split(a, ws, b)\n"
+              "def g(ws, *, c=1, d):\n    def h(x, *, ws=0):\n        return Workspace(x)\n"
+              "    return h(ws, c, d)\n"
+              "def k(x, ws, /, y=1, *args, **kw):\n    return x.Workspace\n"
+              "m = lambda u, ws=1: Workspace\nn = lambda: Workspace()\n")
+    assert defaulted_parameters(source, "ws") == ["<lambda>", "f", "h"]
+    assert calls_of(source, "Workspace") == ["<lambda>", "<module>", "f", "h"]
+
+
+def test_no_workspace_parameter_has_a_default():
+    found = [f"{module[:-3]}.{fn}" for module in MODULES
+             for fn in defaulted_parameters((PACKAGE / module).read_text(), "ws")]
+    assert found == []
+
+
+def test_only_the_top_level_runs_make_a_workspace():
+    # encode_full makes the one workspace of an encode; the selftest makes
+    # one it never enters for the engine calls it makes itself
+    found = [f"{module[:-3]}.{fn}" for module in ["__init__.py", *MODULES]
+             for fn in calls_of((PACKAGE / module).read_text(), "Workspace")]
+    assert found == ["encoder.encode_full", "oracle.run_selftest"]
 
 
 def test_checker_finds_module_attribute_writes():

@@ -168,8 +168,8 @@ def test_one_cpu_starts_no_worker(feats, wide_weights, threads):
 
 
 def test_workspace_outside_with_starts_no_thread(feats, wide_weights, threads):
-    # calls past SPLIT_FLOP, in a workspace that was never entered and in
-    # the one encode_step makes when it is given none, run whole
+    # calls past SPLIT_FLOP in a workspace that was never entered run whole,
+    # in a kernel called alone and in a whole step
     before = threading.active_count()
     ff = wide_weights.layers[0].ff1
     ff_forward(np.ones((512, WIDE_MODEL.d_model), np.float32), ff.w1, ff.b1, ff.w2, ff.b2,
@@ -179,7 +179,8 @@ def test_workspace_outside_with_starts_no_thread(feats, wide_weights, threads):
     sched = schedule_step(list(states.values()), 4, WIDE_CTX.c)
     table = cast_params(build_rel_pos_table(WIDE_CTX.l_att, WIDE_CTX.c, WIDE_CTX.r,
                                             WIDE_MODEL.d_model, WIDE_MODEL.l_max), np.float32)
-    out = encode_step(states, sched, feats, wide_weights, WIDE_CTX, WIDE_MODEL, table)
+    out = encode_step(states, sched, feats, wide_weights, WIDE_CTX, WIDE_MODEL, table,
+                      Workspace())
     assert sum(block.shape[0] for block in out.values()) == 4 * WIDE_CTX.c
     assert len(threads) == 1 and threading.active_count() == before
 

@@ -1,10 +1,13 @@
 """Seeded random-geometry sweep of the engine against the per-audio loop oracle.
 
-Each case batches several audios of different lengths into one encode_full
-call and compares every audio with oracle.loop_oct_encode, for an engine run
-in float64 (1e-8) and one in float32 (1e-4), with the audios in input order
-and reversed. The fixed cases pin the edge geometries; the seeded ones vary
-everything at once.
+Each case batches one to eight audios of different lengths into one
+encode_full call and compares every audio with oracle.loop_oct_encode, for an
+engine run in float64 (1e-8) and one in float32 (1e-4), with the audios in
+input order and reversed. The fixed cases pin the edge geometries; the seeded
+ones vary everything at once: layers, odd kernels up to 31, the context,
+budgets log-spread from 1 to 10^6, d_model up to 64 over 1, 2, 4 and 8
+heads, and audios of one post frame, of whole chunks and of whole post
+frames among lengths of up to 400 feature frames.
 """
 
 import numpy as np
@@ -26,38 +29,51 @@ FIXED = [
     (2, 7, 5, 3, 4, 1),    # budget = 1 with a c that does not divide r
     (2, 3, 2, 4, 7, 3),    # r > c, r not a multiple of c
 ]
-SEEDED = 14
-# (d_model, n_heads, d_ff): the fixed cases run the first, the seeded ones
-# cycle through all four, so attention runs with 1, 2, 4 and 8 heads
-MODELS = [(8, 2, 16), (16, 4, 32), (8, 1, 16), (32, 8, 64)]
+SEEDED = 64
+# the seeded cases cycle through these head counts
+HEADS = [2, 4, 1, 8]
 
 
-def draw(rng):
-    return (int(rng.integers(0, 4)), int(rng.choice([1, 3, 5, 7])),
-            int(rng.integers(0, 7)), int(rng.integers(1, 6)),
-            int(rng.integers(0, 7)), int(rng.integers(1, 5)))
+def draw(rng, n_heads):
+    """(n_layers, kernel_size, l_att, c, r, budget, d_model, n_heads, d_ff)."""
+    step = max(2, n_heads)      # d_model is even and a multiple of n_heads
+    d_model = int(rng.choice(np.arange(step, 65, step)))
+    return (int(rng.integers(0, 4)), int(rng.choice(np.arange(1, 32, 2))),
+            int(rng.integers(0, 7)), int(rng.integers(1, 6)), int(rng.integers(0, 7)),
+            int(10 ** rng.uniform(0, 6)), d_model, n_heads, 2 * d_model)
 
 
 def geometries():
     rng = np.random.default_rng(2024)
-    seeded = [draw(rng) + MODELS[i % len(MODELS)] for i in range(SEEDED)]
+    seeded = [draw(rng, HEADS[i % len(HEADS)]) for i in range(SEEDED)]
     # the last runs two layers on rows of one position, l_att + c + r = 1
     seeded[-1] = (2, seeded[-1][1], 0, 1, 0) + seeded[-1][5:]
     return FIXED + seeded
 
 
+def lengths(rng, n, c):
+    """n distinct feature-frame counts, each drawn as one of: 1-8 frames (one
+    post frame), a multiple of 8c (whole chunks), a multiple of 8 (whole post
+    frames), or any count up to 400."""
+    out = []
+    while len(out) < n:
+        t = [int(rng.integers(1, 9)), 8 * c * int(rng.integers(1, 400 // (8 * c) + 1)),
+             8 * int(rng.integers(1, 51)), int(rng.integers(1, 401))][int(rng.integers(4))]
+        if t not in out:
+            out.append(t)
+    return out
+
+
 def setup(case, seed):
     n_layers, kernel, l_att, c, r, budget, *dims = case
-    d_model, n_heads, d_ff = dims or MODELS[0]
+    d_model, n_heads, d_ff = dims or (8, 2, 16)
     model = ModelConfig(n_layers=n_layers, d_model=d_model, n_heads=n_heads, d_ff=d_ff,
                         kernel_size=kernel, vocab_size=4,
                         l_max=l_att + c + r, seed=seed)
     ctx = ContextConfig(l_att=l_att, c=c, r=r)
     rng = np.random.default_rng(seed)
-    n_audios = int(rng.integers(2, 5))
-    lengths = rng.choice(np.arange(3, 160), size=n_audios, replace=False)
-    feats = {f"a{i}": rng.normal(size=(int(t), 80)).astype(np.float32)
-             for i, t in enumerate(lengths)}
+    feats = {f"a{i}": rng.normal(size=(t, 80)).astype(np.float32)
+             for i, t in enumerate(lengths(rng, int(rng.integers(1, 9)), c))}
     return model, ctx, budget, init_weights(model, seed=seed + 1), feats
 
 
