@@ -14,7 +14,7 @@ from .frontend import (FeatureMatrix, compute_fbank, load_features, read_wav,
                        save_features)
 from .chunking import ChunkBatch, ChunkPlan, StreamState, oct_segment, schedule_step
 from .attention import (AttentionParams, RelPosTable, build_rel_pos_table,
-                        chunk_attention, masked_softmax, project_frames,
+                        chunk_attention, chunk_rows, masked_softmax,
                         rel_pos_encoding)
 from .conv import ConvParams, conv_module_forward, depthwise_conv
 from .encoder import (EncoderWeights, encode_full, encode_step, init_model,

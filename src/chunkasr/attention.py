@@ -10,15 +10,16 @@ outputs. The per-pair score is
 
 which is the four-term content/position/bias sum with the two bias terms
 folded in. The keys and values are projected once per frame, not once per
-row position: project_frames turns a buffer of frames into one K|V buffer,
-and the rows gathered from it hold a position's key and value side by side.
-chunk_attention takes each row's chunk query inputs and runs every
-per-query product itself: the query projection, the scores, the softmax,
-the values and the output projection. A row's masked slots hold other
-frames, often of a neighbouring audio, and chunk_attention alone clears
-them: it zeroes their keys and values on entry and gives masked keys -inf
-before the softmax, so their weight is exactly zero and outputs are
-bit-wise independent of whatever a masked slot holds, inf and NaN included.
+row position: chunk_rows projects a step's buffer of frames to one K|V
+buffer, gathers the rows from it, a position's key and value side by side,
+and returns them with each row's chunk query inputs and the index of one
+output per output frame. chunk_attention runs every per-query product
+itself: the query projection, the scores, the softmax, the values and the
+output projection. A row's masked slots hold other frames, often of a
+neighbouring audio, and chunk_attention alone clears them: it zeroes their
+keys and values on entry and gives masked keys -inf before the softmax, so
+their weight is exactly zero and outputs are bit-wise independent of
+whatever a masked slot holds, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunking import ChunkBatch
+from . import chunking
+from .config import farthest_distance
 from .functional import Workspace
 
 
@@ -94,18 +96,23 @@ def build_rel_pos_table(l_att: int, c: int, r: int, d_model: int,
     Raises DistanceRangeError if one of them is farther than l_max.
     """
     hi, lo = l_att + c - 1, -(c + r - 1)
-    if max(hi, -lo) > l_max:
+    if farthest_distance(l_att, c, r) > l_max:
         raise DistanceRangeError(f"rows need distances in [{lo}, {hi}] but l_max={l_max}")
     return RelPosTable(l=l_att, c=c, r=r,
                        encodings=rel_pos_encoding(np.arange(hi, lo - 1, -1), d_model))
 
 
-def project_frames(h: np.ndarray, p: AttentionParams, ws: Workspace) -> np.ndarray:
-    """The (n, 2d) K|V buffer of a buffer of frames h (n, d).
+def chunk_rows(h: np.ndarray, seg, at: np.ndarray, local: np.ndarray, p: AttentionParams,
+               l: int, c: int, r: int, ws: Workspace) -> tuple:
+    """(batch, q_in, index): the attention rows of audios back to back in h.
 
-    Frame t of the buffer holds its key h[t] Wk and its value h[t] Wv side
-    by side; oct_segment gathers the rows from it. The frames go through
-    ws.split as one call of 4 n d^2 FLOPs.
+    Audio i holds seg[i] frames of h (n, d). Every frame is projected once to
+    its key and value, side by side in one (n, 2d) buffer, through ws.split
+    as one call of 4 n d^2 FLOPs. The output frame at buffer index at[k] and
+    place local[k] among its audio's outputs heads an [l | c | r] row of
+    ``batch`` when local[k] % c == 0; chunking.oct_segment gathers it within
+    its own audio. ``q_in`` (B, c, d) holds the rows' query inputs, a partial
+    chunk's extra ones the frames after it; ``index`` maps (B, c, d) to ``at``.
     """
     n, d = h.shape
     kv = np.empty((n, 2 * d), np.result_type(h, p.wk))
@@ -115,7 +122,13 @@ def project_frames(h: np.ndarray, p: AttentionParams, ws: Workspace) -> np.ndarr
         np.matmul(h[frames], p.wv, out=kv[frames, d:])
 
     ws.split(4 * n * d * d, run, n)
-    return kv
+    col = local % c
+    head = col == 0
+    starts, end = at[head], np.cumsum(seg)
+    owner = np.searchsorted(end, starts, side="right")
+    batch = chunking.oct_segment(kv, starts, l, c, r, (end - seg)[owner], end[owner])
+    q_in = h[np.minimum(starts[:, None] + np.arange(c), n - 1)]
+    return batch, q_in, (np.cumsum(head) - 1, col)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -194,11 +207,11 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return logits
 
 
-def chunk_attention(batch: ChunkBatch, x: np.ndarray, params: AttentionParams,
+def chunk_attention(batch: chunking.ChunkBatch, x: np.ndarray, params: AttentionParams,
                     table: RelPosTable, n_heads: int, ws: Workspace) -> np.ndarray:
     """Attention outputs (B, c, d) at the chunk positions of gathered rows.
 
-    ``batch`` holds rows of a project_frames K|V buffer: position t of a row
+    ``batch`` holds rows of a chunk_rows K|V buffer: position t of a row
     holds its frame's key and value side by side, (B, l + c + r, 2d).
     ``x`` (B, c, d) holds each row's chunk query inputs, the frames whose
     queries x Wq its chunk positions ask with. Masked keys and values,
@@ -206,9 +219,9 @@ def chunk_attention(batch: ChunkBatch, x: np.ndarray, params: AttentionParams,
     Equals dense full-sequence relative attention restricted by the window
     mask, audio by audio; rows whose keys are entirely masked yield zeros.
     The r lookahead positions serve only as keys and values: a later row
-    computes their outputs. ``params`` and ``table`` must already be in the
-    rows' dtype, and the table must be built for the batch's (l, c, r);
-    rows, mask or query inputs of another shape raise DistanceRangeError.
+    computes their outputs. The table must be built for the batch's (l, c, r):
+    rows, mask or query inputs of another shape raise DistanceRangeError, and
+    of another dtype than the rows, as are ``params`` and the table, TypeError.
     The logits, which the softmax turns into weights in place, and the
     positional product are the "att.scores" and "att.pos" buffers of
     ``ws``. The rows go through ws.split as one call of
@@ -229,15 +242,15 @@ def chunk_attention(batch: ChunkBatch, x: np.ndarray, params: AttentionParams,
             f"(l, c, r) = {(l, c, r)} and d = {d} need K|V rows {(b, l + c + r, 2 * d)}, "
             f"a mask {(b, l + c + r)} and query inputs {(b, c, d)}; got {kv.shape}, "
             f"{mask.shape} and {x.shape}")
+    if other := {a.dtype for a in (x, table.encodings, *vars(params).values())} - {kv.dtype}:
+        raise TypeError(f"rows of {kv.dtype} need operands of {kv.dtype}, got {other.pop()}")
     n, d_k = table.encodings.shape[0], d // n_heads
     rho_h = np.ascontiguousarray(
         (table.encodings @ params.wr).reshape(n, n_heads, d_k).swapaxes(0, 1))  # (H, n, d_k)
-    q_type = np.result_type(x, params.wq)
-    scores = ws.take("att.scores", (b, n_heads, c, l + c + r),
-                     np.result_type(q_type, params.u, kv))
-    pos = ws.take("att.pos", (b, n_heads, c, n), np.result_type(q_type, params.v, rho_h))
-    heads = np.empty((b, c, n_heads, d_k), np.result_type(scores, kv))
-    out = np.empty((b, c, d), np.result_type(heads, params.wo, params.bo))
+    scores = ws.take("att.scores", (b, n_heads, c, l + c + r), kv.dtype)
+    pos = ws.take("att.pos", (b, n_heads, c, n), kv.dtype)
+    heads = np.empty((b, c, n_heads, d_k), kv.dtype)
+    out = np.empty((b, c, d), kv.dtype)
 
     def run(rows):
         kv_rows, mask_rows = kv[rows], mask[rows]

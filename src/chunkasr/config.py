@@ -73,9 +73,14 @@ def required_lookahead(ctx: ContextConfig, n_layers: int, l_conv: int) -> int:
     return u
 
 
+def farthest_distance(l_att: int, c: int, r: int) -> int:
+    """The farthest relative distance [l_att | c | r] rows read: l_att + c - 1 or c + r - 1."""
+    return max(l_att + c, c + r) - 1
+
+
 # Upper bounds on the fields that size the weights and the relative-position
-# table. Each is at least 4x the paper-scale model (12 layers, d_model 256,
-# d_ff 1024, kernel 31, l_max 320) and 2x a 17-layer, 512-wide large Conformer.
+# table. Each is at least 4x the paper-scale model (12 layers, d_model 256, d_ff
+# 1024, kernel 31, l_max 191) and 2x a 17-layer, 512-wide large Conformer.
 MODEL_CAPS = {"n_layers": 64, "d_model": 2048, "d_ff": 8192, "kernel_size": 255,
               "vocab_size": 65536, "l_max": 8192}
 # The fields' product is capped too: 1 GB of float32, 2.3x the 108M weights
@@ -127,9 +132,9 @@ def validate(model: ModelConfig, ctx: ContextConfig, positional: bool = True) ->
     n_layers <= 64, d_model <= 2048, d_ff <= 8192, kernel_size <= 255,
     vocab_size <= 65536 and l_max <= 8192, and within those the weight count
     is at most WEIGHT_CAP. So a config of a few bytes cannot start unbounded
-    work in init_weights or build_rel_pos_table, and since l_max must cover
-    l_att + c + r, the context is bounded too. With ``positional`` False
-    that coverage goes unchecked: only the relative-position table needs it.
+    work in init_weights or build_rel_pos_table; l_max covers farthest_distance,
+    so l_att, r <= l_max and c <= l_max + 1. With ``positional`` False that
+    coverage goes unchecked: only the relative-position table needs it.
     """
     problems = []
     for name, cap in MODEL_CAPS.items():
@@ -162,11 +167,11 @@ def validate(model: ModelConfig, ctx: ContextConfig, positional: bool = True) ->
         problems.append(f"kernel_size must be odd and >= 1, got {model.kernel_size}")
     if model.vocab_size < 2:
         problems.append(f"vocab_size must be >= 2 (blank + tokens), got {model.vocab_size}")
-    span = ctx.l_att + ctx.c + ctx.r
-    if positional and model.l_max < span:
+    far = farthest_distance(ctx.l_att, ctx.c, ctx.r)
+    if positional and model.l_max < far:
         problems.append(
-            f"l_max ({model.l_max}) must cover l_att + c + r = {span} so every "
-            "relative distance used by attention has an encoding row"
+            f"l_max ({model.l_max}) must cover max(l_att + c, c + r) - 1 = {far} so "
+            "every relative distance used by attention has an encoding row"
         )
     return problems
 

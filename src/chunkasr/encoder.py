@@ -41,7 +41,7 @@ import numpy as np
 
 from . import chunking
 from .attention import (AttentionParams, RelPosTable, build_rel_pos_table, chunk_attention,
-                        project_frames)
+                        chunk_rows)
 from .chunking import ChunkingError, ChunkPlan, SchedulerError, StepSchedule, StreamState
 from .config import (ContextConfig, ModelConfig, derive_l_conv, require_valid,
                      required_lookahead, weight_parts)
@@ -383,13 +383,13 @@ def _sublayer(steps: list[_AudioStep], j: int, x: np.ndarray, ln_g, ln_b, l: int
     frontiers, at the start of the step in its start and at the end in its
     state.front. Audio i holds its inputs up to the start input frontier in
     held[j], and x its inputs up to the end one, back to back with the
-    other audios'. ``run(h, seg, at, local)`` gets the normalized
-    [held_i | new_i] buffer h, each audio's segment length in it, and the
-    buffer index of every frame between the output frontiers with its place
-    among its audio's outputs; it returns one output per such frame, read
-    from that frame's own segment only, whose inputs are all exact. Each
-    audio's held[j] becomes its inputs from l frames before its new output
-    frontier on. Returns the residual sums at the new output frames, audio
+    other audios'. ``run(h, seg, at, local)`` gets attention.chunk_rows'
+    inputs: the normalized [held_i | new_i] buffer h, each audio's segment
+    length in it, and every frame between the output frontiers as a buffer
+    index and a place among its audio's outputs. It returns one output per
+    such frame, read from that frame's own segment only, whose inputs are
+    all exact. Each audio's held[j] becomes its inputs from l frames before
+    its new output frontier on. Returns the residual sums at the new output frames, audio
     after audio.
     """
     parts, seg, at = [], [], 0
@@ -426,8 +426,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, lw: LayerWeights, table:
                 ws: Workspace) -> np.ndarray:
     """One encoder layer over the frames that became exact at its input.
 
-    Composition: half-step FF, relative MHSA over chunk rows, convolution
-    module, half-step FF, per-layer output norm; residuals throughout.
+    Composition: half-step FF, relative MHSA over attention.chunk_rows' rows,
+    convolution module, half-step FF, per-layer output norm; residuals throughout.
     Frontiers 2k, 2k + 1 and 2k + 2 of each audio, k = ``layer_idx``, are
     this layer's input, attention and output frontiers, at the start of the
     step in the audio's start and at its end in its state.front; x holds
@@ -438,18 +438,8 @@ def _layer_pass(steps: list[_AudioStep], x: np.ndarray, lw: LayerWeights, table:
     attention temporaries go into ``ws``. Returns the new outputs.
     """
     def attend(h, seg, at, local):
-        # a chunk's [l_att | c | r] row starts at its first output frame; a
-        # partial chunk's extra queries read the frames that follow (the
-        # last one past the buffer end), and their outputs are dropped
-        col = local % ctx.c
-        head = col == 0
-        starts, end = at[head], np.cumsum(seg)
-        owner = np.searchsorted(end, starts, side="right")
-        batch = chunking.oct_segment(project_frames(h, lw.att, ws), starts, ctx.l_att, ctx.c,
-                                     ctx.r, (end - seg)[owner], end[owner])
-        q_in = h[np.minimum(starts[:, None] + np.arange(ctx.c), h.shape[0] - 1)]
-        out = chunk_attention(batch, q_in, lw.att, table, model.n_heads, ws)
-        return out[np.cumsum(head) - 1, col]
+        batch, q, index = chunk_rows(h, seg, at, local, lw.att, ctx.l_att, ctx.c, ctx.r, ws)
+        return chunk_attention(batch, q, lw.att, table, model.n_heads, ws)[index]
 
     x = _half_ff(x, lw.ff1, ws)
     j = 2 * layer_idx

@@ -24,10 +24,10 @@ LN_EPS = 1e-5
 # at 60-85% of its speed alone:
 # ff_forward with its layer norm took 1.21x at 17 MFLOP (256 rows of
 # d=64), 1.02x at 34 and 0.72x at 67; at d=256 0.98x at 34 and 0.86x at
-# 67; project_frames 1.13x at 25 MFLOP and 0.75x at 50 (d=256);
-# chunk_attention 1.20x at 11 MFLOP and 0.86x at 22 (d=64). The default
-# model's calls stay below 13 MFLOP on the benchmark's workloads; the
-# paper-scale model's first step makes calls of 49-393 MFLOP.
+# 67; the K|V matmuls of attention.chunk_rows 1.13x at 25 MFLOP and 0.75x
+# at 50 (d=256); chunk_attention 1.20x at 11 MFLOP and 0.86x at 22 (d=64).
+# The default model's calls stay below 13 MFLOP on the benchmark's
+# workloads; the paper-scale model's first step makes calls of 49-393 MFLOP.
 SPLIT_FLOP = 32e6
 # Workspace.take holds a buffer only for a request of at least this many
 # bytes and serves a smaller one with np.empty, which costs 0.3 us where a
@@ -78,7 +78,7 @@ class Workspace:
     down, so a workspace whose calls all stay below the gate, or that is
     used outside a ``with`` block, starts no thread. BLAS and numpy's loops
     release the interpreter lock, so the halves overlap. The kernels that
-    split are ff_forward, attention.project_frames (the K|V matmuls, by
+    split are ff_forward, attention.chunk_rows (the K|V matmuls, by
     frame), attention.chunk_attention (every per-query product, by chunk
     row) and conv.conv_module_forward (its two pointwise layers with their
     GLU, norm and swish).

@@ -9,9 +9,9 @@ sinusoid formula and the parameter containers are shared, so a divergence
 localizes bugs to the chunking machinery.
 
 Everything runs in float64 by default to give a tighter reference.
-run_selftest checks the engine against them; its poison suite fills the
-masked slots of gathered rows and calls chunk_attention on them directly,
-patching nothing in the engine.
+run_selftest checks the engine against them. Its dense and poison suites
+gather rows with attention.chunk_rows; the poison suite fills their masked
+slots and calls chunk_attention on them, patching nothing in the engine.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     verification breach. ``verbose_print`` receives each report line.
     """
     from . import ctc
-    from .attention import build_rel_pos_table, chunk_attention, project_frames
-    from .chunking import oct_segment
+    from .attention import build_rel_pos_table, chunk_attention, chunk_rows
     from .encoder import encode_full, init_weights
     from .functional import Workspace
 
@@ -278,13 +277,6 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     weights = init_weights(model, seed=seed + 1)
     ws = Workspace()   # never entered, so every engine call below runs whole
 
-    def gather(h, starts, lo, hi, att):
-        """The K|V rows and the query inputs of the chunks at ``starts`` of h."""
-        starts = np.asarray(starts)
-        batch = oct_segment(project_frames(h, att, ws), starts, ctx.l_att, ctx.c, ctx.r,
-                            lo, hi)
-        return batch, h[np.minimum(starts[:, None] + np.arange(ctx.c), h.shape[0] - 1)]
-
     # dense attention equivalence on the chunk outputs of gathered rows
     worst = {np.float32: 0.0, np.float64: 0.0}
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
@@ -294,13 +286,12 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
         x = rng.normal(size=(L, model.d_model))
         mask = chunk_window_mask(L, ctx)
         ref = dense_attention_reference(x, lw.att, mask, model.n_heads)
-        n = -(-L // ctx.c)
+        frames = np.arange(L)   # one audio of L frames, every one an output
         for dtype in worst:
-            att = cast_params(lw.att, dtype)
-            batch, q = gather(x.astype(dtype), ctx.c * np.arange(n), 0, L, att)
-            out = chunk_attention(batch, q, att, cast_params(table, dtype), model.n_heads, ws)
-            got = np.concatenate([out[j, :min(ctx.c, L - j * ctx.c)]
-                                  for j in range(n)])
+            att, tab = cast_params(lw.att, dtype), cast_params(table, dtype)
+            batch, q, index = chunk_rows(x.astype(dtype), [L], frames, frames, att,
+                                         ctx.l_att, ctx.c, ctx.r, ws)
+            got = chunk_attention(batch, q, att, tab, model.n_heads, ws)[index]
             worst[dtype] = max(worst[dtype], compare("dense", got, ref, 0).max_rel_err)
     add(OracleReport("dense_att_f32", worst[np.float32], worst[np.float32], None, 1e-5))
     add(OracleReport("dense_att_f64", worst[np.float64], worst[np.float64], None, 1e-10))
@@ -333,12 +324,12 @@ def run_selftest(seed: int = 0, verbose_print=None) -> list[OracleReport]:
     # differing values. Rows as a step gathers them: audios of 13 and 7 frames
     # in one buffer, each row bounded by its own audio, both ending in a
     # partial chunk of c = 4, so some masked slots hold the other audio.
-    starts, lo, hi = [0, 4, 8, 12, 13, 17], [0] * 4 + [13] * 2, [13] * 4 + [20] * 2
     h = rng.normal(size=(20, model.d_model))
     differ = 0
     for dtype in (np.float32, np.float64):
         att, tab = cast_params(lw.att, dtype), cast_params(table, dtype)
-        batch, q = gather(h.astype(dtype), starts, lo, hi, att)
+        batch, q, _ = chunk_rows(h.astype(dtype), [13, 7], np.arange(20), np.r_[0:13, 0:7],
+                                 att, ctx.l_att, ctx.c, ctx.r, ws)
         rows, bits = batch.rows.copy(), f"u{batch.rows.itemsize}"
         clean = chunk_attention(batch, q, att, tab, model.n_heads, ws).view(bits)
         for poison in (rng.normal(size=rows.shape) * 1e6, np.inf, -np.inf, np.nan):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from chunkasr.attention import (AttentionParams, DistanceRangeError, _score_batch,
-                                build_rel_pos_table, chunk_attention,
-                                masked_softmax, project_frames, rel_pos_encoding)
-from chunkasr.chunking import ChunkBatch, oct_segment
+                                build_rel_pos_table, chunk_attention, chunk_rows,
+                                masked_softmax, rel_pos_encoding)
+from chunkasr.chunking import ChunkBatch
 from chunkasr.config import ContextConfig
 from chunkasr.functional import Workspace, cast_params
 from chunkasr.oracle import chunk_window_mask, dense_attention_reference
@@ -25,18 +25,18 @@ def attention_scores(row, p, table, n_heads):
                         np.empty((1, n_heads, table.c, n)))[0]
 
 
-def gather(x, starts, p, table):
-    """The K|V rows and the chunk query inputs of the chunks at ``starts`` of
-    frames x, as the engine makes them."""
-    starts = np.asarray(starts, dtype=np.int64)
-    batch = oct_segment(project_frames(x, p, Workspace()), starts, table.l, table.c, table.r,
-                        0, x.shape[0])
-    return batch, x[np.minimum(starts[:, None] + np.arange(table.c), x.shape[0] - 1)]
+def gather(x, p, table):
+    """The K|V rows, the chunk query inputs and the output index of frames x,
+    one audio whose frames are all outputs, as the engine makes them."""
+    frames = np.arange(x.shape[0])
+    return chunk_rows(x, [x.shape[0]], frames, frames, p, table.l, table.c, table.r,
+                      Workspace())
 
 
-def attend(x, starts, p, table, n_heads):
-    """chunk_attention of the chunks at ``starts`` of frames x."""
-    return chunk_attention(*gather(x, starts, p, table), p, table, n_heads, Workspace())
+def attend(x, p, table, n_heads):
+    """The attention output of every frame of x, one audio."""
+    batch, queries, index = gather(x, p, table)
+    return chunk_attention(batch, queries, p, table, n_heads, Workspace())[index]
 
 
 def random_params(rng, d):
@@ -75,7 +75,7 @@ def test_table_covers_row_window():
     p = random_params(np.random.default_rng(0), 8)
     wider = build_rel_pos_table(8, 4, 6, 8, L_MAX)
     with pytest.raises(DistanceRangeError):
-        chunk_attention(*gather(np.zeros((12, 8)), [0], p, wider), p, table, 1, Workspace())
+        chunk_attention(*gather(np.zeros((12, 8)), p, wider)[:2], p, table, 1, Workspace())
     with pytest.raises(DistanceRangeError):
         build_rel_pos_table(l_att=8, c=4, r=4, d_model=8, l_max=10)
     with pytest.raises(DistanceRangeError):   # -(c + r - 1) is the farthest here
@@ -100,7 +100,7 @@ def test_table_of_another_geometry_with_as_many_rows_is_refused(rng):
     table = build_rel_pos_table(2, 2, 3, d, L_MAX)
     own = build_rel_pos_table(3, 2, 2, d, L_MAX)
     assert table.encodings.shape == own.encodings.shape == (8, d)
-    batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, own)
+    batch, queries, _ = gather(rng.normal(size=(9, d)), p, own)   # five chunks of c = 2
     with pytest.raises(DistanceRangeError, match=r"\(3, 2, 2\).*\(2, 2, 3\)"):
         chunk_attention(batch, queries, p, table, heads, Workspace())
     assert chunk_attention(batch, queries, p, own, heads, Workspace()).shape == (5, 2, d)
@@ -112,7 +112,7 @@ def test_batch_of_another_shape_than_its_geometry_is_refused(rng):
     d, heads, (l, c, r) = 8, 2, (3, 2, 2)
     p = random_params(rng, d)
     table = build_rel_pos_table(l, c, r, d, L_MAX)
-    batch, queries = gather(rng.normal(size=(9, d)), [0, 2, 4, 6, 8], p, table)
+    batch, queries, _ = gather(rng.normal(size=(9, d)), p, table)   # five chunks of c = 2
     width = l + 2 * c + r   # one past the l + 2c + r - 1 distances of the table
     bad = {
         "wide rows": (ChunkBatch(np.ones((5, width, 2 * d)), np.ones((5, width), bool),
@@ -217,9 +217,9 @@ def test_chunk_attention_full_context_limit(rng):
     ctx = ContextConfig(l_att=t_len, c=t_len, r=t_len)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(t_len, d))
-    out = attend(x, [0], p, table, heads)
+    out = attend(x, p, table, heads)
     ref = dense_attention_reference(x, p, np.ones((t_len, t_len), bool), heads)
-    assert rel_err(out[0, :t_len], ref) <= 1e-12
+    assert rel_err(out, ref) <= 1e-12
 
 
 def test_chunk_attention_matches_dense_reference_per_chunk(rng):
@@ -229,10 +229,7 @@ def test_chunk_attention_matches_dense_reference_per_chunk(rng):
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     for t_len in (7, 12, 16):
         x = rng.normal(size=(t_len, d))
-        n = -(-t_len // ctx.c)
-        out = attend(x, ctx.c * np.arange(n), p, table, heads)
-        got = np.concatenate([out[j, :min(ctx.c, t_len - j * ctx.c)]
-                              for j in range(n)])
+        got = attend(x, p, table, heads)
         ref = dense_attention_reference(x, p, chunk_window_mask(t_len, ctx), heads)
         assert rel_err(got, ref) <= 1e-10
 
@@ -245,10 +242,7 @@ def test_chunk_attention_two_audio_batch_equals_solo(rng):
     xa = rng.normal(size=(8, d))
     xb = rng.normal(size=(5, d))
 
-    def rows_for(x):
-        return gather(x, ctx.c * np.arange(-(-x.shape[0] // ctx.c)), p, table)
-
-    (ba, qa), (bb, qb) = rows_for(xa), rows_for(xb)
+    (ba, qa, _), (bb, qb, _) = gather(xa, p, table), gather(xb, p, table)
     combined = ChunkBatch(rows=np.concatenate([ba.rows, bb.rows]),
                           mask=np.concatenate([ba.mask, bb.mask]),
                           l=ctx.l_att, c=ctx.c, r=ctx.r)
@@ -266,13 +260,12 @@ def test_window_bounds_keys_outside_have_no_effect(rng):
     p = random_params(rng, d)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(12, d))
-    starts = ctx.c * np.arange(4)
-    base = attend(x, starts, p, table, heads)
+    base = attend(x, p, table, heads)
     # chunk 1 covers frames 3..5, window is [0, 8); frames 8.. are invisible
     x2 = x.copy()
     x2[8:] += rng.normal(size=(4, d))
-    out2 = attend(x2, starts, p, table, heads)
-    assert np.array_equal(out2[1], base[1])
+    out2 = attend(x2, p, table, heads)
+    assert np.array_equal(out2[3:6], base[3:6])
 
 
 def test_poisoned_masked_keys_change_nothing_bitwise(rng):
@@ -285,7 +278,7 @@ def test_poisoned_masked_keys_change_nothing_bitwise(rng):
     x = rng.normal(size=(7, d))
     for dtype in (np.float32, np.float64):
         pd, td = cast_params(p, dtype), cast_params(table, dtype)
-        batch, queries = gather(x.astype(dtype), [0, 3, 6], pd, td)
+        batch, queries, _ = gather(x.astype(dtype), pd, td)
         assert not batch.mask.all()
         base = chunk_attention(batch, queries, pd, td, heads, Workspace())
         clean = batch.rows.copy()
@@ -300,7 +293,8 @@ def test_chunk_attention_of_no_rows_is_empty(rng):
     d, heads = 8, 2
     p = random_params(rng, d)
     table = build_rel_pos_table(4, 3, 2, d, L_MAX)
-    out = attend(rng.normal(size=(5, d)), np.zeros(0, np.int64), p, table, heads)
+    batch, queries, _ = gather(np.zeros((0, d)), p, table)
+    out = chunk_attention(batch, queries, p, table, heads, Workspace())
     assert out.shape == (0, 3, d) and out.dtype == np.float64
 
 
@@ -310,14 +304,22 @@ def test_dtype_paths(rng):
     p = random_params(rng, d)
     table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, d, L_MAX)
     x = rng.normal(size=(20, d))
-    n = 5
     ref = dense_attention_reference(x, p, chunk_window_mask(20, ctx), heads)
     for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
-        out = attend(x.astype(dtype), ctx.c * np.arange(n), cast_params(p, dtype),
-                     table, heads)
-        assert out.dtype == dtype and out.shape == (n, ctx.c, d)
-        got = np.concatenate([out[j, :ctx.c] for j in range(n)])
-        assert rel_err(got, ref) <= tol
+        out = attend(x.astype(dtype), cast_params(p, dtype), cast_params(table, dtype), heads)
+        assert out.dtype == dtype and out.shape == (20, d)
+        assert rel_err(out, ref) <= tol
+    # query inputs, params or a table in another dtype than the rows are refused
+    p32, t32 = cast_params(p, np.float32), cast_params(table, np.float32)
+    batch, queries, _ = gather(x.astype(np.float32), p32, t32)
+    p32.u = p.u
+    mixed = {"query inputs": (queries.astype(np.float64), t32, cast_params(p, np.float32)),
+             "table": (queries, table, cast_params(p, np.float32)),
+             "params": (queries, t32, p32)}
+    for name, (q, t, pp) in mixed.items():
+        with pytest.raises(TypeError, match="rows of float32 .* got float64") as err:
+            chunk_attention(batch, q, pp, t, heads, Workspace())
+        assert "\n" not in str(err.value), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

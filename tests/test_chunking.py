@@ -6,7 +6,7 @@ from chunkasr.attention import build_rel_pos_table
 from chunkasr.chunking import ChunkPlan, StreamState, oct_segment, schedule_step
 from chunkasr.config import ConfigError, ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
-from chunkasr.functional import Workspace
+from chunkasr.functional import Workspace, cast_params
 
 
 def partition(total_frames, c):
@@ -154,7 +154,8 @@ def lookahead_step(total, budget):
     feats = {"a": np.random.default_rng(0).normal(size=(8 * total, 80)).astype(np.float32)}
     states = {"a": StreamState("a", total)}
     sched = schedule_step(list(states.values()), budget, ctx.c)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model, model.l_max)
+    table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, model.d_model,
+                                            model.l_max), np.float32)
     encode_step(states, sched, feats, init_weights(model, seed=0), ctx, model, table,
                 Workspace())
     return states["a"]

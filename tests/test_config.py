@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from chunkasr.attention import DistanceRangeError, build_rel_pos_table
 from chunkasr.config import (MODEL_CAPS, WEIGHT_CAP, ConfigError, ContextConfig,
                              ModelConfig, context_from_string, derive_l_conv,
-                             load_config, required_lookahead, validate, weight_count)
+                             farthest_distance, load_config, required_lookahead, validate,
+                             weight_count)
 from chunkasr.encoder import _tensor_map, init_model
 
 
@@ -108,6 +110,17 @@ def test_validate_divisibility():
 def test_validate_l_max_range():
     problems = validate(ModelConfig(l_max=8), ContextConfig(l_att=8, c=4, r=4))
     assert any("l_max" in p for p in problems)
+    # l_max must cover the farthest distance the rows read, max(l_att + c, c + r) - 1
+    for ctx, far in ((ContextConfig(16, 8, 8), 23), (ContextConfig(2, 3, 9), 11),
+                     (ContextConfig(128, 64, 128), 191)):
+        assert farthest_distance(ctx.l_att, ctx.c, ctx.r) == far
+        assert validate(ModelConfig(l_max=far), ctx) == []
+        assert validate(ModelConfig(l_max=far - 1), ctx) == [
+            f"l_max ({far - 1}) must cover max(l_att + c, c + r) - 1 = {far} so every "
+            "relative distance used by attention has an encoding row"]
+        build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 8, far)
+        with pytest.raises(DistanceRangeError):
+            build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 8, far - 1)
 
 
 def test_validate_reports_every_violation():

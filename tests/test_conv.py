@@ -139,7 +139,8 @@ def test_cache_length_follows_kernel(kernel, cache, rng):
     feats = {"a": rng.normal(size=(8 * 60, 80)).astype(np.float32)}
     states = {"a": StreamState("a", post_frames(8 * 60))}
     sched = schedule_step(list(states.values()), 3, ctx.c)
-    table = build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max)
+    table = cast_params(build_rel_pos_table(ctx.l_att, ctx.c, ctx.r, 16, model.l_max),
+                        np.float32)
     encode_step(states, sched, feats, init_weights(model, seed=2), ctx, model, table,
                 Workspace())
     assert states["a"].frames_consumed == 12

@@ -176,8 +176,9 @@ def test_emitted_rows_match_schedule(small_model, small_ctx, small_weights, rng)
     feats = {"x": rng.normal(size=(8 * 23, 80)).astype(np.float32)}
     t_post = post_frames(8 * 23)
     states = {"x": StreamState("x", t_post)}
-    table = build_rel_pos_table(small_ctx.l_att, small_ctx.c, small_ctx.r,
-                                small_model.d_model, small_model.l_max)
+    table = cast_params(build_rel_pos_table(small_ctx.l_att, small_ctx.c, small_ctx.r,
+                                            small_model.d_model, small_model.l_max),
+                        np.float32)
     sched = schedule_step(list(states.values()), 3, small_ctx.c)
     out = encode_step(states, sched, feats, small_weights, small_ctx,
                       small_model, table, Workspace())

@@ -1,7 +1,8 @@
 """Every engine module uses each name it imports, every function each
 parameter it takes, and no module writes an attribute of a module. Every
 kernel runs in its caller's workspace: no ``ws`` parameter has a default,
-and only the two top-level runs make a Workspace."""
+and only the two top-level runs make a Workspace. Only attention.chunk_rows
+gathers attention rows."""
 
 import ast
 from pathlib import Path
@@ -157,6 +158,23 @@ def test_only_the_top_level_runs_make_a_workspace():
     found = [f"{module[:-3]}.{fn}" for module in ["__init__.py", *MODULES]
              for fn in calls_of((PACKAGE / module).read_text(), "Workspace")]
     assert found == ["encoder.encode_full", "oracle.run_selftest"]
+
+
+def test_checker_finds_calls_through_a_module_and_inside_methods():
+    source = ("from . import chunking\nfrom .chunking import oct_segment\n"
+              "def chunk_rows(kv):\n    def run():\n        pass\n"
+              "    return chunking.oct_segment(kv, run())\n"
+              "class C:\n    def m(self):\n        return [oct_segment(x) for x in self]\n"
+              "gather = chunking.oct_segment\nrows = gather(0)\n")
+    assert calls_of(source, "oct_segment") == ["chunk_rows", "m"]
+
+
+def test_only_chunk_rows_gathers_attention_rows():
+    # the engine and the selftest build their rows in one place, so the row
+    # heads, each row's bounds and the query inputs have one derivation
+    found = [f"{module[:-3]}.{fn}" for module in ["__init__.py", *MODULES]
+             for fn in calls_of((PACKAGE / module).read_text(), "oct_segment")]
+    assert found == ["attention.chunk_rows"]
 
 
 def test_checker_finds_module_attribute_writes():
