@@ -9,8 +9,12 @@ row's c chunk positions, so a partial last chunk pays for a whole one; the
 attention window term per row, over its c queries and l_att + c + r keys.
 That term counts content scores, positional scores, and value mixing, so a
 full-context configuration (l_att = r = 0, c = L) degenerates to exactly the
-dense count. The totals are exact for an audio encoded in one step and a
-lower bound for one encoded in several, as each step re-runs the K and V
+dense count. The totals are a lower bound, even for an audio encoded in one
+step: the engine's positional product runs each query over the table's
+l_att + 2c + r - 1 entries, not l_att + c + r, and each chunk_attention call
+projects the table (2 n d^2 FLOPs per layer per step, n entries), which is
+not billed; on a 30 s paper-scale audio that is 0.149 + 0.602 GFLOP, 4.6% of
+the 16.2 billed. An audio encoded in several steps also re-runs the K and V
 projections, the conv's pointwise-in and its depthwise conv on the frames
 held from the step before. Wall-clock seconds and memory are out of scope.
 """

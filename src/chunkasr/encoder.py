@@ -24,9 +24,9 @@ docstring gives the rules for its held buffers and its split kernel calls.
 
 Checkpoint container ("CFKW"): magic, u32 version, u32 tensor count, then per
 tensor {u16 name length, name bytes, u8 rank, u32 dims..., float32
-little-endian payload}. The weight tensors are named and shaped by
-config.weight_parts; one more tensor, vocab.utf8, holds the newline-joined
-tokens as bytes.
+little-endian payload}, each name once and each rank at most 64. The weight
+tensors are named and shaped by config.weight_parts; one more tensor,
+vocab.utf8, holds the newline-joined tokens as bytes.
 """
 
 from __future__ import annotations
@@ -220,7 +220,11 @@ def _read_tensors(path) -> dict[str, np.ndarray]:
                 name = take(nlen).decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: a tensor name is not valid UTF-8") from None
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<B", take(1))
+            if rank > 64:   # NumPy 2's limit on the dimensions of an array
+                raise CheckpointError(f"{path}: tensor {name!r} has rank {rank}, above 64")
             dims = struct.unpack(f"<{rank}I", take(4 * rank))
             size = math.prod(dims)   # exact, where an int64 product would wrap
             if fh.tell() + 4 * size > size_on_disk:

@@ -8,10 +8,14 @@ Only the pure per-position primitives (layer norm and the activations), the
 sinusoid formula and the parameter containers are shared, so a divergence
 localizes bugs to the chunking machinery.
 
-Everything runs in float64 by default to give a tighter reference.
-run_selftest checks the engine against them. Its dense and poison suites
-gather rows with attention.chunk_rows; the poison suite fills their masked
-slots and calls chunk_attention on them, patching nothing in the engine.
+Everything runs in float64: full_subsample casts the features once, and
+NumPy promotes the float32 weights exactly where they meet them. Both oracles
+run one layer stack (_encode) and one attention formula (_relative_attention);
+they differ only in their windows: every frame for full_context_encode, each
+chunk's [l_att | c | r] slice for loop_oct_encode. run_selftest checks the
+engine against them. Its dense and poison suites gather rows with
+attention.chunk_rows; the poison suite fills their masked slots and calls
+chunk_attention on them, patching nothing in the engine.
 """
 
 from __future__ import annotations
@@ -64,102 +68,101 @@ def compare(suite: str, actual: np.ndarray, expected: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# dense attention
+# relative attention
 # ---------------------------------------------------------------------------
 
-def _rel_table(span: int, d_model: int) -> np.ndarray:
-    return np.stack([rel_pos_encoding(dd, d_model)
-                     for dd in range(-span, span + 1)])
+def _relative_attention(xq: np.ndarray, xk: np.ndarray, p: AttentionParams,
+                        dist: np.ndarray, mask: np.ndarray, n_heads: int) -> np.ndarray:
+    """Relative multi-head attention of the queries xq over the keys xk.
+
+    dist[j, t] is query j's position minus key t's, and mask[j, t] is True
+    where query j may attend key t. A query with no valid key produces the
+    zero vector, mirroring the engine's convention.
+    """
+    nq, d = xq.shape
+    d_k = d // n_heads
+    q = (xq @ p.wq).reshape(nq, n_heads, d_k)
+    k = (xk @ p.wk).reshape(-1, n_heads, d_k)
+    v = (xk @ p.wv).reshape(-1, n_heads, d_k)
+    lo = int(dist.min())
+    enc = rel_pos_encoding(np.arange(lo, dist.max() + 1), d)
+    rho = (enc @ p.wr).reshape(-1, n_heads, d_k)
+    content = np.einsum("jhd,thd->hjt", q + p.u.reshape(n_heads, d_k), k)
+    pos_all = np.einsum("jhd,nhd->hjn", q + p.v.reshape(n_heads, d_k), rho)
+    pos = np.take_along_axis(pos_all, (dist - lo)[None], axis=2)
+    e = np.where(mask, (content + pos) / math.sqrt(d_k), -np.inf)
+    peak = e.max(axis=-1, keepdims=True)
+    w = np.where(mask, np.exp(e - np.where(np.isfinite(peak), peak, 0.0)), 0.0)
+    denom = w.sum(axis=-1, keepdims=True)
+    z = np.einsum("hjt,thd->jhd", w / np.where(denom > 0, denom, 1.0), v).reshape(nq, d)
+    return np.where(mask.any(axis=1)[:, None], z @ p.wo + p.bo, 0.0)
 
 
 def dense_attention_reference(x: np.ndarray, params: AttentionParams,
-                              mask: np.ndarray, n_heads: int = 1) -> np.ndarray:
+                              mask: np.ndarray, n_heads: int) -> np.ndarray:
     """Literal O(L^2) relative attention with an explicit L x L key mask.
 
-    mask[j, t] is True where query j may attend key t. Queries with no valid
-    key produce the zero vector, mirroring the engine's convention.
+    mask[j, t] is True where query j may attend key t; every frame is both a
+    query and a key, and a query with no valid key produces the zero vector.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = cast_params(params, np.float64)
-    L, d = x.shape
-    d_k = d // n_heads
-    qh = (x @ p.wq).reshape(L, n_heads, d_k)
-    kh = (x @ p.wk).reshape(L, n_heads, d_k)
-    vh = (x @ p.wv).reshape(L, n_heads, d_k)
-    uh = p.u.reshape(n_heads, d_k)
-    vbias = p.v.reshape(n_heads, d_k)
-    rho = (_rel_table(L - 1 if L > 1 else 1, d) @ p.wr).reshape(-1, n_heads, d_k)
-    content = np.einsum("jhd,thd->hjt", qh + uh, kh)
-    pos_all = np.einsum("jhd,nhd->hjn", qh + vbias, rho)
-    span = (rho.shape[0] - 1) // 2
-    idx = np.arange(L)[:, None] - np.arange(L)[None, :] + span
-    pos = np.take_along_axis(pos_all, np.broadcast_to(idx, (n_heads, L, L)), axis=2)
-    e = (content + pos) / math.sqrt(d_k)
-    e = np.where(mask[None, :, :], e, -np.inf)
-    peak = e.max(axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    w = np.exp(e - peak)
-    w = np.where(mask[None, :, :], w, 0.0)
-    denom = w.sum(axis=-1, keepdims=True)
-    alpha = w / np.where(denom > 0, denom, 1.0)
-    z = np.einsum("hjt,thd->jhd", alpha, vh).reshape(L, d)
-    out = z @ p.wo + p.bo
-    return np.where(mask.any(axis=1)[:, None], out, 0.0)
+    at = np.arange(len(x))
+    return _relative_attention(x, x, params, at[:, None] - at[None, :], mask, n_heads)
 
 
 def chunk_window_mask(length: int, ctx: ContextConfig) -> np.ndarray:
     """L x L mask of the per-chunk attention windows (built independently)."""
-    j = np.arange(length)[:, None]
+    head = np.arange(length)[:, None] // ctx.c * ctx.c   # each query's chunk head
     t = np.arange(length)[None, :]
-    chunk = j // ctx.c
-    return (t >= chunk * ctx.c - ctx.l_att) & (t < (chunk + 1) * ctx.c + ctx.r)
+    return (t >= head - ctx.l_att) & (t < head + ctx.c + ctx.r)
+
+
+def _chunk_attention_loop(h: np.ndarray, p: AttentionParams, ctx: ContextConfig,
+                          n_heads: int) -> np.ndarray:
+    """Per-chunk windowed attention via explicit slices, one chunk at a time."""
+    at = np.arange(len(h))
+    out = np.zeros_like(h)
+    for head in range(0, len(h), ctx.c):   # slices clip at the audio's end
+        q = slice(head, head + ctx.c)
+        k = slice(max(0, head - ctx.l_att), head + ctx.c + ctx.r)
+        dist = at[q, None] - at[None, k]
+        out[q] = _relative_attention(h[q], h[k], p, dist, np.ones(dist.shape, bool),
+                                     n_heads)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # full-sequence building blocks
 # ---------------------------------------------------------------------------
 
-def _conv_stride2_full(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Stride-2 depthwise conv over a whole level, zero padded, len ceil(L/2)."""
-    L = x.shape[0]
-    out_len = -(-L // 2)
-    pad_back = max(0, 2 * out_len - L)
-    xp = np.concatenate([np.zeros((1,) + x.shape[1:], x.dtype), x,
-                         np.zeros((pad_back,) + x.shape[1:], x.dtype)])
-    idx = 2 * np.arange(out_len)[:, None] + np.arange(3)[None, :]
-    return np.einsum("tkc,kc->tc", xp[idx], kernel.astype(x.dtype, copy=False))
+def _depthwise_full(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """Depthwise conv over a whole sequence: ceil(L / stride) windows of k
+    frames, over the sequence zero padded by (k - 1) / 2 frames in front and
+    by as many behind as the last window reads."""
+    k, n = kernel.shape[0], -(-x.shape[0] // stride)
+    xp = np.zeros((stride * (n - 1) + k,) + x.shape[1:], x.dtype)
+    xp[(k - 1) // 2:][:x.shape[0]] = x
+    idx = stride * np.arange(n)[:, None] + np.arange(k)[None, :]
+    return np.einsum("tkc,kc->tc", xp[idx], kernel)
 
 
-def full_subsample(features: np.ndarray, weights: EncoderWeights,
-                   dtype=np.float64) -> np.ndarray:
+def full_subsample(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     """Whole-sequence 8x subsampling; the chunk-wise engine must match it."""
-    x = np.asarray(features, dtype=dtype)
-    sub = cast_params(weights.subsample, dtype)
+    x = np.asarray(features, dtype=np.float64)
+    sub = weights.subsample
     for blk in sub.blocks:
-        x = swish(_conv_stride2_full(x, blk.dw_w) @ blk.pw_w + blk.pw_b)
+        x = swish(_depthwise_full(x, blk.dw_w, 2) @ blk.pw_w + blk.pw_b)
     return x @ sub.out_w + sub.out_b
 
 
-def _depthwise_same_full(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Symmetric depthwise conv over a whole sequence with zero padding."""
-    k = kernel.shape[0]
-    half = (k - 1) // 2
-    xp = np.concatenate([np.zeros((half,) + x.shape[1:], x.dtype), x,
-                         np.zeros((half,) + x.shape[1:], x.dtype)])
-    idx = np.arange(x.shape[0])[:, None] + np.arange(k)[None, :]
-    return np.einsum("tkc,kc->tc", xp[idx], kernel.astype(x.dtype, copy=False))
-
-
-def _conv_module_full(x: np.ndarray, lw, dtype) -> np.ndarray:
-    cp = cast_params(lw.conv, dtype)
+def _conv_module_full(x: np.ndarray, cp) -> np.ndarray:
     h = layer_norm(x, cp.ln_g, cp.ln_b)
     g = glu(h @ cp.pw_in_w + cp.pw_in_b)
-    y = _depthwise_same_full(g, cp.dw_w)
+    y = _depthwise_full(g, cp.dw_w, 1)
     return swish(layer_norm(y, cp.dw_ln_g, cp.dw_ln_b)) @ cp.pw_out_w + cp.pw_out_b
 
 
-def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
-    f = cast_params(ff, dtype)
+def _macaron_ff(x: np.ndarray, f) -> np.ndarray:
     return 0.5 * (swish(layer_norm(x, f.ln_g, f.ln_b) @ f.w1 + f.b1) @ f.w2 + f.b2)
 
 
@@ -167,85 +170,38 @@ def _macaron_ff(x: np.ndarray, ff, dtype) -> np.ndarray:
 # full-context and per-audio loop encoders
 # ---------------------------------------------------------------------------
 
-def full_context_encode(features: np.ndarray, weights: EncoderWeights,
-                        model: ModelConfig, dtype=np.float64) -> np.ndarray:
-    """Identical layer math with no chunking and unlimited context."""
-    weights = cast_params(weights, dtype)
-    x = full_subsample(features, weights, dtype)
-    L = x.shape[0]
-    all_true = np.ones((L, L), dtype=bool)
+def _encode(features: np.ndarray, weights: EncoderWeights, attend) -> np.ndarray:
+    """The layer stack over one audio's features, in float64; attend(h, p) is
+    the attention sublayer over the normed frames h with parameters p."""
+    x = full_subsample(features, weights)
     for lw in weights.layers:
-        x = x + _macaron_ff(x, lw.ff1, dtype)
-        h = layer_norm(x, lw.att.ln_g, lw.att.ln_b)
-        x = x + dense_attention_reference(h, lw.att, all_true, model.n_heads)
-        x = x + _conv_module_full(x, lw, dtype)
-        x = x + _macaron_ff(x, lw.ff2, dtype)
+        x = x + _macaron_ff(x, lw.ff1)
+        x = x + attend(layer_norm(x, lw.att.ln_g, lw.att.ln_b), lw.att)
+        x = x + _conv_module_full(x, lw.conv)
+        x = x + _macaron_ff(x, lw.ff2)
         x = layer_norm(x, lw.out_ln_g, lw.out_ln_b)
     if weights.layers:
         x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
     return x
 
 
-def _chunk_attention_loop(h: np.ndarray, lw, ctx: ContextConfig,
-                          model: ModelConfig, dtype) -> np.ndarray:
-    """Per-chunk windowed attention via explicit slices, one chunk at a time."""
-    p = cast_params(lw.att, dtype)
-    L, d = h.shape
-    n_heads = model.n_heads
-    d_k = d // n_heads
-    uh = p.u.reshape(n_heads, d_k)
-    vb = p.v.reshape(n_heads, d_k)
-    out = np.zeros_like(h)
-    n_chunks = -(-L // ctx.c)
-    for i in range(n_chunks):
-        q_lo, q_hi = i * ctx.c, min((i + 1) * ctx.c, L)
-        k_lo = max(0, i * ctx.c - ctx.l_att)
-        k_hi = min(L, (i + 1) * ctx.c + ctx.r)
-        q = (h[q_lo:q_hi] @ p.wq).reshape(-1, n_heads, d_k)
-        k = (h[k_lo:k_hi] @ p.wk).reshape(-1, n_heads, d_k)
-        v = (h[k_lo:k_hi] @ p.wv).reshape(-1, n_heads, d_k)
-        dists = (np.arange(q_lo, q_hi)[:, None] - np.arange(k_lo, k_hi)[None, :])
-        enc = np.stack([rel_pos_encoding(int(dd), d)
-                        for dd in range(dists.min(), dists.max() + 1)])
-        rho = (enc @ p.wr).reshape(-1, n_heads, d_k)
-        content = np.einsum("jhd,thd->hjt", q + uh, k)
-        pos_all = np.einsum("jhd,nhd->hjn", q + vb, rho)
-        idx = dists - int(dists.min())
-        pos = np.take_along_axis(
-            pos_all, np.broadcast_to(idx, (n_heads,) + idx.shape), axis=2)
-        e = (content + pos) / math.sqrt(d_k)
-        e = e - e.max(axis=-1, keepdims=True)
-        w = np.exp(e)
-        alpha = w / w.sum(axis=-1, keepdims=True)
-        z = np.einsum("hjt,thd->jhd", alpha, v).reshape(q_hi - q_lo, d)
-        out[q_lo:q_hi] = z @ p.wo + p.bo
-    return out
+def full_context_encode(features: np.ndarray, weights: EncoderWeights,
+                        model: ModelConfig) -> np.ndarray:
+    """Identical layer math with no chunking and unlimited context."""
+    return _encode(features, weights, lambda h, p: dense_attention_reference(
+        h, p, np.ones((len(h), len(h)), bool), model.n_heads))
 
 
 def loop_oct_encode(features: dict[str, np.ndarray], weights: EncoderWeights,
-                    ctx: ContextConfig, model: ModelConfig,
-                    dtype=np.float64) -> dict[str, np.ndarray]:
+                    ctx: ContextConfig, model: ModelConfig) -> dict[str, np.ndarray]:
     """Process each audio alone, sequentially, with per-chunk windows.
 
     This is the semantics masked batching must reproduce: chunk windows clip
     only at the audio's own boundaries, convolutions run over the whole
     sequence, and audios never interact.
     """
-    weights = cast_params(weights, dtype)
-    out: dict[str, np.ndarray] = {}
-    for aid, feats in features.items():
-        x = full_subsample(feats, weights, dtype)
-        for lw in weights.layers:
-            x = x + _macaron_ff(x, lw.ff1, dtype)
-            h = layer_norm(x, lw.att.ln_g, lw.att.ln_b)
-            x = x + _chunk_attention_loop(h, lw, ctx, model, dtype)
-            x = x + _conv_module_full(x, lw, dtype)
-            x = x + _macaron_ff(x, lw.ff2, dtype)
-            x = layer_norm(x, lw.out_ln_g, lw.out_ln_b)
-        if weights.layers:
-            x = layer_norm(x, weights.after_ln_g, weights.after_ln_b)
-        out[aid] = x
-    return out
+    return {aid: _encode(feats, weights, lambda h, p: _chunk_attention_loop(
+        h, p, ctx, model.n_heads)) for aid, feats in features.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,13 @@ def dropping_oldest_att_frame():
 
 
 def write_cfkw(path, tensors):
-    """A checkpoint container holding exactly ``tensors`` (name -> array)."""
+    """A checkpoint container holding exactly ``tensors``: a dict of name ->
+    array, or (name, array) pairs, in file order, which may repeat a name."""
+    pairs = list(tensors.items() if isinstance(tensors, dict) else tensors)
     with open(path, "wb") as fh:
         fh.write(b"CFKW")
-        fh.write(struct.pack("<II", 1, len(tensors)))
-        for name, arr in tensors.items():
+        fh.write(struct.pack("<II", 1, len(pairs)))
+        for name, arr in pairs:
             arr = np.ascontiguousarray(arr, dtype="<f4")
             raw = name.encode()
             fh.write(struct.pack("<H", len(raw)) + raw)

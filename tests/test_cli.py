@@ -320,6 +320,32 @@ def test_checkpoint_dims_past_int64_are_checkpoint_error(workdir, capsys):
     assert err.count("\n") == 1 and "truncated payload" in err and "ctc.w" in err
 
 
+def test_checkpoint_rank_past_numpy_limit_is_checkpoint_error(workdir, capsys):
+    # one tensor of rank 65, every dimension 1: its 4-byte payload is there,
+    # but NumPy 2 makes no array of more than 64 dimensions
+    bad = workdir / "rank.cfkw"
+    bad.write_bytes(b"CFKW" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"w"
+                    + struct.pack("<B65I", 65, *[1] * 65) + struct.pack("<f", 0.0))
+    assert bad.stat().st_size == 280
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rank 65" in err and "'w'" in err
+
+
+def test_checkpoint_repeated_tensor_name_is_checkpoint_error(workdir, capsys):
+    # a second copy of a tensor must not replace the first one silently
+    w, head, vocab = init_model(ModelConfig(), seed=0)
+    tensors = list(encoder._tensor_map(w, head, vocab).items())
+    tensors.append(("layer0.ff1.w1", np.full_like(w.layers[0].ff1.w1, 7.0)))
+    bad = workdir / "twice.cfkw"
+    write_cfkw(bad, tensors)
+    rc = cli.main(["transcribe", "--checkpoint", str(bad), str(workdir / "one.wav")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'layer0.ff1.w1' appears twice" in err
+
+
 def test_tensor_name_not_utf8_is_checkpoint_error(workdir, capsys):
     bad = workdir / "name.cfkw"
     bad.write_bytes(b"CFKW" + struct.pack("<II", 1, 1) + struct.pack("<H", 2) + b"\xff\xfe"

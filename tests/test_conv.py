@@ -7,7 +7,7 @@ from chunkasr.chunking import StreamState, schedule_step
 from chunkasr.conv import ConvParams, conv_module_forward, depthwise_conv
 from chunkasr.encoder import encode_full, encode_step, init_weights, post_frames
 from chunkasr.functional import Workspace, cast_params, layer_norm
-from chunkasr.oracle import _conv_module_full, _depthwise_same_full
+from chunkasr.oracle import _conv_module_full, _depthwise_full
 from conftest import rel_err
 
 
@@ -48,7 +48,7 @@ def test_depthwise_matches_full_sequence_per_segment(rng):
     x, starts = segment_layout(rng, lengths, d)
     kernel = rng.normal(size=(k, d))
     out = depthwise_conv(x, kernel, lengths, np.arange(x.shape[0]))
-    full = np.concatenate([_depthwise_same_full(x[s:s + n], kernel)
+    full = np.concatenate([_depthwise_full(x[s:s + n], kernel, 1)
                            for s, n in zip(starts, lengths)])
     assert rel_err(out, full) <= 1e-12
     # a subset of frames reads the same values
@@ -119,7 +119,7 @@ def test_module_matches_straight_line_reference(rng, small_model):
     x, starts = segment_layout(rng, lengths, d)
     h = layer_norm(x, lw.conv.ln_g, lw.conv.ln_b)
     out = conv_module_forward(h, lw.conv, lengths, np.arange(x.shape[0]), Workspace())
-    full = np.concatenate([_conv_module_full(x[s:s + n], lw, np.float64)
+    full = np.concatenate([_conv_module_full(x[s:s + n], lw.conv)
                            for s, n in zip(starts, lengths)])
     assert rel_err(out, full) <= 1e-10
 

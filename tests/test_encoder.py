@@ -41,7 +41,7 @@ def test_chunk_wise_subsample_equals_full_sequence(small_weights, rng):
     sub = cast_params(small_weights.subsample, np.float64)
     for t_raw in (32, 95, 200, 207):
         feats = rng.normal(size=(t_raw, 80)).astype(np.float32)
-        full = full_subsample(feats, small_weights, np.float64)
+        full = full_subsample(feats, small_weights)
         t_post = post_frames(t_raw)
         # two ranges of the whole matrix, several split points
         for cut in {1, t_post // 2, t_post - 1} - {0}:
@@ -99,7 +99,7 @@ def test_zero_branch_layer_reduces_to_output_norm(small_ctx, rng):
     feats = rng.normal(size=(12 * 8 - 5, 80)).astype(np.float32)
     out = encode_full({"a": feats}, cast_params(w, np.float64), small_ctx, model,
                       budget=2)["a"]
-    x = full_subsample(feats, w, np.float64)
+    x = full_subsample(feats, w)
     expected = layer_norm(layer_norm(x, lw.out_ln_g, lw.out_ln_b),
                           w.after_ln_g, w.after_ln_b)
     assert rel_err(out, expected) <= 1e-12
@@ -219,7 +219,7 @@ def test_zero_layer_model_is_subsample_only(rng):
     w = init_weights(model, seed=1)
     feats = rng.normal(size=(100, 80)).astype(np.float32)
     got = encode_full({"a": feats}, cast_params(w, np.float64), ctx, model, budget=2)
-    assert rel_err(got["a"], full_subsample(feats, w, np.float64)) <= 1e-12
+    assert rel_err(got["a"], full_subsample(feats, w)) <= 1e-12
 
 
 def test_encode_full_rejects_an_audio_without_frames(small_model, small_ctx,
@@ -381,10 +381,10 @@ def test_step_caches_hold_layer_inputs_before_the_emit_frontier(rng):
     for aid, st in states.items():
         assert st.front == list(frontiers[aid])
         ready, att_end, conv_end = frontiers[aid]
-        x = full_subsample(feats[aid], w, np.float64)
-        x1 = x + _macaron_ff(x, lw.ff1, np.float64)
+        x = full_subsample(feats[aid], w)
+        x1 = x + _macaron_ff(x, lw.ff1)
         h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
-        x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
+        x2 = x1 + _chunk_attention_loop(h, lw.att, ctx, model.n_heads)
         att, conv = st.held[0], st.held[1]
         att_from, conv_from = max(0, att_end - 4), max(0, conv_end - 2)
         assert att.shape[0] == ready - att_from and conv.shape[0] == att_end - conv_from
@@ -461,14 +461,14 @@ def test_every_frame_and_chunk_row_runs_once_per_layer(case, monkeypatch):
 
 def oracle_layers(feats, w, ctx, model):
     """Loop-oracle attention input, conv input and output of every layer."""
-    x = full_subsample(feats, w, np.float64)
+    x = full_subsample(feats, w)
     layers = []
     for lw in w.layers:
-        x1 = x + _macaron_ff(x, lw.ff1, np.float64)
+        x1 = x + _macaron_ff(x, lw.ff1)
         h = layer_norm(x1, lw.att.ln_g, lw.att.ln_b)
-        x2 = x1 + _chunk_attention_loop(h, lw, ctx, model, np.float64)
-        x3 = x2 + _conv_module_full(x2, lw, np.float64)
-        x = layer_norm(x3 + _macaron_ff(x3, lw.ff2, np.float64), lw.out_ln_g, lw.out_ln_b)
+        x2 = x1 + _chunk_attention_loop(h, lw.att, ctx, model.n_heads)
+        x3 = x2 + _conv_module_full(x2, lw.conv)
+        x = layer_norm(x3 + _macaron_ff(x3, lw.ff2), lw.out_ln_g, lw.out_ln_b)
         layers.append((x1, x2, x))
     return x, layers
 

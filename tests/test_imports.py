@@ -2,7 +2,8 @@
 parameter it takes, and no module writes an attribute of a module. Every
 kernel runs in its caller's workspace: no ``ws`` parameter has a default,
 and only the two top-level runs make a Workspace. Only attention.chunk_rows
-gathers attention rows."""
+gathers attention rows. The oracles write one softmax and run in float64
+with no casts of their own."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,20 @@ def defaulted_parameters(source: str, name: str) -> list[str]:
         defaulted = positional[len(positional) - len(a.defaults):] + [
             p for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
         if any(p.arg == name for p in defaulted):
+            found.append(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def functions_taking(source: str, name: str) -> list[str]:
+    """Every function or lambda in ``source`` that takes a parameter ``name``,
+    of any kind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        if any(p is not None and p.arg == name for p in params):
             found.append(getattr(node, "name", "<lambda>"))
     return sorted(found)
 
@@ -230,3 +245,32 @@ def test_checker_finds_package_imports():
 
 def test_oracle_imports_only_containers_and_primitives():
     assert set(package_imports((PACKAGE / "oracle.py").read_text())) <= ORACLE_SHARES
+
+
+def test_checker_finds_functions_taking_a_parameter():
+    source = ("def f(a, dtype=None):\n    return a\n"
+              "def g(x, /, *, dtype):\n    def h(dtype, /):\n        return dtype\n"
+              "    return h(x)\n"
+              "def k(*dtype, **kw):\n    return kw\ndef m(**dtype):\n    return dtype\n"
+              "n = lambda u, dtype: u\ndef q(x):\n    return x.dtype\n")
+    assert functions_taking(source, "dtype") == ["<lambda>", "f", "g", "h", "k", "m"]
+
+
+def test_checker_finds_calls_through_numpy():
+    source = ("import numpy as np\nfrom numpy import exp\n"
+              "def softmax(e):\n    return np.exp(e) / np.exp(e).sum()\n"
+              "def f(e):\n    return [exp(x) for x in e] + [np.expm1(e), e.exp]\n")
+    assert calls_of(source, "exp") == ["f", "softmax", "softmax"]
+
+
+def test_oracle_writes_one_softmax():
+    # both oracles run _relative_attention, so they share one formula
+    assert set(calls_of((PACKAGE / "oracle.py").read_text(), "exp")) == {"_relative_attention"}
+
+
+def test_oracle_casts_only_what_the_selftest_hands_the_engine():
+    # the oracles run in float64 because full_subsample casts the features
+    # once; run_selftest casts the parameters of the engine calls it makes
+    source = (PACKAGE / "oracle.py").read_text()
+    assert set(calls_of(source, "cast_params")) == {"run_selftest"}
+    assert functions_taking(source, "dtype") == []

@@ -4,8 +4,8 @@ import pytest
 from chunkasr.config import ContextConfig, ModelConfig
 from chunkasr.encoder import encode_full, init_weights
 from chunkasr.functional import cast_params
-from chunkasr.oracle import (OracleReport, chunk_window_mask, compare,
-                             dense_attention_reference, full_context_encode,
+from chunkasr.oracle import (OracleReport, _chunk_attention_loop, chunk_window_mask,
+                             compare, dense_attention_reference, full_context_encode,
                              full_subsample, loop_oct_encode, run_selftest)
 from test_attention import random_params
 from conftest import dropping_oldest_att_frame, rel_err
@@ -46,13 +46,32 @@ def test_window_mask_matches_summation_limits():
             assert mask[j, t] == (i * 3 - 4 <= t < (i + 1) * 3 + 2)
 
 
+# (l_att, c, r, L): r = 0 with a partial last chunk, l_att = 0 on whole
+# chunks, a c that does not divide r, L < c, and a partial last chunk
+WINDOWS = [(5, 4, 0, 18), (0, 3, 4, 12), (6, 4, 6, 22), (3, 8, 2, 5), (2, 4, 3, 9)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("l_att,c,r,L", WINDOWS)
+def test_loop_windows_equal_dense_under_window_mask(l_att, c, r, L, heads, rng):
+    # the two oracles share one attention formula, so only their windows can
+    # differ: the loop's per-chunk slices against chunk_window_mask
+    ctx = ContextConfig(l_att=l_att, c=c, r=r)
+    p = random_params(rng, 16)
+    h = rng.normal(size=(L, 16))
+    loop = _chunk_attention_loop(h, p, ctx, heads)
+    dense = dense_attention_reference(h, p, chunk_window_mask(L, ctx), heads)
+    assert loop.dtype == dense.dtype == np.float64
+    assert rel_err(loop, dense) <= 1e-12
+
+
 def test_full_context_zero_layers_is_subsample(rng):
     model = ModelConfig(n_layers=0, d_model=16, n_heads=2, d_ff=32,
                         kernel_size=1, vocab_size=4, l_max=32)
     w = init_weights(model, seed=0)
     feats = rng.normal(size=(64, 80)).astype(np.float32)
     out = full_context_encode(feats, w, model)
-    assert np.array_equal(out, full_subsample(feats, w, np.float64))
+    assert np.array_equal(out, full_subsample(feats, w))
 
 
 def test_full_context_deterministic(small_model, small_weights, rng):
