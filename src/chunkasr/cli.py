@@ -2,7 +2,8 @@
 
 Commands: transcribe (masked-batch endless decoding to text), encode (hidden
 frames to feature containers), selftest (equivalence/poison suites), cost
-(analytic naive-vs-masked batching table).
+(analytic naive-vs-masked batching table). transcribe and encode read an
+input that starts with ``RIFF`` as a WAV, any other as a CFKF container.
 
 Exit codes: 0 ok, 1 tolerance/selftest failure, 2 usage, 3 IO/format,
 4 checkpoint/config mismatch. All outputs are deterministic for fixed inputs,
@@ -15,7 +16,6 @@ computed the same way either way.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,8 +27,8 @@ from .config import (ConfigError, ContextConfig, ModelConfig, context_from_strin
 from .ctc import DecodeState, format_transcript_line, project_logits
 from .encoder import (DEFAULT_BUDGET, VOCAB_TENSOR, CheckpointError, check_shapes,
                       encode_full, init_model, load_checkpoint)
-from .frontend import (SAMPLE_RATE, AudioFormatError, FeatureFormatError, FeatureMatrix,
-                       compute_fbank, load_features, read_wav, save_features)
+from .frontend import (AudioFormatError, FeatureFormatError, FeatureMatrix, compute_fbank,
+                       load_features, read_wav, save_features)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -41,9 +41,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one stderr line, as for every other usage error
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chunkasr",
-                                     description="chunk-wise streaming encoder inference")
+    parser = _Parser(prog="chunkasr", description="chunk-wise streaming encoder inference")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -51,21 +55,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--context", help="override context as 'l_att,c,r'")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max chunk rows per decode step")
-        p.add_argument("--format", choices=["auto", "wav", "features"],
-                       default="auto", help="input kind (auto: by extension)")
         p.add_argument("inputs", nargs="*", type=Path)
 
     t = sub.add_parser("transcribe", help="decode audio to text")
     common(t)
-    t.add_argument("--checkpoint", type=Path, required=False)
+    t.add_argument("--checkpoint", type=Path, required=True,
+                   help="trained weights (random weights produce garbage text)")
     t.add_argument("--timestamps", action="store_true",
                    help="append frame-index spans per token")
     t.add_argument("--output", type=Path, help="transcript file (default stdout)")
 
     e = sub.add_parser("encode", help="write hidden frames per audio")
     common(e)
-    e.add_argument("--checkpoint", type=Path)
-    e.add_argument("--seed", type=int, help="init weights when no checkpoint given")
+    weights = e.add_mutually_exclusive_group()
+    weights.add_argument("--checkpoint", type=Path)
+    weights.add_argument("--seed", type=int, help="init weights when no checkpoint given")
     e.add_argument("--output-dir", type=Path, required=True)
 
     s = sub.add_parser("selftest", help="run equivalence and poison suites")
@@ -76,17 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated audio durations in seconds")
     c.add_argument("--context", help="context as 'l_att,c,r'")
     c.add_argument("--config", type=Path)
-    c.add_argument("--mode", choices=["masked", "naive"], default="masked")
     c.add_argument("--csv", type=Path, help="also write the table as CSV")
     return parser
 
 
 def _load_model_ctx(args) -> tuple[ModelConfig, ContextConfig]:
-    if getattr(args, "config", None):
+    if args.config:
         model, ctx = load_config(args.config)
     else:
         model, ctx = ModelConfig(), ContextConfig()
-    if getattr(args, "context", None):
+    if args.context:
         try:
             ctx = context_from_string(args.context)
         except ConfigError as exc:
@@ -94,20 +97,14 @@ def _load_model_ctx(args) -> tuple[ModelConfig, ContextConfig]:
     return model, ctx
 
 
-def _collect_inputs(paths: list[Path], kind_flag: str) -> list[tuple[str, Path, str]]:
+def _collect_inputs(paths: list[Path]) -> dict[str, Path]:
     if not paths:
         raise UsageError("no input files given")
-    inputs = []
-    seen = set()
+    inputs = {}
     for path in paths:
-        aid = path.stem
-        if aid in seen:
-            raise UsageError(f"duplicate audio id {aid!r}; input stems must be unique")
-        seen.add(aid)
-        kind = kind_flag
-        if kind == "auto":
-            kind = "wav" if path.suffix.lower() == ".wav" else "features"
-        inputs.append((aid, path, kind))
+        if path.stem in inputs:
+            raise UsageError(f"duplicate audio id {path.stem!r}; input stems must be unique")
+        inputs[path.stem] = path
     return inputs
 
 
@@ -127,8 +124,10 @@ def _load(args, model: ModelConfig, ctx: ContextConfig, inputs):
         if problems:
             raise CheckpointError("; ".join(problems))
     features = {}
-    for aid, path, kind in inputs:
-        if kind == "wav":
+    for aid, path in inputs.items():
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+        if magic == b"RIFF":
             features[aid] = compute_fbank(read_wav(path)).frames
         else:
             frames = load_features(path)
@@ -140,9 +139,6 @@ def _load(args, model: ModelConfig, ctx: ContextConfig, inputs):
 
 
 def cmd_transcribe(args, model: ModelConfig, ctx: ContextConfig, inputs) -> int:
-    if args.checkpoint is None:
-        raise UsageError("transcribe requires --checkpoint "
-                         "(random weights produce garbage text)")
     weights, head, vocab, features = _load(args, model, ctx, inputs)
     decoders = {aid: DecodeState() for aid in features}
 
@@ -194,11 +190,8 @@ def cmd_cost(args) -> int:
         durations = [float(x) for x in args.durations.split(",") if x]
     except ValueError:
         raise UsageError(f"bad --durations value {args.durations!r}") from None
-    # nan fails every comparison; inf and sample counts past float range fail isfinite
-    if not durations or not all(d > 0 and math.isfinite(d * SAMPLE_RATE) for d in durations):
-        raise UsageError(f"--durations needs positive, finite values, got {args.durations!r}")
     try:
-        report = costmodel.batch_cost(durations, ctx, model, mode=args.mode)
+        report = costmodel.batch_cost(durations, ctx, model)
     except ConfigError as exc:   # batch_cost checks only the command-line values
         raise UsageError(str(exc)) from None
     print(costmodel.format_cost_table(report))
@@ -215,19 +208,16 @@ def _dispatch(args) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
     model, ctx = _load_model_ctx(args)
-    inputs = _collect_inputs(args.inputs, args.format)
+    inputs = _collect_inputs(args.inputs)
     command = cmd_transcribe if args.command == "transcribe" else cmd_encode
     return command(args, model, ctx, inputs)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
+    except SystemExit:   # --help printed its text
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

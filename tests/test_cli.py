@@ -203,8 +203,7 @@ def test_encode_accepts_feature_inputs(workdir, rng):
     feats = rng.normal(size=(123, 80)).astype(np.float32)
     fpath = workdir / "pre.cfkf"
     save_features(fpath, feats)
-    rc = cli.main(["encode", "--seed", "3", "--format", "features",
-                   "--output-dir", str(workdir / "enc3"), str(fpath)])
+    rc = cli.main(["encode", "--seed", "3", "--output-dir", str(workdir / "enc3"), str(fpath)])
     assert rc == 0
     hidden = load_features(workdir / "enc3" / "pre.cfkf")
     assert hidden.shape == (post_frames(123), ModelConfig().d_model)
@@ -215,8 +214,7 @@ def test_encode_rejects_non_finite_features(workdir, rng, capsys):
     feats[40, 7] = np.nan
     fpath = workdir / "nan.cfkf"
     save_features(fpath, feats)
-    rc = cli.main(["encode", "--seed", "3", "--format", "features",
-                   "--output-dir", str(workdir / "enc4"), str(fpath)])
+    rc = cli.main(["encode", "--seed", "3", "--output-dir", str(workdir / "enc4"), str(fpath)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-finite" in err and "first is frame 40" in err
@@ -226,8 +224,7 @@ def test_encode_rejects_non_finite_features(workdir, rng, capsys):
 def test_encode_rejects_an_empty_feature_matrix(workdir, capsys):
     fpath = workdir / "empty.cfkf"
     save_features(fpath, np.zeros((0, 80), np.float32))
-    rc = cli.main(["encode", "--seed", "1", "--format", "features",
-                   "--output-dir", str(workdir / "enc6"), str(fpath)])
+    rc = cli.main(["encode", "--seed", "1", "--output-dir", str(workdir / "enc6"), str(fpath)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "empty" in err
@@ -413,8 +410,7 @@ def test_encode_refuses_a_zero_width_header_before_allocating(workdir, capsys):
     fpath.write_bytes(b"CFKF" + struct.pack("<III", 1, 2 ** 26, 0))
     tracemalloc.start()
     try:
-        rc = cli.main(["encode", "--seed", "1", "--format", "features",
-                       "--output-dir", str(workdir / "enc7"), str(fpath)])
+        rc = cli.main(["encode", "--seed", "1", "--output-dir", str(workdir / "enc7"), str(fpath)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,12 +426,51 @@ def test_encode_rejects_features_of_the_wrong_width(workdir, rng, capsys):
     save_features(fpath, rng.normal(size=(40, 3)).astype(np.float32))
     # the container itself holds any width: encode writes d_model-wide frames
     assert load_features(fpath).shape == (40, 3)
-    rc = cli.main(["encode", "--seed", "3", "--format", "features",
-                   "--output-dir", str(workdir / "enc5"), str(fpath)])
+    rc = cli.main(["encode", "--seed", "3", "--output-dir", str(workdir / "enc5"), str(fpath)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "narrow.cfkf" in err and "T x 80" in err
     assert not (workdir / "enc5" / "narrow.cfkf").exists()
+
+
+@pytest.mark.parametrize("source, disguise", [("one.wav", ".cfkf"), ("feats.cfkf", ".wav")])
+def test_inputs_are_told_apart_by_their_bytes(workdir, rng, source, disguise):
+    # a WAV named .cfkf and a feature container named .wav are read as what
+    # they hold: transcripts and hidden frames match the truly named file's
+    save_features(workdir / "feats.cfkf", rng.normal(size=(123, 80)).astype(np.float32))
+    outputs = []
+    for suffix in (Path(source).suffix, disguise):
+        run = workdir / f"as{suffix}"
+        run.mkdir()
+        (run / f"x{suffix}").write_bytes((workdir / source).read_bytes())
+        assert cli.main(["transcribe", "--checkpoint", str(workdir / "model.cfkw"),
+                         "--timestamps", "--output", str(run / "x.tsv"),
+                         str(run / f"x{suffix}")]) == 0
+        assert cli.main(["encode", "--checkpoint", str(workdir / "model.cfkw"),
+                         "--output-dir", str(run / "enc"), str(run / f"x{suffix}")]) == 0
+        outputs.append(((run / "x.tsv").read_bytes(), (run / "enc" / "x.cfkf").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_input_of_neither_kind_is_one_line_io_error(workdir, capsys):
+    junk = workdir / "junk.wav"
+    junk.write_bytes(b"0123456789abcdef")
+    rc = cli.main(["encode", "--seed", "0", "--output-dir", str(workdir / "enc"), str(junk)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input/output error: ") and str(junk) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (workdir / "enc").exists()
+
+
+def test_encode_refuses_a_seed_next_to_a_checkpoint(workdir, capsys):
+    rc = cli.main(["encode", "--seed", "3", "--checkpoint", str(workdir / "model.cfkw"),
+                   "--output-dir", str(workdir / "enc"), str(workdir / "one.wav")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "not allowed with argument" in err
+    assert err.count("\n") == 1
+    assert not (workdir / "enc").exists()
 
 
 def test_encode_matches_oracle_within_tolerance(workdir):

@@ -21,39 +21,43 @@ def test_chunked_flops_linear_dense_quadratic():
     one = attention_flops(8 * 10, ctx, model)
     two = attention_flops(8 * 20, ctx, model)
     assert two == 2 * one
-    # a full-context window grows with the audio, so its count is quadratic
-    dense = [attention_flops(t, ContextConfig(l_att=0, c=t, r=0), model) for t in (80, 160)]
-    assert dense[1] == 4 * dense[0]
+    # a full-context window grows with the audio, so its count is quadratic:
+    # the cost per query grows linearly
+    dense = [attention_flops(t, ContextConfig(l_att=0, c=t, r=0), model) // t
+             for t in (80, 160, 240)]
+    assert dense[2] - dense[1] == dense[1] - dense[0] > 0
 
 
 def test_key_span_is_window_width():
-    # [128, 64, 128]: every row sees 320 keys regardless of audio length;
-    # only its 64 chunk positions query them
+    # [128, 64, 128]: every row sees 320 keys and 383 relative positions
+    # regardless of audio length; only its 64 chunk positions query them
     per_row_keys = PAPER_CTX.l_att + PAPER_CTX.c + PAPER_CTX.r
     assert per_row_keys == 320
     model = paper_model()
     for t_post in (64, 640, 64000):
         n = -(-t_post // PAPER_CTX.c)
         flops = attention_flops(t_post, PAPER_CTX, model)
-        assert flops == model.n_layers * n * 3 * 2 * 64 * 320 * 512
+        assert flops == model.n_layers * n * 2 * 64 * (2 * 320 + 383) * 512
 
 
 def test_full_context_config_degenerates_to_dense():
-    # content scores, positional scores and value mixing: three L x L x d
-    # matmuls per layer
+    # content scores and value mixing, two L x L x d matmuls per layer, and
+    # positional scores, an L x (2L - 1) x d matmul over every distance
     model = ModelConfig()
     for t_post in (13, 64, 200):
         ctx = ContextConfig(l_att=0, c=t_post, r=0)
         assert attention_flops(t_post, ctx, model) == \
-            model.n_layers * 3 * 2 * t_post * t_post * model.d_model
+            model.n_layers * 2 * t_post * (4 * t_post - 1) * model.d_model
 
 
 def test_flops_cross_checked_against_dense_opcount():
-    # the three L x L x d einsums of oracle.dense_attention_reference
+    # the einsums of oracle.dense_attention_reference: content scores and
+    # value mixing are L x L x d, the positional scores L x (2L - 1) x d
     model = ModelConfig(n_layers=1)
     for t_len in (8, 16, 33):
         ctx = ContextConfig(l_att=0, c=t_len, r=0)
-        assert attention_flops(t_len, ctx, model) == 3 * 2 * t_len * t_len * model.d_model
+        assert attention_flops(t_len, ctx, model) == \
+            2 * (2 * t_len * t_len + t_len * (2 * t_len - 1)) * model.d_model
 
 
 def test_table_durations_ratio_near_published_value():
@@ -76,7 +80,7 @@ def test_partial_chunk_bills_frames_once_and_queries_per_row():
     assert a.other_flops == (subsample_flops(a.frames_raw, model)
                              + n * 2 * d * d * 2 * (13 + 64)
                              + 2 * 13 * d * model.vocab_size)
-    assert a.attention_flops == n * 3 * 2 * 64 * 320 * d
+    assert a.attention_flops == n * 2 * 64 * (2 * 320 + 383) * d
 
 
 def test_single_audio_ratio_exactly_one():
@@ -96,9 +100,7 @@ def test_ratio_at_least_one_and_additive(rng):
         durations = [float(d) for d in rng.uniform(0.5, 120.0, size=4)]
         rep = batch_cost(durations, ctx, model)
         assert rep.ratio >= 1.0
-        total = sum(a.total_flops for a in batch_cost(durations, ctx, model,
-                                                      mode="masked").audios)
-        assert total == rep.masked_total_flops
+        assert sum(a.total_flops for a in rep.audios) == rep.masked_total_flops
         perm = list(reversed(durations))
         assert batch_cost(perm, ctx, model).masked_total_flops == \
             rep.masked_total_flops
@@ -112,15 +114,24 @@ def test_nonpositive_duration_rejected():
 
 
 def test_naive_mode_bills_longest():
-    report = batch_cost([1.0, 10.0], PAPER_CTX, paper_model(), mode="naive")
-    assert all(a.billed_seconds == 10.0 for a in report.audios)
-    assert report.audios[0].seconds == 1.0
+    report = batch_cost([1.0, 10.0, 4.0], PAPER_CTX, paper_model())
+    assert [a.seconds for a in report.audios] == [1.0, 10.0, 4.0]
+    assert report.naive_total_flops == 3 * report.audios[1].total_flops
 
 
 def test_raw_frame_formula():
     assert raw_frames_for_duration(1.0) == 98
     with pytest.raises(ConfigError):
         raw_frames_for_duration(0.0)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 1e305])
+def test_non_finite_duration_is_a_config_error(seconds):
+    # 1e305 s is finite, but its sample count is not
+    with pytest.raises(ConfigError, match="positive and finite"):
+        raw_frames_for_duration(seconds)
+    with pytest.raises(ConfigError, match="positive and finite"):
+        batch_cost([30.0, seconds], PAPER_CTX, paper_model())
 
 
 def test_report_rendering():

@@ -3,7 +3,7 @@ parameter it takes, and no module writes an attribute of a module. Every
 kernel runs in its caller's workspace: no ``ws`` parameter has a default,
 and only the two top-level runs make a Workspace. Only attention.chunk_rows
 gathers attention rows. The oracles write one softmax and run in float64
-with no casts of their own."""
+with no casts of their own. The CLI reads every option it defines."""
 
 import ast
 from pathlib import Path
@@ -274,3 +274,35 @@ def test_oracle_casts_only_what_the_selftest_hands_the_engine():
     source = (PACKAGE / "oracle.py").read_text()
     assert set(calls_of(source, "cast_params")) == {"run_selftest"}
     assert functions_taking(source, "dtype") == []
+
+
+def unread_options(source: str) -> list[str]:
+    """The dest of every ``add_argument`` call in ``source`` that no
+    ``args.<dest>`` reads: argparse's explicit ``dest``, else the first long
+    option, else the first flag or the positional's name."""
+    tree = ast.parse(source)
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and getattr(n.value, "id", None) == "args"}
+    dests = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            dest = [k.value.value for k in node.keywords if k.arg == "dest"]
+            dest += [f for f in flags if f.startswith("--")] + flags
+            dests.add(dest[0].lstrip("-").replace("-", "_"))
+    return sorted(dests - read)
+
+
+def test_checker_finds_unread_options():
+    source = ("def build(p, g):\n    p.add_argument('--in-dir', type=Path)\n"
+              "    p.add_argument('-q', '--quiet-mode')\n    g.add_argument('-v')\n"
+              "    p.add_argument('files', nargs='*')\n    p.add_argument('--x', dest='why')\n"
+              "    p.add_argument('--out', dest='target')\n"
+              "def run(args, other):\n    args.v = 1\n"
+              "    return args.in_dir, args.files, other.quiet_mode, args.target\n")
+    assert unread_options(source) == ["quiet_mode", "v", "why"]
+
+
+def test_cli_reads_every_option():
+    # an option no command reads is a dead knob
+    assert unread_options((PACKAGE / "cli.py").read_text()) == []
